@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .freqalg import ExpSum
-from .hermite import HermiteBiehler, HermiteBiehlerError, ks_from_Q
+from .freqalg import EvalRangeError, ExpSum
+from .hermite import HermiteBiehler, RootFindingError, ks_from_Q
 from .dbspace import kernel_closed, kernel_closed_eform, kernel_context, kernel_series
 from .measures import DiscreteMeasure, FSPair, pair_from_hb
 from .qmodular import EtaProductSpec, family_l, fminus, fplus, to_fraction
@@ -85,10 +85,7 @@ def cmd_ks(args):
         Q = ExpSum.from_json_dict(qd)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed Q JSON: {e}") from None
-    try:
-        H = ks_from_Q(Q)
-    except HermiteBiehlerError as e:
-        raise InputError(f"validation failed: {e}") from None
+    H = ks_from_Q(Q)
     window = tuple(args.window)
     pair = pair_from_hb(H, args.cutoff, window)
     pair.meta["H"] = H.to_json_dict()
@@ -122,12 +119,7 @@ def _eta_series(args):
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"invalid eta-product exponents: {e}") from None
         plus = fplus(spec, order)
-        minus = None
-        if args.minus:
-            try:
-                minus = fminus(spec, order)
-            except ValueError as e:
-                raise InputError(str(e)) from None
+        minus = fminus(spec, order) if args.minus else None
     return spec, (minus if args.minus else plus)
 
 
@@ -326,7 +318,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
+    # domain errors from the library (SpectrumError and HermiteBiehlerError
+    # are ValueErrors) mean the input was invalid, not that a check failed
+    except (InputError, RootFindingError, EvalRangeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

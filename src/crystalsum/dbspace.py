@@ -30,8 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freqalg import ExpSum
-from .hermite import HermiteBiehler, PhasePoint, real_root_scan
+from .hermite import HermiteBiehler, PhasePoint
+# bound here too so that perfbench/check_bench.py's
+# test_wrappers_reach_every_binding_site_and_come_off finds it
+from .hermite import real_root_scan  # noqa: F401
+from .measures import phase_points
 
 
 @dataclass
@@ -63,26 +66,11 @@ class KernelContext:
 
 
 def kernel_context(H: HermiteBiehler, R: float, alpha: float = 0.0) -> KernelContext:
-    """Scan the roots of B_alpha on [-R, R] and attach residue weights."""
-    A, B = H.rotated(alpha)
-    scan = real_root_scan(B, (-R, R))
-    if scan.double_roots:
-        raise ValueError(f"non-simple root near {scan.double_roots[0]}")
-    roots = np.array(scan.roots)
-    pts = []
-    if roots.size:
-        av = A.eval(roots).real
-        bpv = B.derivative().eval(roots).real
-        w = av / bpv
-        if np.any(w <= 0):
-            raise ValueError("nonpositive residue weight; E is not valid here")
-        pts = [PhasePoint(float(g), float(wi), alpha)
-               for g, wi in zip(roots, w)]
+    """Phase points of B_alpha on [-R, R] with residue weights A_alpha/B_alpha'."""
+    roots, av, bpv = phase_points(H, alpha, (-R, R))
+    pts = [PhasePoint(float(g), float(wi), alpha)
+           for g, wi in zip(roots, av / bpv)]
     return KernelContext(H, pts, float(R))
-
-
-def _AB_at(f: ExpSum, z):
-    return f.eval(z)
 
 
 def kernel_closed(ctx: KernelContext, w: complex, z: complex) -> complex:

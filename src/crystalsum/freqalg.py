@@ -312,24 +312,3 @@ def sine(basis, vec, amplitude=1.0):
     a = amplitude / 2j
     return ExpSum(basis, {tuple(vec): a, _vec_neg(tuple(vec)): -a})
 
-
-# -- spec-facing operation aliases -----------------------------------------
-
-def es_eval(f, z):
-    """Evaluate f at z. See ExpSum.eval."""
-    return f.eval(z)
-
-
-def es_mul(f, g):
-    """Product with exact frequency-vector addition and like-term merging."""
-    return f * g
-
-
-def es_star(f):
-    """Conjugate reflection involution."""
-    return f.star()
-
-
-def es_derivative(f):
-    """Derivative in z."""
-    return f.derivative()

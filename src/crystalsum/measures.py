@@ -1,9 +1,10 @@
 """Discrete measures, summation pairs, and the Herglotz/Poisson evaluator.
 
-A DiscreteMeasure is a finite, window-truncated list of weighted atoms on
-the real line.  Atom positions are doubles, optionally tagged with an
-exact symbolic radicand (sqrt(n/(b*sqrt(N)))) so that irrational positions
-merge by provenance instead of by floating comparison.  A tail model
+A DiscreteMeasure is a finite, window-truncated set of weighted atoms on
+the real line, stored as sorted position and weight arrays.  Positions are
+doubles, optionally tagged with an exact symbolic radicand
+(sqrt(n/(b*sqrt(N)))) so that irrational positions merge by provenance
+instead of by floating comparison.  A tail model
 |w| <= C (1+|x|)^p with an atom density is fitted from the populated
 window; it is used only to report truncation error bars, never to decide
 correctness.
@@ -11,7 +12,9 @@ correctness.
 An FSPair couples an atom measure mu with a coefficient atom list a; for
 the real-antipodal pairs built from a validated Hermite-Biehler sum, mu
 sits at the roots of B with the residue weights 2 pi A(gamma)/B'(gamma)
-and a is the one-sided spectrum of iA/B reflected by conjugation.
+and a is the one-sided spectrum of iA/B reflected by conjugation.  The
+same roots with weights A/B' = 1/phi' carry the de Branges kernel
+expansion; `phase_points` finds them for both.
 """
 
 from __future__ import annotations
@@ -65,12 +68,12 @@ class TailModel:
         return {"C": self.C, "p": self.p, "density": self.density}
 
 
-def fit_tail_model(atoms) -> TailModel | None:
+def fit_tail_model(x, w) -> TailModel | None:
     """Least-squares power-law fit on the outer third of the window."""
-    if len(atoms) < 4:
+    if len(x) < 4:
         return None
-    xs = np.array([abs(a.x) for a in atoms])
-    ws = np.array([abs(a.w) for a in atoms])
+    xs = np.abs(x)
+    ws = np.abs(w)
     xmax = xs.max()
     outer = (xs >= xmax / 3.0) & (ws > 0)
     if np.count_nonzero(outer) < 3 or xmax <= 1.0:
@@ -86,84 +89,97 @@ def fit_tail_model(atoms) -> TailModel | None:
     return TailModel(C, p, density)
 
 
-class DiscreteMeasure:
-    """Sorted atoms on a window, with duplicate merging and optional flags.
+def _frozen(values, dtype):
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
-    Duplicates merge by exact provenance when both atoms carry it, else by
-    a 1e-10 position tolerance (symbolic radicands like sqrt(n + 1/9)
-    collide only symbolically).
+
+class DiscreteMeasure:
+    """Atoms on a window, stored as sorted arrays, with duplicate merging.
+
+    `x` (float) and `w` (complex) are read-only arrays sorted by position,
+    and `prov` is the matching tuple of SqrtProvenance or None.  Input
+    atoms are Atom records or (x, w[, prov]) tuples.  Duplicates merge by
+    exact provenance when both atoms carry it, else by a 1e-10 position
+    tolerance (symbolic radicands like sqrt(n + 1/9) collide only
+    symbolically); atoms whose merged weight is zero are dropped.
     """
 
     def __init__(self, atoms, window, nonneg=False, dual_sign=None,
                  tail_model="fit"):
         norm = []
         for a in atoms:
-            if not isinstance(a, Atom):
-                a = Atom(float(a[0]), complex(a[1]),
-                         a[2] if len(a) > 2 else None)
-            norm.append(a)
-        norm.sort(key=lambda a: a.x)
-        merged: list[Atom] = []
-        for a in norm:
+            if isinstance(a, Atom):
+                norm.append((a.x, a.w, a.prov))
+            else:
+                norm.append((float(a[0]), complex(a[1]),
+                             a[2] if len(a) > 2 else None))
+        norm.sort(key=lambda a: a[0])
+        merged: list[list] = []
+        for x, w, prov in norm:
             if merged:
-                prev = merged[-1]
-                same = False
-                if a.prov is not None and prev.prov is not None:
-                    same = (a.prov.radicand_key() == prev.prov.radicand_key()
-                            and (a.x >= 0) == (prev.x >= 0))
+                px, pw, pprov = merged[-1]
+                if prov is not None and pprov is not None:
+                    same = (prov.radicand_key() == pprov.radicand_key()
+                            and (x >= 0) == (px >= 0))
                 else:
-                    same = abs(a.x - prev.x) <= MERGE_TOL
+                    same = abs(x - px) <= MERGE_TOL
                 if same:
-                    merged[-1] = Atom(prev.x, prev.w + a.w, prev.prov or a.prov)
+                    merged[-1] = [px, pw + w, pprov or prov]
                     continue
-            merged.append(a)
-        merged = [a for a in merged if a.w != 0]
-        self.atoms = merged
+            merged.append([x, w, prov])
+        merged = [a for a in merged if a[1] != 0]
+        self.x = _frozen([a[0] for a in merged], float)
+        self.w = _frozen([a[1] for a in merged], complex)
+        self.prov = tuple(a[2] for a in merged)
         self.window = (float(window[0]), float(window[1]))
-        if merged and not (self.window[0] <= merged[0].x
-                           and merged[-1].x <= self.window[1]):
+        if merged and not (self.window[0] <= self.x[0]
+                           and self.x[-1] <= self.window[1]):
             raise ValueError("window does not cover the atom support")
-        for a, b in zip(merged, merged[1:]):
-            if not a.x < b.x:
-                raise ValueError("positions failed to sort strictly")
+        if not np.all(np.diff(self.x) > 0):
+            raise ValueError("positions failed to sort strictly")
         self.nonneg = bool(nonneg)
         if self.nonneg:
-            for a in merged:
-                if abs(a.w.imag) > 1e-12 * (1 + abs(a.w)) or a.w.real < 0:
-                    raise ValueError(f"atom at {a.x} violates the nonneg flag")
+            bad = (np.abs(self.w.imag) > 1e-12 * (1 + np.abs(self.w))) \
+                | (self.w.real < 0)
+            if np.any(bad):
+                raise ValueError(f"atom at {self.x[np.argmax(bad)]} "
+                                 "violates the nonneg flag")
         self.dual_sign = dual_sign
-        self.tail_model = fit_tail_model(merged) if tail_model == "fit" \
-            else tail_model
+        self.tail_model = fit_tail_model(self.x, self.w) \
+            if tail_model == "fit" else tail_model
 
     # -- views ----------------------------------------------------------
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.x)
 
     def __iter__(self):
-        return iter(self.atoms)
+        """Atom records in position order."""
+        return map(Atom, self.x.tolist(), self.w.tolist(), self.prov)
 
     def positions(self):
-        return np.array([a.x for a in self.atoms])
+        return self.x
 
     def weights(self):
-        return np.array([a.w for a in self.atoms], dtype=complex)
-
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights()))) if self.atoms else 0.0
+        return self.w
 
     def weight_at(self, x, tol=MERGE_TOL):
-        for a in self.atoms:
-            if abs(a.x - x) <= tol:
-                return a.w
+        """Weight of the first atom within tol of x, or 0j."""
+        lo = int(np.searchsorted(self.x, x - tol)) - 1
+        hi = int(np.searchsorted(self.x, x + tol, side="right")) + 1
+        for i in range(max(lo, 0), min(hi, len(self.x))):
+            if abs(self.x[i] - x) <= tol:
+                return complex(self.w[i])
         return 0j
 
     def to_json_dict(self):
         out = {"atoms": [], "window": list(self.window), "nonneg": self.nonneg}
-        for a in self.atoms:
-            rec = {"x": a.x, "w": [a.w.real, a.w.imag]}
-            if a.prov is not None:
-                rec["prov"] = a.prov.to_json_dict()
+        for x, w, prov in zip(self.x.tolist(), self.w.tolist(), self.prov):
+            rec = {"x": x, "w": [w.real, w.imag]}
+            if prov is not None:
+                rec["prov"] = prov.to_json_dict()
             out["atoms"].append(rec)
         if self.dual_sign is not None:
             out["dual_sign"] = self.dual_sign
@@ -200,10 +216,8 @@ class FSPair:
     real_antipodal: bool = False
 
     def __post_init__(self):
-        if self.real_antipodal:
-            for at in self.mu:
-                if at.w.imag != 0.0:
-                    raise ValueError("real-antipodal pair needs real mu weights")
+        if self.real_antipodal and np.any(self.mu.w.imag != 0.0):
+            raise ValueError("real-antipodal pair needs real mu weights")
 
     def to_json_dict(self):
         return {"mu": self.mu.to_json_dict(), "a": self.a.to_json_dict(),
@@ -219,33 +233,41 @@ class FSPair:
 
 # -- construction from Hermite-Biehler data ----------------------------------
 
-def measure_from_phase(H: HermiteBiehler, alpha: float, window) -> DiscreteMeasure:
-    """Atoms 2 pi/phi'(gamma) at the real roots of B_alpha inside the window.
+def phase_points(H: HermiteBiehler, alpha: float, window):
+    """Real roots gamma of B_alpha in the window, with A_alpha(gamma), B_alpha'(gamma).
 
-    phi is the phase of e^{i alpha}E; the weight at a root gamma equals
-    2 pi A_alpha(gamma)/B_alpha'(gamma), which is strictly positive for a
-    validated Hermite-Biehler input.
+    phi is the phase of e^{i alpha}E, and 1/phi'(gamma) = A_alpha/B_alpha'
+    at each root, which is strictly positive for a validated
+    Hermite-Biehler input.  A double root, a vanishing B_alpha' or a
+    nonpositive A_alpha/B_alpha' raises RootFindingError.  Callers form
+    their weights from the returned arrays (2 pi av/bpv for the measure,
+    av/bpv for the kernel; rescaling one into the other would change the
+    last bit of some weights).
     """
-    if not 0.0 <= alpha < math.pi:
-        raise ValueError("alpha must lie in [0, pi)")
     A, B = H.rotated(alpha)
     scan = real_root_scan(B, window)
     if scan.double_roots:
         raise RootFindingError(
             f"degenerate (non-simple) root near {scan.double_roots[0]}")
-    roots = np.array(scan.roots)
-    if roots.size == 0:
-        return DiscreteMeasure([], window, nonneg=True)
+    roots = np.array(scan.roots, dtype=float)
     av = A.eval(roots).real
     bpv = B.derivative().eval(roots).real
     if np.any(np.abs(bpv) < 1e-300):
         raise RootFindingError("B' vanished at a detected root")
-    w = 2 * math.pi * av / bpv
-    if np.any(w <= 0):
-        bad = roots[np.argmin(w)]
+    ratio = av / bpv
+    if np.any(ratio <= 0):
+        bad = roots[np.argmin(ratio)]
         raise RootFindingError(f"nonpositive residue weight at {bad}")
-    return DiscreteMeasure([(x, wi) for x, wi in zip(roots, w)],
-                           window, nonneg=True)
+    return roots, av, bpv
+
+
+def measure_from_phase(H: HermiteBiehler, alpha: float, window) -> DiscreteMeasure:
+    """Atoms 2 pi/phi'(gamma) = 2 pi A_alpha/B_alpha' at the phase points."""
+    if not 0.0 <= alpha < math.pi:
+        raise ValueError("alpha must lie in [0, pi)")
+    roots, av, bpv = phase_points(H, alpha, window)
+    return DiscreteMeasure(zip(roots, 2 * math.pi * av / bpv), window,
+                           nonneg=True)
 
 
 def pair_from_hb(H: HermiteBiehler, cutoff, window) -> FSPair:
@@ -337,22 +359,22 @@ def herglotz_tail_bound(mu: DiscreteMeasure, w: complex, z: complex) -> float:
 
 # -- splittings ---------------------------------------------------------------
 
+def _records(mu: DiscreteMeasure, w, keep):
+    """(x, w, prov) input records of mu's atoms where keep holds, new weights w."""
+    return [(x, wi, p) for x, wi, p, k in zip(mu.x, w, mu.prov, keep) if k]
+
+
 def signed_split(mu: DiscreteMeasure):
     """Positive/negative parts of a real measure: mu = plus - minus.
 
     Complex measures must first be separated into real and imaginary parts
     (see antipodal_split); complex weights are an error here.
     """
-    plus, minus = [], []
-    for a in mu.atoms:
-        if abs(a.w.imag) > 1e-12 * (1 + abs(a.w)):
-            raise ValueError("signed_split requires real weights")
-        if a.w.real > 0:
-            plus.append(Atom(a.x, complex(a.w.real), a.prov))
-        elif a.w.real < 0:
-            minus.append(Atom(a.x, complex(-a.w.real), a.prov))
-    return (DiscreteMeasure(plus, mu.window, nonneg=True),
-            DiscreteMeasure(minus, mu.window, nonneg=True))
+    if np.any(np.abs(mu.w.imag) > 1e-12 * (1 + np.abs(mu.w))):
+        raise ValueError("signed_split requires real weights")
+    re = mu.w.real
+    return (DiscreteMeasure(_records(mu, re, re > 0), mu.window, nonneg=True),
+            DiscreteMeasure(_records(mu, -re, re < 0), mu.window, nonneg=True))
 
 
 def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
@@ -361,8 +383,8 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
     a1(l) = (a(l) + conj(a(-l)))/2,  a2(l) = (conj(a(-l)) - a(l))/(2i),
     mu1 = Re mu,  mu2 = -Im mu,  so that a = a1 - i a2 and mu = mu1 - i mu2.
     """
-    support = sorted({round(at.x, 9) for at in a.atoms}
-                     | {round(-at.x, 9) for at in a.atoms})
+    xs = a.x.tolist()
+    support = sorted({round(x, 9) for x in xs} | {round(-x, 9) for x in xs})
     a1_atoms, a2_atoms = [], []
     for x in support:
         ax = a.weight_at(x)
@@ -374,10 +396,8 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
         if a2 != 0:
             a2_atoms.append((x, a2))
     win = (min(a.window[0], -a.window[1]), max(a.window[1], -a.window[0]))
-    mu1 = DiscreteMeasure([Atom(at.x, complex(at.w.real), at.prov)
-                           for at in mu.atoms if at.w.real != 0], mu.window)
-    mu2 = DiscreteMeasure([Atom(at.x, complex(-at.w.imag), at.prov)
-                           for at in mu.atoms if at.w.imag != 0], mu.window)
+    mu1 = DiscreteMeasure(_records(mu, mu.w.real, mu.w.real != 0), mu.window)
+    mu2 = DiscreteMeasure(_records(mu, -mu.w.imag, mu.w.imag != 0), mu.window)
     return ((mu1, DiscreteMeasure(a1_atoms, win)),
             (mu2, DiscreteMeasure(a2_atoms, win)))
 

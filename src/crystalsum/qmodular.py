@@ -1,9 +1,8 @@
 """Exact formal q-series with rational exponents and rational coefficients.
 
-Everything here is exact: exponents are `fractions.Fraction`, coefficients
-are arbitrary-precision rationals (gmpy2.mpq when available, Fraction
-otherwise).  No floating point enters any arithmetic path, so re-running a
-pipeline reproduces identical term maps.
+Everything here is exact: exponents and coefficients are
+`fractions.Fraction`.  No floating point enters any arithmetic path, so
+re-running a pipeline reproduces identical term maps.
 
 The module provides the Dedekind eta expansion as a sparse theta series,
 eta-products over the divisors of a level N with rational exponents r_d
@@ -27,21 +26,18 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def QQ(a, b=None):
-        return _mpq(a) if b is None else _mpq(a, b)
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def QQ(a, b=None):
-        return Fraction(a) if b is None else Fraction(a, b)
+# the coefficient type; benchmark reports name the backend as type(QQ(1))
+QQ = Fraction
 
 _QQ_ZERO = QQ(0)
 _QQ_ONE = QQ(1)
 
 
 def to_fraction(x) -> Fraction:
-    """Exact Fraction from int/str('p/q')/Fraction/mpq. Floats are rejected."""
+    """Exact Fraction from int, str('p/q'), Fraction or another exact rational.
+
+    Floats are rejected.
+    """
     if isinstance(x, float):
         raise TypeError("floats are not accepted where exact rationals are required")
     if isinstance(x, Fraction):
@@ -63,6 +59,18 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
                     a.denominator * b.denominator)
 
 
+def _iroot(v: int, n: int) -> int:
+    """Floor of the n-th root of a nonnegative integer (integer Newton)."""
+    if v < 2:
+        return v
+    r = 1 << -(-v.bit_length() // n)  # 2^ceil(bits/n) >= the root
+    while True:
+        s = ((n - 1) * r + v // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
 def _nth_root_exact(c, n: int):
     """Exact n-th root of a rational, or None if it is irrational."""
     if c < 0:
@@ -73,13 +81,10 @@ def _nth_root_exact(c, n: int):
     num, den = c.numerator, c.denominator
     out = []
     for val in (num, den):
-        r = round(val ** (1.0 / n)) if val > 1 else val
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == val:
-                out.append(cand)
-                break
-        else:
+        r = _iroot(val, n)
+        if r ** n != val:
             return None
+        out.append(r)
     return QQ(out[0], out[1])
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
+from crystalsum.hermite import ks_from_Q
 
 
 def write_sin_pi_z(path: Path) -> str:
@@ -201,3 +202,31 @@ def test_pair_check_command(tmp_path):
     assert rc == 0
     rep = json.loads((out / "pair_check_report.json").read_text())
     assert rep["all_pass"] and len(rep["reports"]) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["ks", "{q}", "--cutoff", "-1"],
+    ["ks", "{q}", "--window", "5", "-5"],
+    ["kernel", "{H}", "--R", "0"],
+    ["spectrum", "{H}", "--lambdas", "1", "--T", "-3"],
+])
+def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
+    files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
+    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+                                     .to_json_dict()))
+    out = tmp_path / "run"
+    argv = [a.format(**files) for a in argv]
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eta_empty_measure_does_not_pass(tmp_path):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "eta", "--family-l", "1",
+                 "--order", "0"]) == 1
+    assert json.loads((out / "measure.json").read_text())["atoms"] == []
+    report = json.loads((out / "selfdual_report.json").read_text())
+    assert report["all_pass"] is False
+    assert {r["verdict"] for r in report["gaussian_reports"]} == {"inconclusive"}

@@ -91,9 +91,20 @@ def test_qpow_rejects_irrational_leading_root():
     u = QSeries({F(0): 2, F(1): 1}, F(4))
     with pytest.raises(ValueError):
         qpow(u, F(1, 2))
+    # beyond double range: still an exact integer test, not a float root
+    for c0 in (2 * 10**400, F(10**400, 3), 10**400 + 1):
+        with pytest.raises(ValueError):
+            qpow(QSeries({F(0): c0, F(1): 1}, F(5)), F(1, 2))
     # exact rational root accepted
     v = QSeries({F(0): QQ(4, 9), F(1): 1}, F(4))
     assert qpow(v, F(1, 2)).coefficient(F(0)) == QQ(2, 3)
+
+
+def test_qpow_exact_root_of_huge_leading_coefficient():
+    u = QSeries({F(0): 10**400, F(1): 1}, F(5))
+    assert qpow(u, F(1, 2)).leading() == (F(0), 10**200)
+    assert qpow(QSeries({F(0): F(3**300, 2**600)}, F(1)), F(1, 3)).leading() \
+        == (F(0), F(3**100, 2**200))
 
 
 def test_mul_truncation_order():

@@ -162,6 +162,16 @@ def test_check_pair_inconclusive_when_tail_dominates():
     assert rep.verdict == "inconclusive"
 
 
+def test_empty_measure_is_inconclusive():
+    empty = DiscreteMeasure([], (-1, 1), dual_sign=1)
+    tf = TestFunction("gaussian", z=1j)
+    assert check_pair(FSPair(empty, empty), tf).verdict == "inconclusive"
+    bump = TestFunction("bump", halfwidth=0.5)
+    reports = check_selfdual(empty, [tf, bump])
+    assert [r.verdict for r in reports] == ["inconclusive"] * 2
+    assert all(r.lhs == r.rhs == 0 for r in reports)
+
+
 def test_pass_survives_window_doubling():
     tf = TestFunction("gaussian", z=1j, x0=1.0)
     r1 = check_pair(poisson_pair(16.0, 16.5), tf, tol=1e-8)
