@@ -156,6 +156,10 @@ def cmd_eta(args):
 
 
 def cmd_spectrum(args):
+    if not args.T > 0:
+        raise InputError(f"--T must be positive, got {args.T}")
+    if not args.y > 0:
+        raise InputError(f"--y must be positive, got {args.y}")
     d = _load_json(args.input)
     H = _load_hb(d)
     cutoff = args.cutoff if args.cutoff is not None else \

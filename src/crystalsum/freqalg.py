@@ -18,6 +18,7 @@ not verified here.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -91,7 +92,7 @@ class ExpSum:
     arithmetic returns new instances.
     """
 
-    __slots__ = ("basis", "_terms", "_sorted")
+    __slots__ = ("basis", "_terms", "_sorted", "_values")
 
     def __init__(self, basis: FreqBasis, terms=None):
         self.basis = basis
@@ -105,8 +106,11 @@ class ExpSum:
             if c != 0:
                 clean[vec] = clean.get(vec, 0j) + c
         self._terms = {v: c for v, c in clean.items() if c != 0}
-        # ascending numeric frequency, integer vector as tiebreak
-        self._sorted = sorted(self._terms, key=lambda v: (basis.value(v), v))
+        # ascending numeric frequency, integer vector as tiebreak; the
+        # numeric values are kept beside the vectors so nothing recomputes them
+        order = sorted((basis.value(v), v) for v in self._terms)
+        self._values = [val for val, _ in order]
+        self._sorted = [v for _, v in order]
 
     # -- inspection ---------------------------------------------------------
 
@@ -117,7 +121,7 @@ class ExpSum:
 
     def sorted_terms(self):
         """(vector, value, coefficient) triples in ascending frequency order."""
-        return [(v, self.basis.value(v), self._terms[v]) for v in self._sorted]
+        return [(v, val, self._terms[v]) for v, val in zip(self._sorted, self._values)]
 
     def __len__(self):
         return len(self._terms)
@@ -143,14 +147,13 @@ class ExpSum:
         if not self._terms:
             raise ValueError("empty sum has no minimum frequency")
         v = self._sorted[0]
-        return v, self.basis.value(v), self._terms[v]
+        return v, self._values[0], self._terms[v]
 
     def freq_span(self):
         """max frequency - min frequency (0 for at most one term)."""
         if len(self._terms) < 2:
             return 0.0
-        vals = [self.basis.value(v) for v in self._sorted]
-        return vals[-1] - vals[0]
+        return self._values[-1] - self._values[0]
 
     def coefficient(self, vec):
         return self._terms.get(tuple(vec), 0j)
@@ -169,8 +172,7 @@ class ExpSum:
             return out if out.shape else 0j
         im_min = float(np.min(z.imag)) if z.size else 0.0
         im_max = float(np.max(z.imag)) if z.size else 0.0
-        for v in self._sorted:
-            lam = self.basis.value(v)
+        for v, lam in zip(self._sorted, self._values):
             worst = -2.0 * math.pi * lam * (im_min if lam > 0 else im_max)
             if worst > _EXP_OVERFLOW:
                 raise EvalRangeError(
@@ -237,11 +239,9 @@ class ExpSum:
 
     def derivative(self):
         """d/dz: term (lam, c) -> (lam, 2 pi i lam c); the lam = 0 term drops."""
-        t = {}
-        for v, c in self._terms.items():
-            lam = self.basis.value(v)
-            t[v] = 2j * math.pi * lam * c
-        return ExpSum(self.basis, t)
+        lam = dict(zip(self._sorted, self._values))
+        return ExpSum(self.basis, {v: 2j * math.pi * lam[v] * c
+                                   for v, c in self._terms.items()})
 
     def is_star_fixed(self, tol=0.0):
         """Exact (tol=0) or tolerant check that f* = f, i.e. f is real on R."""
@@ -262,9 +262,9 @@ class ExpSum:
 
     def truncate(self, cutoff_value, tol=1e-12):
         """Drop terms with numeric frequency above cutoff_value (+tol)."""
-        keep = {v: c for v, c in self._terms.items()
-                if self.basis.value(v) <= cutoff_value + tol}
-        return ExpSum(self.basis, keep)
+        # term order is kept: it fixes the summation order of later products
+        kept = set(self._sorted[:bisect.bisect_right(self._values, cutoff_value + tol)])
+        return ExpSum(self.basis, {v: c for v, c in self._terms.items() if v in kept})
 
     # -- serialization ------------------------------------------------------
 

@@ -40,7 +40,12 @@ class SqrtProvenance:
     N: int
 
     def radicand_key(self):
-        return (Fraction(self.n, self.b), self.N)
+        """(n/(b s), N') for N = s^2 N' with N' squarefree: equal positions, equal keys."""
+        s, rest = 1, self.N
+        for p in range(2, math.isqrt(rest) + 1):
+            while rest % (p * p) == 0:
+                s, rest = s * p, rest // (p * p)
+        return (Fraction(self.n, self.b * s), rest)
 
     def value(self) -> float:
         return math.sqrt(self.n / (self.b * math.sqrt(self.N)))

@@ -1,12 +1,15 @@
 """Spectral coefficients of f = iA/B, by two independent routes.
 
 The exact route expands iA/B as an exponential sum with nonnegative
-frequencies using the geometric division  1/(1-g) = sum g^n,  where g is
-built from B normalized by its lowest-frequency term.  Truncating every
-power at a declared frequency cutoff keeps the loop finite without any
-magnitude-based dropping: each retained frequency receives contributions
-from finitely many powers, so the output frequencies are exact and the
-coefficients are floating-exact.
+frequencies.  With B normalized by its lowest-frequency term,
+iA/B = p/(1-g) where every frequency of g is positive, so (1-g)·out = p
+is a triangular system in ascending frequency and one recurrence
+out(v) = p(v) + sum_u g(u) out(v-u) solves it up to a declared cutoff,
+with no magnitude-based dropping: the output frequencies are exact
+integer vectors and each coefficient is a short sum over earlier ones.
+(Summing the truncated geometric series sum g^n power by power, as this
+module once did, is not floating-exact: at rank 2 the powers cancel and
+the error grows exponentially with the frequency.)
 
 The numeric route estimates the same coefficients as tapered mean values
 
@@ -15,7 +18,9 @@ The numeric route estimates the same coefficients as tapered mean values
 along a horizontal line, with the Fejer taper w(u) = 1-|u| (rescaled by
 its integral) as default: the taper improves the truncation error of an
 isolated atom from O(1/T) to O(1/T^2).  The quadrature is composite
-Gauss-Legendre with fixed-width panels.
+Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
+with the phase factored over panel midpoints and nodes, so memory does
+not grow with T.
 
 The two routes share no code and serve as oracles for each other.
 """
@@ -40,7 +45,7 @@ class SpectrumAtoms:
     """Nonnegative-frequency expansion of iA/B up to a cutoff.
 
     atoms maps frequency vectors to complex coefficients; y_valid is a
-    height above which the defining geometric expansion was certified to
+    height above which the defining expansion p/(1-g) was certified to
     converge (sup-norm bound of g below 1/2).
     """
 
@@ -75,14 +80,63 @@ def _sup_bound(g: ExpSum, y: float) -> float:
                for _, val, c in g.sorted_terms())
 
 
+def _divide(p: ExpSum, g: ExpSum, cutoff_value: float) -> dict:
+    """Terms of p/(1-g) with frequency at most cutoff_value, as a plain dict.
+
+    Every frequency of g is positive, so the equation (1-g)·out = p is
+    triangular in ascending frequency: out(v) = p(v) + sum_u g(u) out(v-u)
+    over u in supp g, where each v-u precedes v.  The support is the
+    closure of supp p under +supp g, kept at or below the cutoff with the
+    tolerance `ExpSum.truncate` uses.
+    """
+    basis = p.basis
+    limit = cutoff_value + 1e-12
+    steps = [(u, c) for u, _, c in g.sorted_terms()]
+    value = {v: val for v, val, _ in p.sorted_terms()}
+    frontier = list(value)
+    while frontier:
+        reached = []
+        for v in frontier:
+            for u, _ in steps:
+                w = tuple(a + b for a, b in zip(v, u))
+                if w not in value:
+                    val = basis.value(w)
+                    if val <= limit:
+                        value[w] = val
+                        reached.append(w)
+        frontier = reached
+    pv = p.terms
+    out = {}
+    for v in sorted(value, key=lambda v: (value[v], v)):
+        acc = pv.get(v, 0j)
+        for u, c in steps:
+            prev = out.get(tuple(a - b for a, b in zip(v, u)))
+            if prev is not None:
+                acc += c * prev
+        out[v] = acc
+    return out
+
+
 def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     """Expansion of iA/B in nonnegative frequencies, exact up to `cutoff`.
 
     Writes B = b0 e^{2 pi i theta0 z}(1 - g) with theta0 the common minimum
-    frequency of A and B, then multiplies iA e^{-2 pi i theta0 z}/b0 by the
-    truncated geometric series.  The number of powers is ceil(cutoff/delta)
-    with delta the least positive frequency of g, so every retained
-    frequency is complete.  Records y_valid, the least ladder height where
+    frequency of A and B, so that iA/B = p/(1-g) with
+    p = iA e^{-2 pi i theta0 z}/b0, and solves (1-g)·out = p by the
+    triangular recurrence of `_divide`: one pass over the retained
+    frequencies in ascending order, O(atoms·|supp g|).  Every retained
+    frequency is complete and exact as an integer vector.
+
+    The coefficients are as accurate as the solve of a well-conditioned
+    triangular system.  The earlier route summed the truncated powers g^n
+    one by one and was not: at rank 2 (the Lee-Yang input at cutoff 60)
+    the powers cancel against each other and its error grew from 3e-14
+    below frequency 10 to 6e-3 near 55, while the recurrence stays within
+    4e-15 of an exact rational solve of the same double inputs.
+
+    meta records the requested cutoff, delta (the least frequency of g)
+    and n_powers = ceil(cutoff/delta), the highest power of g that can
+    reach a retained frequency.  y_valid is the least ladder height where
     the sup-norm bound of g drops below 1/2.
     """
     A, B = H.A, H.B
@@ -105,23 +159,15 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     prefactor = (A.shift(neg) * (1j / b0)).truncate(cutoff_value)
 
     if g:
-        delta = min(val for _, val, _ in g.sorted_terms())
+        delta = g.min_freq()[1]
         if delta <= 0:
             raise SpectrumError("duplicate lowest frequency in B after purge")
         n_powers = int(math.ceil(cutoff_value / delta)) if cutoff_value > 0 else 0
-        geom = ExpSum(B.basis, {B.basis.zero_vec(): 1.0})
-        power = geom
-        for _ in range(n_powers):
-            power = (power * g).truncate(cutoff_value)
-            if not power:
-                break
-            geom = geom + power
     else:
         delta = math.inf
         n_powers = 0
-        geom = ExpSum(B.basis, {B.basis.zero_vec(): 1.0})
 
-    out = (prefactor * geom).truncate(cutoff_value)
+    atoms = {v: c for v, c in _divide(prefactor, g, cutoff_value).items() if c != 0}
 
     y_valid = 0.0
     if g:
@@ -132,7 +178,6 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
                 raise SpectrumError("could not certify convergence height")
         y_valid = y
 
-    atoms = out.terms
     cutoff_vec = max(atoms, key=lambda v: B.basis.value(v)) if atoms \
         else B.basis.zero_vec()
     meta = {"requested_cutoff": cutoff_value, "n_powers": n_powers,
@@ -144,53 +189,69 @@ def _fejer_weight(u):
     return 1.0 - np.abs(u)
 
 
-def _panel_nodes(T: float, width: float, nodes: int):
-    n_panels = max(int(math.ceil(2 * T / width)), 1)
-    w_eff = 2 * T / n_panels
-    xi, wi = np.polynomial.legendre.leggauss(nodes)
-    mids = -T + w_eff * (np.arange(n_panels) + 0.5)
-    X = (mids[:, None] + 0.5 * w_eff * xi[None, :]).ravel()
-    W = np.broadcast_to(0.5 * w_eff * wi[None, :], (n_panels, nodes)).ravel()
-    return X, W
+# quadrature points per streamed chunk of mean_value_batch: a few complex
+# arrays of this length are live at once, whatever T is
+_CHUNK_POINTS = 1 << 16
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer",
                      panel_width=0.25, nodes=8, eval_y=None):
     """Tapered Bohr mean values at several frequencies, sharing f-samples.
 
-    `f` is an evaluator (vectorized over ndarray input preferred).  When
-    eval_y is given, the integration line is moved there; by Cauchy's
-    theorem the mean of a function holomorphic and bounded between the two
-    heights is unchanged, and a lower line avoids amplifying quadrature
-    noise by e^{2 pi lambda y} at large lambda.
+    `f` is an evaluator (vectorized over ndarray input preferred; a
+    scalar-only `f` is called point by point).  When eval_y is given, the
+    integration line is moved there; by Cauchy's theorem the mean of a
+    function holomorphic and bounded between the two heights is unchanged,
+    and a lower line avoids amplifying quadrature noise by e^{2 pi lambda y}
+    at large lambda.
+
+    The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
+    width h, Gauss-Legendre nodes xi_j), so the phase factors exactly:
+
+        e^{-2 pi i lam (X + iy)}
+            = e^{2 pi lam y} e^{-2 pi i lam mid_p} e^{-2 pi i lam h xi_j}.
+
+    The panels are streamed in chunks of about _CHUNK_POINTS nodes; per
+    chunk f is evaluated once at each node, the node sum is one
+    (panels x nodes) by (nodes x lambdas) product, and the panel sum needs
+    one (panels x lambdas) exponential.  Memory stays bounded by the
+    chunk, not by T.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
     if T <= 0:
         raise ValueError("T must be positive")
+    T = float(T)
     y_line = y if eval_y is None else eval_y
-    X, W = _panel_nodes(float(T), panel_width, nodes)
-    Z = X + 1j * y_line
-    try:
-        fv = np.asarray(f(Z), dtype=complex)
-        if fv.shape != Z.shape:
-            raise TypeError
-    except TypeError:
-        fv = np.array([f(z) for z in Z], dtype=complex)
-    if not np.all(np.isfinite(fv)):
-        raise SpectrumError("non-finite sample: a pole is too close to the line")
-    if taper == "fejer":
-        wts = W * _fejer_weight(X / T)
-        norm = float(T)
-    else:
-        wts = W
-        norm = 2.0 * float(T)
-    base = wts * fv
-    out = []
-    for lam in lambdas:
-        phase = np.exp(-2j * np.pi * lam * Z)
-        out.append(complex(np.sum(base * phase)) / norm)
-    return out
+    lam = np.asarray(lambdas, dtype=float)
+    n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
+    w_eff = 2 * T / n_panels
+    half = 0.5 * w_eff
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    node_w = half * wi
+    node_phase = np.exp(-2j * np.pi * half * np.outer(xi, lam))
+    norm = T if taper == "fejer" else 2.0 * T
+    step = max(_CHUNK_POINTS // nodes, 1)
+    acc = np.zeros(lam.shape, dtype=complex)
+    for start in range(0, n_panels, step):
+        mids = -T + w_eff * (np.arange(start, min(start + step, n_panels)) + 0.5)
+        X = mids[:, None] + half * xi[None, :]
+        Z = (X + 1j * y_line).ravel()
+        try:
+            fv = np.asarray(f(Z), dtype=complex)
+            if fv.shape != Z.shape:
+                raise TypeError
+        except TypeError:
+            fv = np.array([f(z) for z in Z], dtype=complex)
+        if not np.all(np.isfinite(fv)):
+            raise SpectrumError("non-finite sample: a pole is too close to the line")
+        wts = node_w * _fejer_weight(X / T) if taper == "fejer" else node_w
+        # einsum, not @: a BLAS product wakes worker threads that then spin
+        # through the rest of the run and double its CPU time
+        per_panel = np.einsum("pj,jl->pl", wts * fv.reshape(X.shape), node_phase)
+        acc += np.sum(np.exp(-2j * np.pi * np.outer(mids, lam)) * per_panel, axis=0)
+    scale = np.exp(2 * np.pi * lam * y_line) / norm
+    return [complex(v) for v in acc * scale]
 
 
 def mean_value(f, lam, y, T, taper="fejer", panel_width=0.25, nodes=8,

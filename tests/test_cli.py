@@ -209,6 +209,8 @@ def test_pair_check_command(tmp_path):
     ["ks", "{q}", "--window", "5", "-5"],
     ["kernel", "{H}", "--R", "0"],
     ["spectrum", "{H}", "--lambdas", "1", "--T", "-3"],
+    ["spectrum", "{H}", "--T", "-3"],
+    ["spectrum", "{H}", "--y", "-1"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_merge_by_provenance():
                          Atom(-x, 4.0, p)], (-1, 1))
     assert len(m) == 2
     assert m.weight_at(x) == 3.0 and m.weight_at(-x) == 4.0
+
+
+def test_provenance_merges_across_square_factors_of_N():
+    # sqrt(1/(1 sqrt 1)) = sqrt(2/(1 sqrt 4)) = 1: one radicand, two tags
+    p, q = SqrtProvenance(1, 1, 1), SqrtProvenance(2, 1, 4)
+    assert p.radicand_key() == q.radicand_key() == (1, 1)
+    assert SqrtProvenance(3, 2, 12).radicand_key() == (Fraction(3, 4), 3)
+    m = DiscreteMeasure([Atom(p.value(), 1.0, p), Atom(q.value(), 2.0, q)], (-2, 2))
+    assert len(m) == 1 and m.weight_at(1.0) == 3.0
 
 
 def test_nonneg_flag_enforced():

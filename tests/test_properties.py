@@ -88,10 +88,9 @@ def reference_weight_at(atoms, x, tol=MERGE_TOL):
 jitter = st.sampled_from([0.0, 4e-11, -4e-11, 9e-11, 3e-10])
 plain_atom = st.builds(lambda k, j, w: Atom(k / 4 + j, complex(w)),
                        st.integers(-12, 12), jitter, st.integers(-2, 2))
-# squarefree N: distinct radicands then have distinct values, as positions
-# of one measure must (equal values under different tags cannot merge)
+# N with square factors too: tags of one value then share a radicand key
 prov = st.builds(SqrtProvenance, st.integers(1, 6), st.integers(1, 3),
-                 st.sampled_from([2, 3, 5]))
+                 st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
 
 
 @st.composite

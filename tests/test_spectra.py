@@ -1,11 +1,15 @@
+import cmath
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crystalsum.freqalg import FreqBasis, monomial, sine
-from crystalsum.hermite import HermiteBiehler, ks_from_Q
+from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
 from crystalsum.spectra import (
+    _CHUNK_POINTS,
     SpectrumAtoms,
     SpectrumError,
     exact_spectrum,
@@ -20,6 +24,13 @@ UNIT = FreqBasis((1.0,))
 
 def poisson_H():
     return ks_from_Q(sine(HALF, (1,)))
+
+
+def leeyang_H():
+    th = math.pi / 4
+    U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    basis = FreqBasis((1.0, math.sqrt(2)))
+    return ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)], basis))
 
 
 def plane_wave_H():
@@ -40,6 +51,67 @@ def test_exact_spectrum_poisson():
         assert atoms[float(n)] == pytest.approx(2 * math.pi, rel=1e-12)
     assert len(atoms) == 13
     assert spec.y_valid == pytest.approx(0.15)
+
+
+@pytest.mark.parametrize("cutoff", [600, 900])
+def test_exact_spectrum_poisson_large_cutoff_is_exact(cutoff):
+    spec = exact_spectrum(poisson_H(), float(cutoff))
+    want = {(2 * n,): complex(2 * math.pi) for n in range(1, cutoff + 1)}
+    want[(0,)] = complex(math.pi)
+    assert spec.atoms == want
+
+
+# -- exact rational oracle ------------------------------------------------------
+
+def _q(c):
+    """Complex double as an exact pair of Fractions."""
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def _qmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def rational_spectrum(H, cutoff):
+    """iA/B in nonnegative frequencies up to cutoff, solved in exact rationals.
+
+    Solves B·out = iA term by term in ascending frequency from the exact
+    values of the double coefficients of A and B: with b0 the lowest term
+    of B at vb, out(v) = (iA(v+vb) - sum_{u != vb} B(u) out(v+vb-u)) / b0.
+    """
+    basis = H.B.basis
+    vb, _, b0 = H.B.min_freq()
+    sub = lambda a, b: tuple(x - y for x, y in zip(a, b))
+    add = lambda a, b: tuple(x + y for x, y in zip(a, b))
+    rhs = {sub(v, vb): _qmul((0, 1), _q(c)) for v, c in H.A.terms.items()}
+    steps = {sub(u, vb): _q(c) for u, c in H.B.terms.items() if u != vb}
+    support = {v for v in rhs if basis.value(v) <= cutoff + 1e-12}
+    frontier = list(support)
+    while frontier:
+        frontier = [w for w in {add(v, u) for v in frontier for u in steps}
+                    if w not in support and basis.value(w) <= cutoff + 1e-12]
+        support.update(frontier)
+    br, bi = _q(b0)
+    inv_b0 = (br / (br * br + bi * bi), -bi / (br * br + bi * bi))
+    out = {}
+    for v in sorted(support, key=lambda v: (basis.value(v), v)):
+        re, im = rhs.get(v, (0, 0))
+        for u, c in steps.items():
+            prev = out.get(sub(v, u))
+            if prev is not None:
+                t = _qmul(c, prev)
+                re, im = re - t[0], im - t[1]
+        out[v] = _qmul((re, im), inv_b0)
+    return {v: c for v, c in out.items() if c != (0, 0)}
+
+
+def test_exact_spectrum_matches_rational_solve_leeyang():
+    spec = exact_spectrum(leeyang_H(), 60.0)
+    oracle = rational_spectrum(leeyang_H(), 60.0)
+    assert set(spec.atoms) == set(oracle)
+    err = max(abs(c - complex(float(oracle[v][0]), float(oracle[v][1])))
+              for v, c in spec.atoms.items())
+    assert err <= 1e-12
 
 
 def test_exact_spectrum_plane_wave():
@@ -118,6 +190,80 @@ def test_mean_value_rejects_poles():
     f = lambda z: np.full_like(np.asarray(z, dtype=complex), np.inf)
     with pytest.raises(SpectrumError):
         mean_value(f, 0.0, 1.0, 10.0)
+
+
+# -- streamed mean value against the one-shot formula ------------------------
+
+def one_shot_mean_values(f, lambdas, y, T, taper="fejer", panel_width=0.25,
+                         nodes=8, eval_y=None):
+    """Reference: every node at once and one full-length exponential per lambda."""
+    y_line = y if eval_y is None else eval_y
+    n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
+    w_eff = 2 * T / n_panels
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    mids = -T + w_eff * (np.arange(n_panels) + 0.5)
+    X = (mids[:, None] + 0.5 * w_eff * xi[None, :]).ravel()
+    W = np.broadcast_to(0.5 * w_eff * wi[None, :], (n_panels, nodes)).ravel()
+    Z = X + 1j * y_line
+    fv = np.asarray(f(Z), dtype=complex)
+    if taper == "fejer":
+        base, norm = W * (1.0 - np.abs(X / T)) * fv, T
+    else:
+        base, norm = W * fv, 2.0 * T
+    return [complex(np.sum(base * np.exp(-2j * np.pi * lam * Z))) / norm
+            for lam in lambdas]
+
+
+def scalar_icotangent(z):
+    """i pi cot(pi z) through cmath: takes a scalar only."""
+    return 1j * math.pi * cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
+
+
+PANELS_PER_CHUNK = _CHUNK_POINTS // 8
+
+
+@pytest.mark.parametrize("T, width, taper, eval_y, f", [
+    # 2.5 chunks of width-1/4 panels, the last one partial
+    (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "fejer", None, icotangent),
+    (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "none", None, icotangent),
+    (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "fejer", 0.2, icotangent),
+    # fewer panels than one chunk
+    (37.0, 1 / 8, "fejer", None, icotangent),
+    (37.0, 1 / 8, "none", 0.2, scalar_icotangent),
+])
+def test_streamed_mean_value_matches_one_shot(T, width, taper, eval_y, f):
+    # lambda * y stays below 1, so e^{2 pi lambda y} amplifies the rounding
+    # of either summation order by less than 1e3
+    lams = [0.0, 1.0, 1.5, 3.0]
+    got = mean_value_batch(f, lams, 0.3, T, taper=taper, panel_width=width,
+                           eval_y=eval_y)
+    want = one_shot_mean_values(icotangent, lams, 0.3, T, taper=taper,
+                                panel_width=width, eval_y=eval_y)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+
+
+def test_mean_value_pole_in_last_chunk_raises():
+    # 3.5 chunks of width-1/4 panels; only nodes of the last chunk are poles
+    T = 3.5 * PANELS_PER_CHUNK / 8
+    f = lambda z: np.where(np.real(z) > T - 0.1, np.inf, 1.0) + 0j
+    with pytest.raises(SpectrumError):
+        mean_value_batch(f, [1.0], 1.0, T)
+
+
+def test_mean_value_memory_stays_bounded():
+    # 2T / (1/32) = 160000 panels, 1.28M nodes: one complex array of all
+    # nodes alone would take 20 MB; a streamed chunk with this evaluator's
+    # temporaries takes about 8 MB
+    H = poisson_H()
+    f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+    tracemalloc.start()
+    try:
+        got = mean_value_batch(f, [0.0, 1.0, 2.0], 0.2, 2500.0, panel_width=1 / 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(got[1] - 2 * math.pi) <= 1e-3
+    assert peak < 10e6
 
 
 def test_fejer_reconstruct_poisson():
