@@ -12,6 +12,15 @@ complex doubles.  Merging of like frequencies is decided by integer
 vector equality only, never by a floating tolerance, so products and
 powers of sums never accumulate spurious near-duplicate terms.
 
+Evaluation treats a sum as a Laurent polynomial in the generators
+w_j = e^{2 pi i base_j z/D}: one complex exponential per basis entry
+present, nested Horner over the coordinates (gaps bridged by powers of
+w_j from repeated squaring), then one factor prod_j w_j^{lo_j} for the
+minimum exponents.  A range guard sends heights where some intermediate
+power could approach overflow or the subnormals back to one exponential
+per term; inputs where a term itself overflows raise EvalRangeError on
+either route.
+
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
 """
@@ -22,6 +31,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -29,6 +39,9 @@ Freq = tuple  # integer vector over a FreqBasis
 
 # exponent beyond which exp(x) overflows a double
 _EXP_OVERFLOW = 709.0
+# largest exponent Horner's intermediate powers may reach: half the range
+# keeps them within 1e+-154 of their coefficients, clear of the subnormals
+_HORNER_LIMIT = 0.5 * _EXP_OVERFLOW
 
 
 class BasisMismatchError(ValueError):
@@ -92,7 +105,7 @@ class ExpSum:
     arithmetic returns new instances.
     """
 
-    __slots__ = ("basis", "_terms", "_sorted", "_values")
+    __slots__ = ("basis", "_terms", "_sorted", "_values", "_horner")
 
     def __init__(self, basis: FreqBasis, terms=None):
         self.basis = basis
@@ -111,6 +124,7 @@ class ExpSum:
         order = sorted((basis.value(v), v) for v in self._terms)
         self._values = [val for val, _ in order]
         self._sorted = [v for _, v in order]
+        self._horner = None             # _HornerPlan, built on first eval
 
     # -- inspection ---------------------------------------------------------
 
@@ -161,23 +175,37 @@ class ExpSum:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, z):
-        """Evaluate at z (scalar or ndarray), summing in ascending frequency order.
+        """Evaluate at z (scalar or ndarray).
 
         Raises EvalRangeError if any term's modulus exp(-2 pi lambda Im z)
         overflows, instead of silently returning inf.
+
+        Sums by nested Horner in the generators w_j (see the module
+        docstring) while the largest intermediate power,
+        exp(2 pi max|Im z|/D * max(sum_j (hi_j - lo_j) base_j,
+        max_j max(|hi_j|, |lo_j|) base_j)) with lo_j and hi_j the extreme
+        exponents of coordinate j, stays below exp(_HORNER_LIMIT); above
+        that, one exponential per term, in ascending frequency order.
         """
         z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
         if not self._terms:
+            out = np.zeros(z.shape, dtype=complex)
             return out if out.shape else 0j
         im_min = float(np.min(z.imag)) if z.size else 0.0
         im_max = float(np.max(z.imag)) if z.size else 0.0
-        for v, lam in zip(self._sorted, self._values):
+        for lam in self._values:
             worst = -2.0 * math.pi * lam * (im_min if lam > 0 else im_max)
             if worst > _EXP_OVERFLOW:
                 raise EvalRangeError(
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
-            out = out + self._terms[v] * np.exp(2j * np.pi * lam * z)
+        if self._horner is None:
+            self._horner = _HornerPlan(self)
+        if self._horner.reach * max(-im_min, im_max) < _HORNER_LIMIT:
+            out = self._horner.eval(z.reshape(-1)).reshape(z.shape)
+        else:
+            out = np.zeros(z.shape, dtype=complex)
+            for v, lam in zip(self._sorted, self._values):
+                out += self._terms[v] * np.exp(2j * np.pi * lam * z)
         return out if out.shape else complex(out)
 
     def __call__(self, z):
@@ -288,6 +316,93 @@ class ExpSum:
     @classmethod
     def loads(cls, s):
         return cls.from_json_dict(json.loads(s))
+
+
+class _HornerPlan:
+    """The z-independent half of ExpSum.eval's generator route.
+
+    `tree` nests the terms by coordinate: at each level a list of
+    (shifted exponent, subtree) in descending exponent order, with the
+    coefficient as the leaf.  Coordinates that are zero in every term are
+    left out.  `reach` times max|Im z| bounds the exponent of every
+    intermediate power.
+    """
+
+    def __init__(self, s: ExpSum):
+        basis = s.basis
+        vecs = list(s._terms)
+        coords = [j for j in range(len(basis.base)) if any(v[j] for v in vecs)]
+        self.lo = [min(v[j] for v in vecs) for j in coords]
+        hi = [max(v[j] for v in vecs) for j in coords]
+        bases = [basis.base[j] for j in coords]
+        self.gen = [2j * math.pi * b / basis.denominator for b in bases]
+        self.reach = 2 * math.pi / basis.denominator * max(
+            sum((h - l) * b for h, l, b in zip(hi, self.lo, bases)),
+            max((max(abs(h), abs(l)) * b for h, l, b in zip(hi, self.lo, bases)),
+                default=0.0))
+        items = sorted(((tuple(v[j] - l for j, l in zip(coords, self.lo)), c)
+                        for v, c in s._terms.items()), reverse=True)
+        self.tree = self._nest(items, 0)
+
+    def _nest(self, items, depth):
+        if depth == len(self.lo):
+            return items[0][1]
+        return [(k, self._nest(list(group), depth + 1))
+                for k, group in groupby(items, key=lambda t: t[0][depth])]
+
+    def eval(self, z):
+        """Sum at the points of the 1-d array z."""
+        powers = {(j, 1): np.exp(g * z) for j, g in enumerate(self.gen)}
+        out = _horner(self.tree, 0, powers)
+        for j, lo in enumerate(self.lo):
+            if lo > 0:
+                out = _times(out, _power(powers, j, lo))
+        down = [_power(powers, j, -lo) for j, lo in enumerate(self.lo) if lo < 0]
+        if down:
+            # no power is read again, so their storage is reused
+            d = down[0]
+            for p in down[1:]:
+                d *= p
+            out = _times(out, np.reciprocal(d, out=d))
+        return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
+
+
+def _power(powers, j, n):
+    """w_j^n by repeated squaring from powers[(j, 1)] = w_j; every power
+    made is kept in `powers` for reuse."""
+    p = powers.get((j, n))
+    if p is None:
+        h = _power(powers, j, n // 2)
+        p = h * h
+        if n % 2:
+            p *= powers[(j, 1)]
+        powers[(j, n)] = p
+    return p
+
+
+def _times(acc, p):
+    """acc * p, in place when acc is an array (always one made by the
+    evaluation in progress) rather than a bare coefficient."""
+    if isinstance(acc, np.ndarray):
+        acc *= p
+        return acc
+    return acc * p
+
+
+def _horner(node, depth, powers):
+    """Nested Horner sum of a _HornerPlan tree from coordinate `depth` on."""
+    if not isinstance(node, list):
+        return node
+    acc, prev = None, 0
+    for k, child in node:
+        val = _horner(child, depth + 1, powers)
+        if acc is None:
+            acc = val
+        else:
+            acc = _times(acc, _power(powers, depth, prev - k))
+            acc += val
+        prev = k
+    return _times(acc, _power(powers, depth, prev)) if prev else acc
 
 
 # -- constructors -----------------------------------------------------------

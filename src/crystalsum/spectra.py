@@ -191,7 +191,9 @@ def _fejer_weight(u):
 
 # quadrature points per streamed chunk of mean_value_batch: a few complex
 # arrays of this length are live at once, whatever T is
-_CHUNK_POINTS = 1 << 16
+_CHUNK_POINTS = 1 << 15
+# panels per row of mean_value_batch's phase tables
+_PHASE_ROW = 64
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer",
@@ -206,16 +208,21 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     at large lambda.
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
-    width h, Gauss-Legendre nodes xi_j), so the phase factors exactly:
+    width h, Gauss-Legendre nodes xi_j).  The panels are streamed in chunks
+    of about _CHUNK_POINTS nodes and grouped in rows of R = _PHASE_ROW
+    panels, so the node j of panel r in row m of a chunk sits at
+    X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
+    midpoint and w the panel width, and the phase factors exactly:
 
-        e^{-2 pi i lam (X + iy)}
-            = e^{2 pi lam y} e^{-2 pi i lam mid_p} e^{-2 pi i lam h xi_j}.
+        e^{-2 pi i lam (X + iy)} = e^{2 pi lam y} e^{-2 pi i lam mid_0}
+            e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.
 
-    The panels are streamed in chunks of about _CHUNK_POINTS nodes; per
-    chunk f is evaluated once at each node, the node sum is one
-    (panels x nodes) by (nodes x lambdas) product, and the panel sum needs
-    one (panels x lambdas) exponential.  Memory stays bounded by the
-    chunk, not by T.
+    The last two factors do not depend on the chunk and are tabulated
+    once per call.  Per chunk, f is evaluated once at each node, the sum
+    within the rows is one (rows x row nodes) by (row nodes x lambdas)
+    contraction, the sum over rows a second one, and the only exponential
+    is one lambda vector at mid_0.  Memory stays bounded by the chunk,
+    not by T.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
@@ -229,12 +236,18 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     half = 0.5 * w_eff
     xi, wi = np.polynomial.legendre.leggauss(nodes)
     node_w = half * wi
-    node_phase = np.exp(-2j * np.pi * half * np.outer(xi, lam))
     norm = T if taper == "fejer" else 2.0 * T
     step = max(_CHUNK_POINTS // nodes, 1)
+    n_rows = -(-step // _PHASE_ROW)
+    # lambdas x row nodes, contiguous along the nodes for the contraction
+    offsets = (w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]
+    node_phase = np.exp(-2j * np.pi * np.outer(lam, offsets.ravel()))
+    row_starts = w_eff * _PHASE_ROW * np.arange(n_rows)
+    row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
     acc = np.zeros(lam.shape, dtype=complex)
     for start in range(0, n_panels, step):
-        mids = -T + w_eff * (np.arange(start, min(start + step, n_panels)) + 0.5)
+        count = min(step, n_panels - start)
+        mids = -T + w_eff * (np.arange(start, start + count) + 0.5)
         X = mids[:, None] + half * xi[None, :]
         Z = (X + 1j * y_line).ravel()
         try:
@@ -246,10 +259,16 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
         if not np.all(np.isfinite(fv)):
             raise SpectrumError("non-finite sample: a pole is too close to the line")
         wts = node_w * _fejer_weight(X / T) if taper == "fejer" else node_w
+        rows = -(-count // _PHASE_ROW)
+        # the last row of the last chunk is padded with zero samples
+        weighted = np.zeros((rows, node_phase.shape[1]), dtype=complex)
+        np.multiply(wts, fv.reshape(X.shape),
+                    out=weighted.reshape(-1)[:X.size].reshape(X.shape))
         # einsum, not @: a BLAS product wakes worker threads that then spin
         # through the rest of the run and double its CPU time
-        per_panel = np.einsum("pj,jl->pl", wts * fv.reshape(X.shape), node_phase)
-        acc += np.sum(np.exp(-2j * np.pi * np.outer(mids, lam)) * per_panel, axis=0)
+        per_row = np.einsum("mk,lk->ml", weighted, node_phase)
+        acc += np.exp(-2j * np.pi * lam * mids[0]) \
+            * np.einsum("ml,ml->l", per_row, row_phase[:rows])
     scale = np.exp(2 * np.pi * lam * y_line) / norm
     return [complex(v) for v in acc * scale]
 
@@ -268,8 +287,12 @@ def fejer_reconstruct(a: SpectrumAtoms, a0: float, T: float, z) -> complex:
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    total = 0.5 * complex(a0)
-    for _, val, c in a.sorted_atoms():
-        if 0.0 < val < T:
-            total += c * (1.0 - val / T) * np.exp(2j * np.pi * val * complex(z))
-    return complex(total)
+    base = np.array(a.basis.base)
+    vecs = np.array(list(a.atoms), dtype=float).reshape(len(a.atoms), base.size)
+    # the same products and left-to-right sum as FreqBasis.value
+    vals = np.sum(vecs * base, axis=1) / a.basis.denominator
+    coef = np.fromiter(a.atoms.values(), dtype=complex, count=len(a.atoms))
+    keep = (vals > 0.0) & (vals < T)
+    vals = vals[keep]
+    terms = coef[keep] * (1.0 - vals / T) * np.exp(2j * np.pi * vals * complex(z))
+    return complex(0.5 * complex(a0) + np.sum(terms))

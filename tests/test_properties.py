@@ -1,17 +1,22 @@
-"""Property tests: ring laws of ExpSum, qpow round trips, DiscreteMeasure
-merging against a list reference, and array against scalar bump transforms."""
+"""Property tests: ring laws of ExpSum, its evaluation against a per-term
+reference, qpow round trips, DiscreteMeasure merging against a list
+reference, array against scalar bump transforms, and the pair pipeline on
+random Lee-Yang unitaries."""
 
 import math
 from fractions import Fraction as F
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crystalsum.freqalg import ExpSum, FreqBasis
-from crystalsum.measures import MERGE_TOL, Atom, DiscreteMeasure, SqrtProvenance
+from crystalsum.freqalg import EvalRangeError, ExpSum, FreqBasis
+from crystalsum.hermite import ks_from_Q, leeyang_real_form
+from crystalsum.measures import (MERGE_TOL, Atom, DiscreteMeasure, SqrtProvenance,
+                                 pair_from_hb)
 from crystalsum.qmodular import QSeries, qpow
-from crystalsum.verifier import TestFunction, bump_ft
+from crystalsum.verifier import TestFunction, bump_ft, check_pair, gaussian_suite
 
 BASIS = FreqBasis((1.0, math.sqrt(2)))
 
@@ -40,6 +45,82 @@ def test_expsum_star_is_an_involutive_ring_map(f, g):
     assert f.star().star() == f
     assert (f + g).star() == f.star() + g.star()
     assert (f * g).star() == f.star() * g.star()
+
+
+# -- evaluation against one exponential per term ------------------------------
+
+def per_term_reference(s, z):
+    """sum c e^{2 pi i lam z} with one np.exp per term, and the sum of the
+    term moduli; None where some term's modulus e^{-2 pi lam Im z} exceeds
+    e^709 at some point (where ExpSum.eval must raise)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(z.shape, dtype=complex)
+    moduli = np.zeros(z.shape)
+    for _, lam, c in s.sorted_terms():
+        if z.size and np.max(-2.0 * math.pi * lam * z.imag) > 709.0:
+            return None
+        e = np.exp(2j * np.pi * lam * z)
+        out = out + c * e
+        moduli = moduli + abs(c) * np.abs(e)
+    return out, moduli
+
+
+@st.composite
+def sums_and_points(draw):
+    """Rank 1-3 sums with k in [-8, 8] (gaps included), and points whose
+    heights fall on both sides of eval's range guard and past the
+    per-term overflow check."""
+    base = draw(st.lists(st.sampled_from([1.0, math.sqrt(2), math.sqrt(3),
+                                          math.pi / 3, 0.5, math.e / 2]),
+                         min_size=1, max_size=3, unique=True))
+    basis = FreqBasis(tuple(base), draw(st.integers(1, 3)))
+    coef = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)).filter(bool)
+    vec = st.tuples(*[st.integers(-8, 8)] * len(base))
+    s = ExpSum(basis, draw(st.dictionaries(vec, coef, min_size=1, max_size=8)))
+    height = draw(st.sampled_from([1.5, 8.0, 25.0]))
+    point = st.builds(complex, st.floats(-50, 50), st.floats(-height, height))
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "array"]))
+    if shape == "scalar":
+        z = draw(point)
+    elif shape == "0-d":
+        z = np.asarray(draw(point))
+    elif shape == "empty":
+        z = np.zeros(0, dtype=complex)
+    else:
+        z = np.array(draw(st.lists(point, min_size=1, max_size=6)))
+    return s, z
+
+
+WIDE_GAP = ExpSum(FreqBasis((1.0,)), {(-8,): 1.0, (8,): 0.5j})
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums_and_points())
+@example((WIDE_GAP, np.array([4j, 1.0 - 4j])))      # past the guard: per term
+@example((WIDE_GAP, np.array([15j])))                # the check raises
+def test_expsum_eval_matches_per_term_reference(case):
+    s, z = case
+    ref = per_term_reference(s, z)
+    if ref is None:
+        with pytest.raises(EvalRangeError):
+            s.eval(z)
+        return
+    got = s.eval(z)
+    want, moduli = ref
+    if np.ndim(z) == 0:
+        assert isinstance(got, complex)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        assert got.shape == np.shape(z)
+    # a term's frequency sum_j k_j base_j/D is rounded relative to
+    # sum_j |k_j| base_j/D, in the reference too, and |z| times that sets
+    # the phase error of either route
+    norm = max(sum(abs(k) * b for k, b in zip(v, s.basis.base))
+               for v in s.terms) / s.basis.denominator
+    bound = 16 * np.finfo(float).eps * (1 + 2 * math.pi * norm * np.abs(z)) * moduli
+    finite = np.isfinite(moduli)
+    assert np.all(np.isfinite(np.asarray(got)[finite]))
+    assert np.all(np.abs(np.asarray(got) - want)[finite] <= bound[finite])
 
 
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -134,3 +215,24 @@ def test_bump_ft_array_agrees_with_scalar_calls(center, halfwidth, exponent, xi)
         vs, es = bump_ft(tf, x, tol=1e-8)
         assert isinstance(vs, complex) and isinstance(es, float)
         assert abs(v - vs) <= e + es
+
+
+# -- the pair pipeline on random Lee-Yang unitaries ----------------------------
+
+LEEYANG_BASIS = FreqBasis((1.0, math.sqrt(2)))
+
+
+# |sin theta| >= sin 0.2 keeps the closest pair of roots of B in the window
+# wider than the root scan's step; below about 0.15 the scan misses pairs
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.2, math.pi - 0.2), seed=st.integers(0, 2**31 - 1))
+def test_leeyang_rotation_pairs_pass(theta, seed):
+    U = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    Q = leeyang_real_form(U, [(1, 0), (0, 1)], LEEYANG_BASIS)
+    H = ks_from_Q(Q)
+    pair = pair_from_hb(H, 6.0, (-20.0, 20.0))
+    assert len(pair.mu) > 0 and np.all(pair.mu.w.real > 0)
+    for tf in gaussian_suite(2, seed=seed):
+        report = check_pair(pair, tf, tol=1e-6)
+        assert report.verdict == "pass", report

@@ -253,7 +253,7 @@ def test_mean_value_pole_in_last_chunk_raises():
 def test_mean_value_memory_stays_bounded():
     # 2T / (1/32) = 160000 panels, 1.28M nodes: one complex array of all
     # nodes alone would take 20 MB; a streamed chunk with this evaluator's
-    # temporaries takes about 8 MB
+    # temporaries takes about 5 MB
     H = poisson_H()
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     tracemalloc.start()
@@ -264,6 +264,45 @@ def test_mean_value_memory_stays_bounded():
         tracemalloc.stop()
     assert abs(got[1] - 2 * math.pi) <= 1e-3
     assert peak < 10e6
+
+
+def test_rank2_mean_value_memory_stays_bounded():
+    # the Lee-Yang evaluator holds more temporaries per node than Poisson's;
+    # 40000 panels of 8 nodes at width 1/8.  The bound is the 7.80 MB peak
+    # of one exponential per term in chunks of 2^16 nodes (about 5.8 MB now)
+    H = leeyang_H()
+    f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+    atoms = exact_spectrum(H, 4.0).sorted_atoms()[:3]
+    tracemalloc.start()
+    try:
+        got = mean_value_batch(f, [val for _, val, _ in atoms], 0.3, 2500.0,
+                               panel_width=1 / 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(abs(g - c) for g, (_, _, c) in zip(got, atoms)) <= 1e-3
+    assert peak < 7.81e6
+
+
+def loop_fejer_reconstruct(a, a0, T, z):
+    """Reference: the atom-by-atom loop in ascending frequency order."""
+    total = 0.5 * complex(a0)
+    for _, val, c in a.sorted_atoms():
+        if 0.0 < val < T:
+            total += c * (1.0 - val / T) * np.exp(2j * np.pi * val * complex(z))
+    return complex(total)
+
+
+@pytest.mark.parametrize("H, cutoff", [(poisson_H(), 600.0), (leeyang_H(), 60.0)])
+def test_fejer_reconstruct_matches_loop(H, cutoff):
+    spec = exact_spectrum(H, cutoff)
+    a0 = 2 * spec.coefficient_at_zero().real
+    for T in (cutoff, cutoff / 3, 0.5):
+        for z in (0.5j, 0.3 + 0.7j, -0.9 + 1.5j, 2j):
+            want = loop_fejer_reconstruct(spec, a0, T, z)
+            got = fejer_reconstruct(spec, a0, T, z)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_fejer_reconstruct_poisson():
