@@ -227,6 +227,10 @@ PANELS_PER_CHUNK = _CHUNK_POINTS // 8
     (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "fejer", None, icotangent),
     (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "none", None, icotangent),
     (2.5 * PANELS_PER_CHUNK / 8, 1 / 4, "fejer", 0.2, icotangent),
+    # 20480 width-1/4 panels: several full chunks, the last one full too
+    (2560.0, 1 / 4, "fejer", None, icotangent),
+    (2560.0, 1 / 4, "none", None, icotangent),
+    (2560.0, 1 / 4, "fejer", 0.2, icotangent),
     # fewer panels than one chunk
     (37.0, 1 / 8, "fejer", None, icotangent),
     (37.0, 1 / 8, "none", 0.2, scalar_icotangent),
