@@ -18,7 +18,7 @@ from .freqalg import EvalRangeError, ExpSum
 from .hermite import HermiteBiehler, RootFindingError, ks_from_Q
 from .dbspace import kernel_closed, kernel_closed_eform, kernel_context, kernel_series
 from .measures import DiscreteMeasure, FSPair, pair_from_hb
-from .qmodular import EtaProductSpec, family_l, fminus, fplus, to_fraction
+from .qmodular import EtaProductSpec, family_spec, fminus, fplus, to_fraction
 from .selfdual import functional_equation_residual, selfdual_measure
 from .spectra import exact_spectrum, mean_value_batch
 from .verifier import TestFunction, check_pair, check_selfdual, gaussian_suite
@@ -103,24 +103,29 @@ def cmd_ks(args):
     return _worst_exit(reports)
 
 
+def _load_eta_spec(path) -> EtaProductSpec:
+    d = _load_json(path)
+    try:
+        N, r = d["N"], d["r"]
+        if not isinstance(r, dict):
+            raise TypeError(f"r must be a JSON object, got {type(r).__name__}")
+        if isinstance(N, float) and not N.is_integer():
+            raise ValueError(f"N must be a finite integer, got {N}")
+        return EtaProductSpec(int(N), {int(k): to_fraction(v) for k, v in r.items()})
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"invalid eta-product spec: {e}") from None
+
+
 def _eta_series(args):
+    """The requested series only: the plus one, or with --minus the minus one."""
     order = to_fraction(args.order)
     if args.family_l is not None:
-        l = to_fraction(args.family_l)
-        spec, plus, minus = family_l(l, order)
+        spec = family_spec(args.family_l)
+    elif args.spec_json is not None:
+        spec = _load_eta_spec(args.spec_json)
     else:
-        if args.spec_json is None:
-            raise InputError("eta needs --spec-json or --family-l")
-        d = _load_json(args.spec_json)
-        try:
-            spec = EtaProductSpec(int(d["N"]),
-                                  {int(k): to_fraction(v)
-                                   for k, v in d["r"].items()})
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"invalid eta-product exponents: {e}") from None
-        plus = fplus(spec, order)
-        minus = fminus(spec, order) if args.minus else None
-    return spec, (minus if args.minus else plus)
+        raise InputError("eta needs --spec-json or --family-l")
+    return spec, (fminus if args.minus else fplus)(spec, order)
 
 
 def cmd_eta(args):

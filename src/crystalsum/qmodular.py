@@ -1,8 +1,12 @@
 """Exact formal q-series with rational exponents and rational coefficients.
 
-Everything here is exact: exponents and coefficients are
-`fractions.Fraction`.  No floating point enters any arithmetic path, so
-re-running a pipeline reproduces identical term maps.
+Everything here is exact and no floating point enters any arithmetic path,
+so re-running a pipeline reproduces identical term maps.  A `QSeries`
+keeps `fractions.Fraction` exponents and coefficients; that general
+rational API (`qpow`, `QSeries.__mul__`) serves arbitrary series.  The eta
+constructions never need it: they run on plain Python `int` lists and
+build their `Fraction` coefficients once, at the end (see the integer
+lattice kernel below).
 
 The module provides the Dedekind eta expansion as a sparse theta series,
 eta-products over the divisors of a level N with rational exponents r_d
@@ -13,7 +17,7 @@ minus family anti-invariant under the same map).
 
 Rational powers of series are computed by the logarithmic-derivative
 recurrence: if w = (1+v)^r then w'(1+v) = r v' w, which fixes each
-coefficient of w from the earlier ones by exact rational arithmetic.
+coefficient of w from the earlier ones by exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,15 +41,21 @@ _QQ_ONE = QQ(1)
 def to_fraction(x) -> Fraction:
     """Exact Fraction from int, str('p/q'), Fraction or another exact rational.
 
-    Floats are rejected.
+    Floats and other non-rationals raise TypeError; a zero denominator
+    raises ValueError.
     """
     if isinstance(x, float):
         raise TypeError("floats are not accepted where exact rationals are required")
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (str, int)):
-        return Fraction(x)
-    return Fraction(x.numerator, x.denominator)
+    if not isinstance(x, (str, numbers.Rational)):
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    try:
+        if isinstance(x, (str, int)):
+            return Fraction(x)
+        return Fraction(x.numerator, x.denominator)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def _coeff(c):
@@ -344,6 +355,89 @@ def eta_expansion(order, scale=Fraction(1)) -> QSeries:
     return QSeries(terms, order)
 
 
+# -- integer lattice kernel -------------------------------------------------
+#
+# The eta constructions stay in Z[1/s].  Each factor prod_{j>=1} (1 - x^{dj})
+# is an integer series with constant term 1, so its integer powers and their
+# products are integral.  The s-th root w of such a series has s^{2E} w_E
+# integral, because binomial(1/s, k) s^{2k} is an integer (for a prime p | s,
+# v_p(k!) < k).  So the kernel runs on int lists indexed by the lattice step,
+# and the callers build each Fraction once, at the end.
+
+def _euler(step: int, n: int) -> list:
+    """prod_{j>=1} (1 - x^{step j}) below x^n, by the pentagonal theorem."""
+    out = [0] * n
+    k = 1
+    while (e := step * (k * k - 1) // 24) < n:
+        if c := chi12(k):  # k prime to 6, so 24 | k^2 - 1
+            out[e] = c
+        k += 1
+    return out
+
+
+def _lattice_power(v: list, m: int, s: int = 1) -> list:
+    """W_E = s^{2E} [x^E] v^{m/s} for a nonempty int list v with v[0] == 1.
+
+    The log-derivative recurrence of `qpow`, scaled by s^{2E}:
+    E W_E = sum_e ((m+s)e - sE) v_e s^{2e-1} W_{E-e}.  With s = 1 it is the
+    integer power, with m = 1 the scaled s-th root.  A division by E that
+    leaves a remainder raises AssertionError: it would mean the
+    integrality argument above failed, and flooring would hide a wrong
+    coefficient.
+    """
+    n = len(v)
+    support = [(e, (m + s) * e, v[e] * s ** (2 * e - 1)) for e in range(1, n) if v[e]]
+    W = [1] + [0] * (n - 1)
+    for E in range(1, n):
+        sE = s * E
+        acc = 0
+        for e, me, ve in support:
+            if e > E:
+                break
+            acc += (me - sE) * ve * W[E - e]
+        W[E], rem = divmod(acc, E)
+        if rem:
+            raise AssertionError(f"inexact division by {E} in the lattice power")
+    return W
+
+
+def _lattice_mul(a: list, b: list) -> list:
+    """Product of two int series of equal length, truncated to that length."""
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a  # the sparser factor drives the outer loop
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            out[i:] = [o + x * y for o, y in zip(out[i:], b)]
+    return out
+
+
+def _eta_lattice(spec, n: int):
+    """(s, W): the eta product over its lead q^{k/b} is sum_E W_E q^E / s^{2E}, E < n.
+
+    s is the common denominator of the r_d.  The factors' integer powers
+    r_d s are multiplied first, and one scaled s-th root is taken last.
+    """
+    s = math.lcm(*(v.denominator for v in spec.r.values()))
+    inner = None
+    for d, rd in sorted(spec.r.items()):
+        if rd:
+            fac = _lattice_power(_euler(d, n), int(rd * s))
+            inner = fac if inner is None else _lattice_mul(inner, fac)
+    return s, (_lattice_power(inner, 1, s) if s > 1 else inner)
+
+
+def _lambda_lattice(n: int) -> list:
+    """L with lambda = sum_j L_j q^{(1+j)/2} below q^{(1+n)/2}; all L_j are integers.
+
+    In x = q^{1/2}: 16 prod (1-x^{4j})^16 (1-x^j)^8 / (1-x^{2j})^24.
+    """
+    prod = _lattice_mul(_lattice_mul(_lattice_power(_euler(4, n), 16),
+                                     _lattice_power(_euler(1, n), 8)),
+                        _lattice_power(_euler(2, n), -24))
+    return [16 * c for c in prod]
+
+
 # -- eta-products -----------------------------------------------------------
 
 def _divisors(N):
@@ -404,32 +498,18 @@ class EtaProductSpec:
 def eta_product(spec: EtaProductSpec, order) -> QSeries:
     """Exact expansion of prod_{d|N} eta(d z)^{r_d} below the given order.
 
-    The exponents of the result all lie in (k + Z>=0)/b; this is asserted.
-    The common denominator s of the r_d is factored out so that a single
-    rational-power recurrence runs on an integer-exponent quotient.
+    The exponents of the result are k/b + E for integers E >= 0, so they
+    lie in (k + Z>=0)/b.  The coefficients come from the integer lattice
+    kernel as W_E / s^{2E}, with s the common denominator of the r_d.
     """
     order = to_fraction(order)
     lead = spec.weight_sum / 24  # = k/b
-    if order <= lead:
+    n = _lattice_len(order - lead, Fraction(1))
+    if n == 0:
         return QSeries({}, order)
-    rel = order - lead
-    s = 1
-    for v in spec.r.values():
-        s = s * v.denominator // math.gcd(s, v.denominator)
-    inner = QSeries({Fraction(0): _QQ_ONE}, rel)
-    for d, rd in sorted(spec.r.items()):
-        m = int(rd * s)
-        if m == 0:
-            continue
-        fac = eta_expansion(rel + Fraction(d, 24), scale=d).shift(Fraction(-d, 24))
-        inner = inner * qpow(fac, m)
-    out = qpow(inner, Fraction(1, s)) if s > 1 else inner
-    out = out.shift(lead).truncate(order)
-    for e in out.terms:
-        idx = e * spec.b - spec.k
-        if idx.denominator != 1 or idx < 0:
-            raise AssertionError(f"exponent {e} escapes the lattice (k+Z>=0)/b")
-    return out
+    s, W = _eta_lattice(spec, n)
+    return QSeries({lead + E: Fraction(w, s ** (2 * E)) for E, w in enumerate(W) if w},
+                   order)
 
 
 def lambda_invariant(order) -> QSeries:
@@ -438,15 +518,11 @@ def lambda_invariant(order) -> QSeries:
     Exact expansion with leading terms 16q^{1/2} - 128q + 704q^{3/2}.
     """
     order = to_fraction(order)
-    lead = Fraction(1, 2)
-    if order <= lead:
+    n = _lattice_len(order - Fraction(1, 2), Fraction(1, 2))
+    if n == 0:
         return QSeries({}, order)
-    rel = order - lead
-    f2 = eta_expansion(rel + Fraction(2, 24), scale=2).shift(Fraction(-2, 24))
-    fh = eta_expansion(rel + Fraction(1, 48), scale=Fraction(1, 2)).shift(Fraction(-1, 48))
-    f1 = eta_expansion(rel + Fraction(1, 24), scale=1).shift(Fraction(-1, 24))
-    prod = qpow(f2, 16) * qpow(fh, 8) * qpow(f1, -24)
-    return prod.shift(lead, 16).truncate(order)
+    return QSeries({Fraction(1 + j, 2): c for j, c in enumerate(_lambda_lattice(n)) if c},
+                   order)
 
 
 # -- self-dual series -------------------------------------------------------
@@ -564,19 +640,36 @@ def fminus(spec: EtaProductSpec, order) -> SelfDualSeries:
     if rootN * rootN != spec.N:
         raise ValueError("the minus family requires N to be a perfect square")
     order = to_fraction(order)
-    ser = eta_product(spec, order)
-    lam = lambda_invariant(order / rootN).scale_exponents(rootN)
-    one_minus = QSeries({Fraction(0): _QQ_ONE}, order) - lam.scale(2)
-    g = one_minus * ser
+    b, k = spec.b, spec.k
+    # g = (1 - 2 lambda(rootN z)) * F on the half steps q^{k/b + i/2}, i < n,
+    # scaled by s^i: F's W_E sits at i = 2E, and lambda's term
+    # q^{rootN (1+j)/2} at i = rootN (1+j), so each product lands on s^i.
+    n = _lattice_len(order - Fraction(k, b), Fraction(1, 2))
     entries = []
-    for e, c in g.sorted_terms():
-        n = e * 2 * spec.b
-        if n.denominator != 1:
-            raise AssertionError("minus-family exponent off the n/(2b) lattice")
-        entries.append((int(n), c))
-    step = 2 * spec.b if rootN % 2 == 0 else spec.b
-    return SelfDualSeries(entries=entries, denom=2 * spec.b, N=spec.N, sign=-1,
-                          lead_n=2 * spec.k, step=step, order=g.order * 2 * spec.b)
+    if n:
+        s, W = _eta_lattice(spec, (n + 1) // 2)
+        f = [0] * n
+        f[::2] = W
+        one_minus = [1] + [0] * (n - 1)
+        n_lam = (n - 1) // rootN  # the j with rootN (1+j) < n
+        for j, c in enumerate(_lambda_lattice(n_lam) if n_lam else ()):
+            i = rootN * (1 + j)
+            one_minus[i] = -2 * c * s ** i
+        entries = [(2 * k + i * b, Fraction(c, s ** i))
+                   for i, c in enumerate(_lattice_mul(f, one_minus)) if c]
+    step = 2 * b if rootN % 2 == 0 else b
+    return SelfDualSeries(entries=entries, denom=2 * b, N=spec.N, sign=-1,
+                          lead_n=2 * k, step=step, order=order * 2 * b)
+
+
+def family_spec(l) -> EtaProductSpec:
+    """Level-4 spec r = (l, 1-2l, l) of the one-parameter family, l >= -2."""
+    l = to_fraction(l)
+    if l < -2:
+        raise ValueError("family parameter must satisfy l >= -2")
+    spec = EtaProductSpec(4, {1: l, 2: 1 - 2 * l, 4: l})
+    assert spec.weight_sum == l + 2
+    return spec
 
 
 def family_l(l, order):
@@ -586,11 +679,7 @@ def family_l(l, order):
     eta product is (l+2)/24; l = -2 degenerates to the theta quotient of
     classical lattice summation and l = 2/3 to the sqrt(n+1/9) example.
     """
-    l = to_fraction(l)
-    if l < -2:
-        raise ValueError("family parameter must satisfy l >= -2")
-    spec = EtaProductSpec(4, {1: l, 2: 1 - 2 * l, 4: l})
-    assert spec.weight_sum == l + 2
+    spec = family_spec(l)
     return spec, fplus(spec, order), fminus(spec, order)
 
 

@@ -36,9 +36,12 @@ def selfdual_measure(s: SelfDualSeries, window) -> DiscreteMeasure:
 
     Positions keep the exact radicand 2n/(denom sqrt N) as provenance; the
     n = 0 pair merges into a single atom of doubled weight.  The measure
-    carries the sign tag, so its transform is sign times itself.
+    carries the sign tag, so its transform is sign times itself.  The
+    window must be a finite interval with lo < hi (ValueError otherwise).
     """
     x0, x1 = float(window[0]), float(window[1])
+    if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1):
+        raise ValueError(f"window must be a finite interval lo < hi, got ({x0}, {x1})")
     atoms = []
     for n, c in s.entries:
         w = complex(float(c))

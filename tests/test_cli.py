@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from crystalsum import cli, qmodular
 from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import ks_from_Q
@@ -204,6 +205,13 @@ def test_pair_check_command(tmp_path):
     assert rep["all_pass"] and len(rep["reports"]) == 6
 
 
+# raw JSON text: 1e400 parses to an infinite float
+BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
+                 "r_zero_den": '{"N": 4, "r": {"1": "1/0", "2": "1", "4": "1/0"}}',
+                 "r_null": '{"N": 4, "r": {"1": null, "2": "1", "4": null}}',
+                 "N_inf": '{"N": 1e400, "r": {"1": "1"}}'}
+
+
 @pytest.mark.parametrize("argv", [
     ["ks", "{q}", "--cutoff", "-1"],
     ["ks", "{q}", "--window", "5", "-5"],
@@ -211,17 +219,46 @@ def test_pair_check_command(tmp_path):
     ["spectrum", "{H}", "--lambdas", "1", "--T", "-3"],
     ["spectrum", "{H}", "--T", "-3"],
     ["spectrum", "{H}", "--y", "-1"],
+    ["eta", "--spec-json", "{r_list}"],
+    ["eta", "--spec-json", "{r_zero_den}"],
+    ["eta", "--spec-json", "{r_null}"],
+    ["eta", "--spec-json", "{N_inf}"],
+    ["eta", "--family-l", "1/0"],
+    ["eta", "--family-l", "1", "--order", "1/0"],
+    ["eta", "--family-l", "1", "--window", "3", "-3"],
+    ["eta", "--family-l", "1", "--window", "2", "2"],
+    ["eta", "--family-l", "1", "--window", "nan", "5"],
+    ["eta", "--family-l", "1", "--window", "0", "inf"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
     files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
                                      .to_json_dict()))
+    for name, text in BAD_ETA_SPECS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
     out = tmp_path / "run"
     argv = [a.format(**files) for a in argv]
     assert main(["--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["eta", "--family-l", "1", "--minus"], "fplus"),
+    (["eta", "--spec-json", "{spec}", "--minus"], "fplus"),
+    (["eta", "--family-l", "1"], "fminus"),
+])
+def test_eta_builds_only_the_requested_series(tmp_path, monkeypatch, argv, unused):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{unused} was called")
+    monkeypatch.setattr(qmodular, unused, refuse)
+    monkeypatch.setattr(cli, unused, refuse)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": 4, "r": {"1": "1", "2": "-1", "4": "1"}}))
+    argv = [a.format(spec=spec) for a in argv]
+    assert main(["--out", str(tmp_path / "run"), *argv]) == 0
 
 
 def test_eta_empty_measure_does_not_pass(tmp_path):
