@@ -115,8 +115,10 @@ def split_AB(E: ExpSum):
     return A, B
 
 
-def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None,
-                       floor_rel: float = 1e-8) -> HBVerdict:
+_FLOOR_REL = 1e-8  # |B| below this fraction of |E| skips the Re(iA/B) test
+
+
+def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     """Sampled check that E is Hermite-Biehler on the grid rectangle.
 
     Accepts iff |E*(z)| < |E(z)| at every grid point and Re(iA/B) > 0 at
@@ -159,7 +161,7 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None,
 
     Av = A.eval(Z)
     Bv = B.eval(Z)
-    floor = floor_rel * absE
+    floor = _FLOOR_REL * absE
     ok = np.abs(Bv) > floor
     herg = np.where(ok, (1j * Av / np.where(ok, Bv, 1.0)).real, np.inf)
     i_flat = int(np.argmin(herg))
@@ -170,7 +172,7 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None,
 
     cert = HBCertificate(grid, worst_mod,
                          worst_herg if math.isfinite(worst_herg) else 0.0,
-                         floor_rel)
+                         _FLOOR_REL)
     return HBVerdict(True, None, None, cert)
 
 
@@ -431,11 +433,6 @@ def real_root_scan(B: ExpSum, interval, tol: float = 1e-12) -> RootScan:
             if all(abs(xm - r) > 16 * tol for r in merged):
                 doubles.append(float(xm))
     return RootScan(merged, doubles)
-
-
-def real_roots(B: ExpSum, interval, tol: float = 1e-12):
-    """Sorted simple real roots of B on the interval (see real_root_scan)."""
-    return real_root_scan(B, interval, tol).roots
 
 
 def phase_derivative(H, x):

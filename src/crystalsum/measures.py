@@ -6,8 +6,9 @@ doubles, optionally tagged with an exact symbolic radicand
 (sqrt(n/(b*sqrt(N)))) so that irrational positions merge by provenance
 instead of by floating comparison.  A tail model
 |w| <= C (1+|x|)^p with an atom density is fitted from the populated
-window; it is used only to report truncation error bars, never to decide
-correctness.
+window.  `window_tail` integrates it against a test function's envelope
+past the window edges; that is the truncation error bar of every
+verification report, never a decision about correctness.
 
 An FSPair couples an atom measure mu with a coefficient atom list a; for
 the real-antipodal pairs built from a validated Hermite-Biehler sum, mu
@@ -94,6 +95,41 @@ def fit_tail_model(x, w) -> TailModel | None:
     return TailModel(C, p, density)
 
 
+_TAIL_POINTS = 6000  # samples per window edge in window_tail
+
+
+def window_tail(measure: DiscreteMeasure, env) -> float:
+    """Bound sum |w| env(x) over the atoms beyond the window from the tail model.
+
+    Integrates C (1+|t|)^p density env(t) past each window edge, on the
+    grid X + [0, geomspace(1e-6, 1e12 (1+X))] geometric in the distance
+    from the edge, so a steep envelope is resolved at the edge and a slow
+    one is followed far out.  The product is formed in log space: a steep
+    fitted exponent would overflow (1+t)^p long before the envelope wins.
+    A measure too small to fit a model gets the flat one: C = max |w|,
+    p = 0, and its atoms per unit of window as the density.
+    """
+    tm = measure.tail_model or TailModel(
+        C=float(np.max(np.abs(measure.w), initial=0.0)), p=0.0,
+        density=max(len(measure), 1)
+        / max(measure.window[1] - measure.window[0], 1.0))
+    total = 0.0
+    for edge, sign in ((measure.window[0], -1.0), (measure.window[1], 1.0)):
+        X = abs(edge)
+        # exp of a linspace, not np.geomspace: the same grid, but geomspace's
+        # first call costs the CLI a third of a megabyte of peak RSS
+        ts = X + np.concatenate(([0.0], np.exp(np.linspace(
+            math.log(1e-6), math.log(1e12 * (1 + X)), _TAIL_POINTS - 1))))
+        with np.errstate(divide="ignore"):
+            log_env = np.log(np.maximum(env(sign * ts), 0.0))
+            log_int = (math.log(max(tm.C, 1e-300)) + tm.p * np.log1p(ts)
+                       + math.log(max(tm.density, 1e-300)) + log_env)
+        integrand = np.exp(np.minimum(log_int, 700.0))
+        integrand[log_env == -np.inf] = 0.0
+        total += float(np.trapezoid(integrand, ts))
+    return total
+
+
 def _frozen(values, dtype):
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
@@ -111,8 +147,7 @@ class DiscreteMeasure:
     symbolically); atoms whose merged weight is zero are dropped.
     """
 
-    def __init__(self, atoms, window, nonneg=False, dual_sign=None,
-                 tail_model="fit"):
+    def __init__(self, atoms, window, nonneg=False, dual_sign=None):
         norm = []
         for a in atoms:
             if isinstance(a, Atom):
@@ -152,8 +187,7 @@ class DiscreteMeasure:
                 raise ValueError(f"atom at {self.x[np.argmax(bad)]} "
                                  "violates the nonneg flag")
         self.dual_sign = dual_sign
-        self.tail_model = fit_tail_model(self.x, self.w) \
-            if tail_model == "fit" else tail_model
+        self.tail_model = fit_tail_model(self.x, self.w)
 
     # -- views ----------------------------------------------------------
 
@@ -188,7 +222,7 @@ class DiscreteMeasure:
             out["atoms"].append(rec)
         if self.dual_sign is not None:
             out["dual_sign"] = self.dual_sign
-        if isinstance(self.tail_model, TailModel):
+        if self.tail_model is not None:
             out["tail_model"] = self.tail_model.to_json_dict()
         return out
 
@@ -201,10 +235,8 @@ class DiscreteMeasure:
                 p = rec["prov"]
                 prov = SqrtProvenance(p["n"], p["b"], p["N"])
             atoms.append(Atom(rec["x"], complex(rec["w"][0], rec["w"][1]), prov))
-        tm = d.get("tail_model")
         return cls(atoms, d["window"], d.get("nonneg", False),
-                   d.get("dual_sign"),
-                   TailModel(**tm) if tm else None)
+                   d.get("dual_sign"))
 
 
 @dataclass
@@ -345,21 +377,11 @@ def herglotz_kernel_residual(mu: DiscreteMeasure, f, w: complex,
 
 
 def herglotz_tail_bound(mu: DiscreteMeasure, w: complex, z: complex) -> float:
-    """Tail-model bound on the kernel sum truncated at the window edge."""
-    tm = mu.tail_model
-    if tm is None:
-        return 0.0
-    X = max(abs(mu.window[0]), abs(mu.window[1]))
-    w = complex(w)
+    """Window tail of the kernel sum: window_tail against 1/(2 pi |t-z| |t-conj w|)."""
     z = complex(z)
-    ts = X * np.exp(np.linspace(0.0, 25.0, 4000))
-    total = 0.0
-    for side in (+1.0, -1.0):
-        t = side * ts
-        integrand = tm.C * (1 + np.abs(t)) ** tm.p * tm.density \
-            / (np.abs(t - z) * np.abs(t - w.conjugate()))
-        total += float(np.trapezoid(integrand, ts))
-    return total / (2 * math.pi)
+    wb = complex(w).conjugate()
+    return window_tail(
+        mu, lambda t: 1.0 / (np.abs(t - z) * np.abs(t - wb)) / (2 * math.pi))
 
 
 # -- splittings ---------------------------------------------------------------
@@ -409,7 +431,10 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
 
 # -- degree probe -------------------------------------------------------------
 
-def degree_probe(mu: DiscreteMeasure, n: int, stages: int = 8) -> dict:
+_PROBE_STAGES = 8  # expanding windows of degree_probe
+
+
+def degree_probe(mu: DiscreteMeasure, n: int) -> dict:
     """Partial sums of sum |w|/(1+x^2)^{n/2} over expanding windows.
 
     A truncated window can only exhibit trends, so the verdict is either
@@ -421,7 +446,7 @@ def degree_probe(mu: DiscreteMeasure, n: int, stages: int = 8) -> dict:
     xs = np.abs(mu.positions())
     ws = np.abs(mu.weights())
     X = max(xs.max() if xs.size else 0.0, 1.0)
-    edges = np.linspace(X / stages, X, stages)
+    edges = np.linspace(X / _PROBE_STAGES, X, _PROBE_STAGES)
     sums = []
     for e in edges:
         sel = xs <= e

@@ -58,13 +58,6 @@ def to_fraction(x) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
-def _coeff(c):
-    """Normalize a coefficient to the exact rational type."""
-    if isinstance(c, (int, str, Fraction)):
-        return QQ(c)
-    return c
-
-
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
                     a.denominator * b.denominator)
@@ -111,7 +104,7 @@ class QSeries:
             e = to_fraction(e)
             if e >= self.order:
                 continue
-            c = _coeff(c)
+            c = to_fraction(c)
             if c != 0:
                 agg[e] = agg.get(e, _QQ_ZERO) + c
         self.terms = {e: c for e, c in agg.items() if c != 0}
@@ -160,7 +153,7 @@ class QSeries:
     def _as_series(self, other):
         if isinstance(other, QSeries):
             return other
-        return QSeries({Fraction(0): _coeff(other)}, self.order)
+        return QSeries({Fraction(0): to_fraction(other)}, self.order)
 
     def __add__(self, other):
         other = self._as_series(other)
@@ -183,13 +176,13 @@ class QSeries:
 
     def scale(self, c):
         """Multiply every coefficient by the exact rational c."""
-        c = _coeff(c)
+        c = to_fraction(c)
         return QSeries({e: c * v for e, v in self.terms.items()}, self.order)
 
     def shift(self, e0, c0=1):
         """Multiply by the monomial c0 * q^{e0}."""
         e0 = to_fraction(e0)
-        c0 = _coeff(c0)
+        c0 = to_fraction(c0)
         return QSeries({e + e0: c0 * c for e, c in self.terms.items()},
                        self.order + e0)
 
@@ -427,6 +420,16 @@ def _eta_lattice(spec, n: int):
     return s, (_lattice_power(inner, 1, s) if s > 1 else inner)
 
 
+def _lattice(spec: EtaProductSpec, order: Fraction):
+    """(s, W) of `_eta_lattice` for the E with k/b + E < order (W = [] if none).
+
+    fminus reads W_E at its half step i = 2E; its n half steps below the
+    order hold (n + 1) // 2 whole steps, so one W serves both series.
+    """
+    n = _lattice_len(order - Fraction(spec.k, spec.b), Fraction(1))
+    return _eta_lattice(spec, n) if n else (1, [])
+
+
 def _lambda_lattice(n: int) -> list:
     """L with lambda = sum_j L_j q^{(1+j)/2} below q^{(1+n)/2}; all L_j are integers.
 
@@ -503,11 +506,8 @@ def eta_product(spec: EtaProductSpec, order) -> QSeries:
     kernel as W_E / s^{2E}, with s the common denominator of the r_d.
     """
     order = to_fraction(order)
-    lead = spec.weight_sum / 24  # = k/b
-    n = _lattice_len(order - lead, Fraction(1))
-    if n == 0:
-        return QSeries({}, order)
-    s, W = _eta_lattice(spec, n)
+    lead = Fraction(spec.k, spec.b)
+    s, W = _lattice(spec, order)
     return QSeries({lead + E: Fraction(w, s ** (2 * E)) for E, w in enumerate(W) if w},
                    order)
 
@@ -568,13 +568,11 @@ class SelfDualSeries:
         jmax = (count - 1) if count is not None else (max(out) if out else -1)
         return [out.get(j, _QQ_ZERO) for j in range(jmax + 1)]
 
-    def evaluate(self, z, nmax=None) -> complex:
+    def evaluate(self, z) -> complex:
         """Truncated numeric value sum alpha_n e^{2 pi i z gamma_n}, Im z > 0."""
         scale = 2j * math.pi / (self.denom * math.sqrt(self.N))
         total = 0j
         for n, c in self.entries:
-            if nmax is not None and n > nmax:
-                break
             total += float(c) * cmath.exp(scale * n * z)
         return total
 
@@ -613,28 +611,29 @@ class SelfDualSeries:
         return lead * q_eff / (1.0 - q_eff)
 
 
-def fplus(spec: EtaProductSpec, order) -> SelfDualSeries:
+def fplus(spec: EtaProductSpec, order, lattice=None) -> SelfDualSeries:
     """Plus-family series: the eta product re-scaled to argument z/sqrt(N).
 
     Satisfies sqrt(i/z) F(-1/z) = +F(z); coefficients alpha_n sit at
-    frequencies n/(b sqrt N) with n in k + b*Z>=0.
+    frequencies n/(b sqrt N) with n in k + b*Z>=0, and alpha_{k+bE} is
+    W_E/s^{2E} straight from the integer lattice.  `lattice` is
+    `_lattice(spec, order)` when the caller has built it already.
     """
-    ser = eta_product(spec, order)
-    entries = []
-    for e, c in ser.sorted_terms():
-        n = e * spec.b
-        assert n.denominator == 1
-        entries.append((int(n), c))
-    return SelfDualSeries(entries=entries, denom=spec.b, N=spec.N, sign=+1,
-                          lead_n=spec.k, step=spec.b,
-                          order=to_fraction(order) * spec.b)
+    order = to_fraction(order)
+    s, W = lattice or _lattice(spec, order)
+    return SelfDualSeries(
+        entries=[(spec.k + spec.b * E, Fraction(w, s ** (2 * E)))
+                 for E, w in enumerate(W) if w],
+        denom=spec.b, N=spec.N, sign=+1, lead_n=spec.k, step=spec.b,
+        order=order * spec.b)
 
 
-def fminus(spec: EtaProductSpec, order) -> SelfDualSeries:
+def fminus(spec: EtaProductSpec, order, lattice=None) -> SelfDualSeries:
     """Minus-family series (1 - 2*lambda) * eta product; N a perfect square.
 
     Satisfies sqrt(i/z) F(-1/z) = -F(z); coefficients beta_n sit at
-    frequencies n/(2b sqrt N) with n in 2k + step*Z>=0.
+    frequencies n/(2b sqrt N) with n in 2k + step*Z>=0.  `lattice` is as
+    in fplus.
     """
     rootN = math.isqrt(spec.N)
     if rootN * rootN != spec.N:
@@ -647,7 +646,7 @@ def fminus(spec: EtaProductSpec, order) -> SelfDualSeries:
     n = _lattice_len(order - Fraction(k, b), Fraction(1, 2))
     entries = []
     if n:
-        s, W = _eta_lattice(spec, (n + 1) // 2)
+        s, W = lattice or _lattice(spec, order)
         f = [0] * n
         f[::2] = W
         one_minus = [1] + [0] * (n - 1)
@@ -680,7 +679,8 @@ def family_l(l, order):
     classical lattice summation and l = 2/3 to the sqrt(n+1/9) example.
     """
     spec = family_spec(l)
-    return spec, fplus(spec, order), fminus(spec, order)
+    lattice = _lattice(spec, to_fraction(order))  # shared by both series
+    return spec, fplus(spec, order, lattice), fminus(spec, order, lattice)
 
 
 # -- arithmetic progression probe -------------------------------------------

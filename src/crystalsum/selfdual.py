@@ -7,8 +7,10 @@ transform law mirrors the functional equation) shows the measure's
 Fourier transform equals sign times itself.
 
 Self-duality is certified two independent ways: the pointwise functional
-equation residual (which tests the modular input) and the gaussian
-pairing identity (which tests the measure-building arithmetic).
+equation residual here (which tests the modular input) and
+`verifier.check_selfdual`, the summation identity paired against
+gaussians with its two window tails (which tests the measure-building
+arithmetic).
 """
 
 from __future__ import annotations
@@ -16,14 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .measures import Atom, DiscreteMeasure, SqrtProvenance
 from .qmodular import SelfDualSeries
 
 __all__ = ["SelfDualSeries", "selfdual_measure",
-           "functional_equation_residual", "gaussian_pairing_residual",
-           "sqrt_i_over_z"]
+           "functional_equation_residual", "sqrt_i_over_z"]
 
 
 def sqrt_i_over_z(z: complex) -> complex:
@@ -75,20 +74,3 @@ def functional_equation_residual(s: SelfDualSeries, z: complex,
     lhs = s.evaluate(z)
     rhs = s.sign * factor * s.evaluate(zi)
     return abs(lhs - rhs)
-
-
-def gaussian_pairing_residual(m: DiscreteMeasure, y: float) -> float:
-    """|sum w phihat(x) - sign sum w phi(x)| for phi(t) = e^{-pi y t^2}.
-
-    This instantiates the summation identity directly on the self-dual
-    gaussian family; phihat(xi) = y^{-1/2} e^{-pi xi^2/y}.
-    """
-    if m.dual_sign is None:
-        raise ValueError("measure carries no duality sign tag")
-    if y <= 0:
-        raise ValueError("gaussian width parameter must be positive")
-    x = m.positions()
-    w = m.weights()
-    phi = np.exp(-math.pi * y * x * x)
-    phihat = np.exp(-math.pi * x * x / y) / math.sqrt(y)
-    return abs(complex(np.sum(w * phihat)) - m.dual_sign * complex(np.sum(w * phi)))

@@ -273,12 +273,6 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     return [complex(v) for v in acc * scale]
 
 
-def mean_value(f, lam, y, T, taper="fejer", panel_width=0.25, nodes=8,
-               eval_y=None) -> complex:
-    """Single tapered Bohr mean value; see mean_value_batch."""
-    return mean_value_batch(f, [lam], y, T, taper, panel_width, nodes, eval_y)[0]
-
-
 def fejer_reconstruct(a: SpectrumAtoms, a0: float, T: float, z) -> complex:
     """Fejer partial sum (1/2) a0 + sum_{0<lambda<T} a(lambda)(1-lambda/T)e^{2 pi i lambda z}.
 

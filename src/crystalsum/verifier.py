@@ -6,9 +6,14 @@ decay makes the window-truncation tails computable.  Smooth compactly
 supported bumps are provided to honor the literal smooth-compact test
 class, with quadrature-backed transforms carrying explicit error bars.
 
-Every check produces a VerificationReport with both window-tail bounds.
-"inconclusive" is a first-class verdict: when a truncation tail dominates
-the residual target, neither pass nor fail would be honest.
+Every check produces a VerificationReport with both window-tail bounds,
+each from `measures.window_tail`: the fitted tail model of the measure
+integrated against the test function's envelope past the window edges.
+`check_pair` and `check_selfdual` share one core that sums phi over one
+measure and phihat over another and bounds both tails; a self-dual
+measure is simply both.  "inconclusive" is a first-class verdict: when a
+truncation tail dominates the residual target, or the measure has no
+atoms, neither pass nor fail would be honest.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, FSPair, TailModel
+from .measures import DiscreteMeasure, FSPair, herglotz_tail_bound, window_tail
 from .selfdual import sqrt_i_over_z
 
 
@@ -198,33 +203,27 @@ class VerificationReport:
                 "params": self.params}
 
 
-def _verdict(residual, tails, tol):
-    if max(tails) > tol:
-        return "inconclusive"
-    return "pass" if residual <= tol else "fail"
+def _report(lhs, rhs, tails, atoms, tol, params) -> VerificationReport:
+    """Report with verdict "inconclusive" when a tail exceeds tol or atoms is 0."""
+    residual = abs(lhs - rhs)
+    if max(tails) > tol or not atoms:
+        verdict = "inconclusive"
+    else:
+        verdict = "pass" if residual <= tol else "fail"
+    return VerificationReport(lhs, rhs, residual, *tails, verdict, params)
 
 
-def _window_tail(measure: DiscreteMeasure, env) -> float:
-    """Bound sum_{|x|>window} |w| env(|x|) from the fitted tail model."""
-    tm = measure.tail_model
-    if tm is None:
-        tm = TailModel(C=float(np.max(np.abs(measure.w), initial=0.0)),
-                       p=0.0, density=max(len(measure), 1)
-                       / max(measure.window[1] - measure.window[0], 1.0))
-    total = 0.0
-    for edge, sign in ((measure.window[0], -1.0), (measure.window[1], 1.0)):
-        X = abs(edge)
-        ts = X + np.linspace(0.0, 60.0 + 10.0 * X, 6000)
-        # log-space product: steep fitted exponents would overflow (1+t)^p
-        # long before the test-function envelope wins
-        with np.errstate(divide="ignore"):
-            log_env = np.log(np.maximum(env(sign * ts), 0.0))
-            log_int = (math.log(max(tm.C, 1e-300)) + tm.p * np.log1p(ts)
-                       + math.log(max(tm.density, 1e-300)) + log_env)
-        integrand = np.exp(np.minimum(log_int, 700.0))
-        integrand[log_env == -np.inf] = 0.0
-        total += float(np.trapezoid(integrand, ts))
-    return total
+def _sides(phi_m: DiscreteMeasure, hat_m: DiscreteMeasure, tf: TestFunction,
+           quad_tol: float):
+    """(sum w phi over phi_m, sum w phihat over hat_m, and their window tails).
+
+    A bump's quadrature error bound is folded into the phihat tail.
+    """
+    hat, quad_err = transform(tf, hat_m.x, quad_tol)
+    return (complex(np.sum(phi_m.w * tf.eval(phi_m.x))),
+            complex(np.sum(hat_m.w * hat)),
+            window_tail(phi_m, tf.envelope),
+            window_tail(hat_m, tf.transform_envelope) + float(np.sum(quad_err)))
 
 
 def check_pair(pair: FSPair, tf: TestFunction, tol: float = 1e-6,
@@ -232,23 +231,15 @@ def check_pair(pair: FSPair, tf: TestFunction, tol: float = 1e-6,
     """Both sides of the summation identity for one test function.
 
     lhs = sum over coefficient atoms a(lambda) phi(lambda); rhs = sum over
-    measure atoms w phihat(gamma).  Window tails are estimated from the
-    fitted tail models against the test function envelopes; a bump's
-    quadrature error bound is folded into the rhs tail.  A pair whose
-    measure has no atoms is "inconclusive".
+    measure atoms w phihat(gamma).  Each tail is `window_tail` of its
+    measure against the envelope of phi or phihat; a bump's quadrature
+    error bound is folded into the rhs tail.  A pair whose measure has no
+    atoms is "inconclusive".
     """
-    lhs = complex(np.sum(pair.a.w * tf.eval(pair.a.x)))
-    vals, quad_err = transform(tf, pair.mu.x, quad_tol)
-    rhs = complex(np.sum(pair.mu.w * vals))
-    tail_lhs = _window_tail(pair.a, tf.envelope)
-    tail_rhs = _window_tail(pair.mu, tf.transform_envelope) \
-        + float(np.sum(quad_err))
-    residual = abs(lhs - rhs)
-    verdict = _verdict(residual, (tail_lhs, tail_rhs), tol) \
-        if len(pair.mu) else "inconclusive"
-    return VerificationReport(lhs, rhs, residual, tail_lhs, tail_rhs, verdict,
-                              params={"check": "pair", "tol": tol,
-                                      "test_function": _tf_params(tf)})
+    phi, hat, tail_phi, tail_hat = _sides(pair.a, pair.mu, tf, quad_tol)
+    return _report(phi, hat, (tail_phi, tail_hat), len(pair.mu), tol,
+                   {"check": "pair", "tol": tol,
+                    "test_function": _tf_params(tf)})
 
 
 def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6,
@@ -261,19 +252,11 @@ def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6,
         raise ValueError("measure carries no duality sign tag")
     reports = []
     for tf in suite:
-        hat, quad_err = transform(tf, m.x, quad_tol)
-        lhs = complex(np.sum(m.w * hat))
-        rhs = m.dual_sign * complex(np.sum(m.w * tf.eval(m.x)))
-        tail_lhs = _window_tail(m, tf.transform_envelope) \
-            + float(np.sum(quad_err))
-        tail_rhs = _window_tail(m, tf.envelope)
-        residual = abs(lhs - rhs)
-        verdict = _verdict(residual, (tail_lhs, tail_rhs), tol) \
-            if len(m) else "inconclusive"
-        reports.append(VerificationReport(
-            lhs, rhs, residual, tail_lhs, tail_rhs, verdict,
-            params={"check": "selfdual", "sign": m.dual_sign, "tol": tol,
-                    "test_function": _tf_params(tf)}))
+        phi, hat, tail_phi, tail_hat = _sides(m, m, tf, quad_tol)
+        reports.append(_report(
+            hat, m.dual_sign * phi, (tail_hat, tail_phi), len(m), tol,
+            {"check": "selfdual", "sign": m.dual_sign, "tol": tol,
+             "test_function": _tf_params(tf)}))
     return reports
 
 
@@ -285,7 +268,8 @@ def fejer_identity_check(pair: FSPair, w: complex, z: complex,
     g(w,z,x) = (e^{-2 pi i conj(w)|x|} [x<0] + e^{2 pi i z|x|} [x>=0])/(z - conj w);
     rhs = (1/2 pi i) sum w_gamma/((gamma-z)(gamma-conj w)).  The reported
     lhs tail is the O(1/T) taper scale, the rhs tail the window bound of
-    the kernel integrand.
+    the kernel integrand (`herglotz_tail_bound`).  An empty measure gives
+    "inconclusive".
     """
     w = complex(w)
     z = complex(z)
@@ -304,27 +288,24 @@ def fejer_identity_check(pair: FSPair, w: complex, z: complex,
     taper_scale = float(np.sum(np.abs(aw) * np.abs(gval) * ax / T))
     g = pair.mu.x
     rhs = complex(np.sum(pair.mu.w / ((g - z) * (g - wb)))) / (2j * math.pi)
-    env = lambda t: 1.0 / (np.abs(t - z) * np.abs(t - wb)) / (2 * math.pi)
-    tail_rhs = _window_tail(pair.mu, env)
-    residual = abs(lhs - rhs)
     # the taper error of an isolated atom is O(lambda/T); report its scale
-    tail_lhs = taper_scale
-    return VerificationReport(lhs, rhs, residual, tail_lhs, tail_rhs,
-                              _verdict(residual, (tail_lhs, tail_rhs),
-                                       max(10 * taper_scale, 1e-12)),
-                              params={"check": "fejer-kernel", "T": T,
-                                      "w": [w.real, w.imag],
-                                      "z": [z.real, z.imag]})
+    return _report(lhs, rhs, (taper_scale, herglotz_tail_bound(pair.mu, w, z)),
+                   len(pair.mu), max(10 * taper_scale, 1e-12),
+                   {"check": "fejer-kernel", "T": T, "w": [w.real, w.imag],
+                    "z": [z.real, z.imag]})
 
 
-def gaussian_suite(count: int = 10, seed: int = 0,
-                   y_range=(0.5, 3.0), shift_range=(-2.0, 2.0)):
+_SUITE_Y = (0.5, 3.0)       # range of Im z in gaussian_suite
+_SUITE_SHIFT = (-2.0, 2.0)  # range of the shift x0 in gaussian_suite
+
+
+def gaussian_suite(count: int = 10, seed: int = 0):
     """Deterministic suite of pure-decay gaussians with random shifts."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        y = float(rng.uniform(*y_range))
-        x0 = float(rng.uniform(*shift_range))
+        y = float(rng.uniform(*_SUITE_Y))
+        x0 = float(rng.uniform(*_SUITE_SHIFT))
         out.append(TestFunction("gaussian", z=1j * y, x0=x0))
     return out
 

@@ -15,7 +15,6 @@ from crystalsum.hermite import (
     leeyang_trigpoly,
     phase_derivative,
     real_root_scan,
-    real_roots,
     split_AB,
 )
 
@@ -97,18 +96,18 @@ def test_grid_validation():
 
 
 def test_real_roots_sine():
-    roots = real_roots(sine(HALF, (1,)), (-2.5, 2.5))
+    roots = real_root_scan(sine(HALF, (1,)), (-2.5, 2.5)).roots
     assert np.allclose(roots, [-2, -1, 0, 1, 2], atol=1e-11)
 
 
 def test_real_roots_includes_endpoints():
-    roots = real_roots(sine(UNIT, (1,)), (0.0, 1.0))
+    roots = real_root_scan(sine(UNIT, (1,)), (0.0, 1.0)).roots
     assert np.allclose(roots, [0.0, 0.5, 1.0], atol=1e-11)
 
 
 def test_real_roots_against_independent_bisection():
     Q = sine(RAW, (1, 0)) + 0.1 * sine(RAW, (0, 1))
-    roots = real_roots(Q, (-10, 10))
+    roots = real_root_scan(Q, (-10, 10)).roots
 
     def f(x):
         return math.sin(x) + 0.1 * math.sin(math.sqrt(2) * x)
@@ -163,8 +162,8 @@ def test_phase_derivative_positive_at_random_points():
 
 def test_interlacing_of_A_and_B_roots():
     H = poisson_E()
-    ra = real_roots(H.A, (-4.75, 4.75))
-    rb = real_roots(H.B, (-4.75, 4.75))
+    ra = real_root_scan(H.A, (-4.75, 4.75)).roots
+    rb = real_root_scan(H.B, (-4.75, 4.75)).roots
     both = sorted((r, "A") for r in ra) + sorted((r, "B") for r in rb)
     both.sort()
     labels = [t for _, t in both]
@@ -174,11 +173,11 @@ def test_interlacing_of_A_and_B_roots():
 def test_leeyang_one_by_one():
     P = leeyang_trigpoly(np.array([[-1.0]]), [(1,)], UNIT)
     assert P.terms == {(0,): -1 + 0j, (1,): 1 + 0j}
-    roots = real_roots(leeyang_real_form(np.array([[-1.0]]), [(1,)], UNIT),
-                       (-2.2, 2.2))
+    roots = real_root_scan(leeyang_real_form(np.array([[-1.0]]), [(1,)], UNIT),
+                           (-2.2, 2.2)).roots
     assert np.allclose(roots, [-2, -1, 0, 1, 2], atol=1e-11)
-    roots = real_roots(leeyang_real_form(np.array([[1.0]]), [(1,)], UNIT),
-                       (-2.2, 2.2))
+    roots = real_root_scan(leeyang_real_form(np.array([[1.0]]), [(1,)], UNIT),
+                           (-2.2, 2.2)).roots
     assert np.allclose(roots, [-1.5, -0.5, 0.5, 1.5], atol=1e-11)
 
 
@@ -218,8 +217,8 @@ def test_leeyang_rotation_is_real_rooted():
 def test_ks_roots_coincide_with_Q_roots():
     Q = sine(HALF, (1,))
     H = ks_from_Q(Q)
-    r1 = real_roots(H.B, (-3.3, 3.3))
-    r2 = real_roots(Q, (-3.3, 3.3))
+    r1 = real_root_scan(H.B, (-3.3, 3.3)).roots
+    r2 = real_root_scan(Q, (-3.3, 3.3)).roots
     assert np.allclose(r1, r2, atol=1e-10)
 
 
@@ -229,8 +228,8 @@ def test_rotated_split():
     assert A0.terms == H.A.terms and B0.terms == H.B.terms
     A90, B90 = H.rotated(math.pi / 2)
     # B_{pi/2} = -A: its roots are the roots of A (half-integers here)
-    rb90 = real_roots(B90, (-2.2, 2.2))
-    ra = real_roots(H.A, (-2.2, 2.2))
+    rb90 = real_root_scan(B90, (-2.2, 2.2)).roots
+    ra = real_root_scan(H.A, (-2.2, 2.2)).roots
     assert np.allclose(rb90, ra, atol=1e-11)
     assert np.allclose(ra, [-1.5, -0.5, 0.5, 1.5], atol=1e-11)
 

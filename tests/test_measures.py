@@ -20,6 +20,7 @@ from crystalsum.measures import (
     measure_from_phase,
     pair_from_hb,
     signed_split,
+    window_tail,
 )
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct
 
@@ -178,6 +179,30 @@ def test_kernel_residual_poisson_within_tail():
     assert res <= 3 * tail
 
 
+def test_herglotz_tail_bound_without_tail_model():
+    # three atoms fit no tail model; the flat one (max |w|, p = 0, atoms
+    # per unit of window) still bounds the kernel sum the window cuts off
+    H = poisson_H()
+    mu = pair_from_hb(H, 2.0, (-1.5, 1.5)).mu
+    assert len(mu) == 3 and mu.tail_model is None
+    f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+    for w, z in ((1j, 1j), (0.3 + 0.5j, -0.2 + 1j), (2j, 0.5j)):
+        res = herglotz_kernel_residual(mu, f, w, z)
+        tail = herglotz_tail_bound(mu, w, z)
+        assert 0 < res <= tail
+
+
+def test_window_tail_of_a_power_law():
+    # weights (1+|x|)^-2 at the integers fit p = -2; against env = 1 each
+    # edge then gives C density (1+X)^(p+1)/(-(p+1)) = C density/(1+X)
+    atoms = [(n, (1.0 + abs(n)) ** -2) for n in range(-50, 51)]
+    mu = DiscreteMeasure(atoms, (-50.5, 50.5))
+    tm = mu.tail_model
+    assert tm.p == pytest.approx(-2.0, abs=1e-9)
+    expect = -2 * tm.C * tm.density * (1 + 50.5) ** (tm.p + 1) / (tm.p + 1)
+    assert window_tail(mu, np.ones_like) == pytest.approx(expect, rel=1e-3)
+
+
 def test_round_trip_fejer_vs_herglotz():
     # equality of the two representations of f (spectrum side vs measure
     # side): the herglotz window tail is ~2|z|/W, so W = 5e4 and moderate
@@ -267,3 +292,11 @@ def test_json_round_trip():
     pair = FSPair(mu, mu, {"real_antipodal": False})
     back_pair = FSPair.from_json_dict(pair.to_json_dict())
     assert len(back_pair.mu) == 2
+
+
+def test_json_keeps_the_fitted_tail_model():
+    mu = comb(2 * math.pi, 20)
+    d = mu.to_json_dict()
+    assert d["tail_model"] == mu.tail_model.to_json_dict()
+    # the model is refitted from the atoms, to the same value
+    assert DiscreteMeasure.from_json_dict(d).tail_model == mu.tail_model

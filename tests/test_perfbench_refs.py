@@ -1,0 +1,105 @@
+"""Every crystalsum attribute the benchmark reaches must still resolve.
+
+The benchmark under perfbench/ is not part of this suite, so a rename or a
+deletion in src/ could break it silently.  This test parses its sources
+with `ast` (nothing there is imported or run) and resolves each reference:
+
+* `mod.name[.name...]` attribute chains on a crystalsum module;
+* `cls.__dict__["name"]` lookups on such a chain;
+* `(owner, "name", ...)` tuples, the form its wrapper tables take.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module_names(tree):
+    """Local name -> crystalsum module, from every import in the file."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "crystalsum":
+            for a in node.names:
+                names[a.asname or a.name] = "crystalsum." + a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "crystalsum":
+                    names[a.asname or a.name] = "crystalsum"
+    return names
+
+
+def _chain(node, modules):
+    """(module, [attr, ...]) for an attribute chain rooted at a module name."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in modules:
+        return modules[node.id], attrs[::-1]
+    return None
+
+
+def references():
+    """Sorted (file, 'module.attr...') strings, each with a resolver."""
+    refs = {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = _module_names(tree)
+        # only the outermost node of each attribute chain counts
+        inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            found = None
+            if isinstance(node, ast.Attribute) and id(node) not in inner:
+                found = _chain(node, modules)
+                if found and found[1][-1:] == ["__dict__"]:
+                    found = None  # resolved with its key below
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.slice, ast.Constant)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "__dict__"):
+                base = _chain(node.value.value, modules)
+                if base:
+                    found = (base[0], base[1] + ["__dict__", node.slice.value])
+            elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                  and isinstance(node.elts[1], ast.Constant)
+                  and isinstance(node.elts[1].value, str)):
+                owner = node.elts[0]
+                base = (modules[owner.id], []) if isinstance(owner, ast.Name) \
+                    and owner.id in modules else _chain(owner, modules)
+                if base:
+                    found = (base[0], base[1] + [node.elts[1].value])
+            if found and found[1]:
+                refs[".".join([found[0]] + found[1])] = found
+    return refs
+
+
+def _resolve(module, attrs):
+    obj = importlib.import_module(module)
+    for i, name in enumerate(attrs):
+        if i and attrs[i - 1] == "__dict__":
+            obj = obj[name]
+        else:
+            obj = getattr(obj, name)
+    return obj
+
+
+REFS = references()
+
+
+def test_the_benchmark_reaches_the_library():
+    # a parser that finds nothing would pass the test below vacuously
+    assert len(REFS) >= 40
+    for key in ("crystalsum.qmodular.QQ", "crystalsum.qmodular.qpow",
+                "crystalsum.qmodular.QSeries.__mul__",
+                "crystalsum.measures.herglotz_tail_bound",
+                "crystalsum.dbspace.real_root_scan"):
+        assert key in REFS
+
+
+@pytest.mark.parametrize("ref", sorted(REFS))
+def test_perfbench_reference_resolves(ref):
+    _resolve(*REFS[ref])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from crystalsum.qmodular import (
@@ -105,6 +106,31 @@ def test_qpow_exact_root_of_huge_leading_coefficient():
     assert qpow(u, F(1, 2)).leading() == (F(0), 10**200)
     assert qpow(QSeries({F(0): F(3**300, 2**600)}, F(1)), F(1, 3)).leading() \
         == (F(0), F(3**100, 2**200))
+
+
+def test_floats_never_enter_a_qseries():
+    s = QSeries({F(0): 1, F(1): F(1, 3)}, F(3))
+    for build in (lambda: QSeries({0: 0.5}, 3),
+                  lambda: QSeries({0: np.float64(0.5)}, 3),
+                  lambda: s.scale(0.1),
+                  lambda: s * 0.5,
+                  lambda: 0.5 * s,
+                  lambda: s + 0.5,
+                  lambda: s.shift(1, 0.5)):
+        with pytest.raises(TypeError):
+            build()
+    # exact scalars still work, and numpy integers are exact rationals
+    assert s.scale(np.int64(3)) == s.scale(3) == s * F(3)
+
+
+def test_family_series_equal_the_separate_builds():
+    # family_l builds one eta lattice for both series; its length must fit
+    # the minus series' half steps at every order, fractional ones included
+    for l in (F(1), F(2, 3), F(-2)):
+        for order in [F(n, 6) for n in range(0, 40)] + [F(-1), F(200)]:
+            spec, plus, minus = family_l(l, order)
+            assert plus == fplus(spec, order)
+            assert minus == fminus(spec, order)
 
 
 def test_mul_truncation_order():

@@ -7,10 +7,10 @@ import pytest
 from crystalsum.qmodular import EtaProductSpec, family_l, fplus
 from crystalsum.selfdual import (
     functional_equation_residual,
-    gaussian_pairing_residual,
     selfdual_measure,
     sqrt_i_over_z,
 )
+from crystalsum.verifier import TestFunction, check_selfdual
 
 POISSON = EtaProductSpec(4, {1: -2, 2: 5, 4: -2})
 GUINAND = EtaProductSpec(4, {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)})
@@ -81,24 +81,30 @@ def test_tail_cap_rejects_small_order():
         functional_equation_residual(s, 0.01j, tail_cap=1e-12)
 
 
+def _pairing_residuals(m, ys):
+    """check_selfdual residuals against e^{-pi y t^2}, i.e. z = iy."""
+    suite = [TestFunction("gaussian", z=1j * y) for y in ys]
+    return [rep.residual for rep in check_selfdual(m, suite)]
+
+
 def test_gaussian_pairing_guinand():
     s = fplus(GUINAND, F(1000))          # 2000 atoms (both signs)
     m = selfdual_measure(s, (-40.0, 40.0))
     assert len(m) == 2000                # no zero node (k=1), so no merge
-    for y in (0.5, 1.0, 2.0):
-        assert gaussian_pairing_residual(m, y) <= 1e-6
+    for res in _pairing_residuals(m, (0.5, 1.0, 2.0)):
+        assert res <= 1e-6
 
 
 def test_gaussian_pairing_minus_family():
     _, _, minus = family_l(F(1), F(500))
     m = selfdual_measure(minus, (-40.0, 40.0))
     assert m.dual_sign == -1
-    for y in (0.5, 1.0, 2.0):
-        assert gaussian_pairing_residual(m, y) <= 1e-6
+    for res in _pairing_residuals(m, (0.5, 1.0, 2.0)):
+        assert res <= 1e-6
 
 
 def test_pairing_requires_sign_tag():
     from crystalsum.measures import DiscreteMeasure
     m = DiscreteMeasure([(0.0, 1.0)], (-1, 1))
     with pytest.raises(ValueError):
-        gaussian_pairing_residual(m, 1.0)
+        _pairing_residuals(m, (1.0,))

@@ -14,7 +14,6 @@ from crystalsum.spectra import (
     SpectrumError,
     exact_spectrum,
     fejer_reconstruct,
-    mean_value,
     mean_value_batch,
 )
 
@@ -146,19 +145,19 @@ def test_spectrum_rejects_negative_frequency():
 def test_mean_value_pure_exponential():
     f = lambda z: np.exp(2j * np.pi * np.asarray(z))
     for y in (0.5, 1.0, 2.0):
-        assert mean_value(f, 1.0, y, 200.0) == pytest.approx(1.0, abs=1e-9)
+        assert mean_value_batch(f, [1.0], y, 200.0)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mean_value_constant_vanishes_off_zero():
     f = lambda z: np.full_like(np.asarray(z, dtype=complex), 3.0)
-    v = mean_value(f, 0.7, 1.0, 500.0)
+    v = mean_value_batch(f, [0.7], 1.0, 500.0)[0]
     assert abs(v) < 10 / 500.0
-    assert mean_value(f, 0.0, 1.0, 500.0) == pytest.approx(3.0, rel=1e-12)
+    assert mean_value_batch(f, [0.0], 1.0, 500.0)[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_mean_value_against_exact_atom():
     # lam = 1 coefficient of i pi cot(pi z) is 2 pi
-    v = mean_value(icotangent, 1.0, 1.0, 10_000.0)
+    v = mean_value_batch(icotangent, [1.0], 1.0, 10_000.0)[0]
     assert abs(v - 2 * math.pi) <= 1e-3
 
 
@@ -166,8 +165,8 @@ def test_mean_value_y_independence():
     spec = exact_spectrum(poisson_H(), 4.0)
     y0 = spec.y_valid
     T = 200.0
-    v1 = mean_value(icotangent, 1.0, y0 + 0.5, T)
-    v2 = mean_value(icotangent, 1.0, y0 + 2.0, T)
+    v1 = mean_value_batch(icotangent, [1.0], y0 + 0.5, T)[0]
+    v2 = mean_value_batch(icotangent, [1.0], y0 + 2.0, T)[0]
     assert abs(v1 - v2) <= 10 / T
 
 
@@ -189,7 +188,7 @@ def test_oracle_equivalence_ten_lowest():
 def test_mean_value_rejects_poles():
     f = lambda z: np.full_like(np.asarray(z, dtype=complex), np.inf)
     with pytest.raises(SpectrumError):
-        mean_value(f, 0.0, 1.0, 10.0)
+        mean_value_batch(f, [0.0], 1.0, 10.0)[0]
 
 
 # -- streamed mean value against the one-shot formula ------------------------

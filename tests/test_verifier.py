@@ -227,6 +227,39 @@ def test_fejer_identity_rate_in_T():
     assert 5.0 <= r100 / r1000 <= 20.0
 
 
+@pytest.mark.parametrize("W", [16.5, 60.5, 200.5])
+def test_fejer_rhs_tail_matches_its_closed_form(W):
+    # w = z = i: the kernel envelope is 1/(2 pi (1+t^2)), and the fitted
+    # model is flat (p ~ 1e-16), so both edges give C density (pi/2 - atan W)/pi
+    pair = poisson_pair(cutoff=W - 0.5, W=W)
+    tm = pair.mu.tail_model
+    assert abs(tm.p) < 1e-12
+    closed = tm.C * tm.density * (math.pi / 2 - math.atan(W)) / math.pi
+    rep = fejer_identity_check(pair, 1j, 1j, 100.0)
+    assert rep.tail_rhs / closed == pytest.approx(1.0, abs=1e-2)
+
+
+def test_check_pair_gaussian_tail_matches_erfc():
+    # phi = e^{-pi v (t-1)^2}, v = 1/2, against the flat model of a past
+    # +-X: C density (erfc(sqrt(pi v)(X-1)) + erfc(sqrt(pi v)(X+1)))/(2 sqrt v)
+    pair = poisson_pair()
+    tm = pair.a.tail_model
+    assert abs(tm.p) < 1e-12
+    X = pair.a.window[1]
+    r = math.sqrt(math.pi * 0.5)
+    closed = tm.C * tm.density * (math.erfc(r * (X - 1)) + math.erfc(r * (X + 1))) \
+        / (2 * math.sqrt(0.5))
+    rep = check_pair(pair, TestFunction("gaussian", z=0.5j, x0=1.0))
+    # a ratio: pytest.approx's absolute floor would accept any tail near 1e-154
+    assert rep.tail_lhs / closed == pytest.approx(1.0, abs=1e-2)
+
+
+def test_fejer_identity_empty_measure_is_inconclusive():
+    empty = DiscreteMeasure([], (-1, 1))
+    rep = fejer_identity_check(FSPair(empty, empty), 1j, 2j, 10.0)
+    assert rep.residual == 0.0 and rep.verdict == "inconclusive"
+
+
 def test_report_json_shape():
     rep = VerificationReport(1 + 2j, 1 + 2j, 0.0, 0.0, 0.0, "pass", {"k": 1})
     d = rep.to_json_dict()
