@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -161,10 +162,10 @@ def cmd_eta(args):
 
 
 def cmd_spectrum(args):
-    if not args.T > 0:
-        raise InputError(f"--T must be positive, got {args.T}")
-    if not args.y > 0:
-        raise InputError(f"--y must be positive, got {args.y}")
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise InputError(f"--T must be finite and positive, got {args.T}")
+    if not (math.isfinite(args.y) and args.y > 0):
+        raise InputError(f"--y must be finite and positive, got {args.y}")
     d = _load_json(args.input)
     H = _load_hb(d)
     cutoff = args.cutoff if args.cutoff is not None else \
@@ -326,6 +327,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise InputError(f"--tol must be finite and positive, got {args.tol}")
+        # an empty suite would pass vacuously
+        if getattr(args, "count", 1) < 1:
+            raise InputError(f"--count must be at least 1, got {args.count}")
         return args.func(args)
     # domain errors from the library (SpectrumError and HermiteBiehlerError
     # are ValueErrors) mean the input was invalid, not that a check failed

@@ -12,6 +12,9 @@ certificate records the grid and the observed margins.  Deciding the
 inequality globally is equivalent to real-rootedness, which admits no
 finite certificate once the frequencies are irrationally related.
 
+The real-root scan is certified: each root it returns is simple, none is
+skipped, and a multiple root or roots too close to separate raise.
+
 Two generators of valid inputs are provided: E = Q' - iQ for a real-rooted
 real trigonometric polynomial Q, and the determinant family
 det(U + diag(e^{2 pi i l_j z})) for a unitary U, which is real-rooted for
@@ -316,21 +319,33 @@ def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
     return Q
 
 
+ROOT_TOL = 1e-12  # root scan: narrowest open cell, and width of its brackets
+
+
 @dataclass(frozen=True)
 class RootScan:
-    """Result of a real-axis root scan: simple roots plus flagged doubles."""
+    """Result of a real-axis root scan: the roots, each certified simple."""
 
     roots: list
-    double_roots: list
 
 
-def real_root_scan(B: ExpSum, interval, tol: float = 1e-12) -> RootScan:
-    """All real roots of a star-fixed sum on [x0, x1].
+def real_root_scan(B: ExpSum, interval) -> RootScan:
+    """All real roots of a star-fixed sum on [x0, x1], or RootFindingError.
 
-    Sign-change scan at step 1/(8*span) (span = frequency spread of B, a
-    Bernstein-type density bound), bisection to bracket width <= tol, then
-    a short Newton polish.  Sign-preserving dips of |B| below 1e-9 of the
-    scan scale are flagged as double-root candidates, not returned as roots.
+    The grid has step 1/(8*span) (span = frequency spread of B, a
+    Bernstein-type density bound).  With L1 = sum |c| 2 pi |lam| >= sup|B'|
+    and L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of width h holds
+    no root when |B(a)| + |B(b)| > L1 h, and is monotone, so holds one root
+    exactly when B changes sign, when |B'(a)| + |B'(b)| > L2 h; both tests
+    also clear twice the rounding floor, 1e-14 (sum |c| + L1 X) for B and
+    1e-14 (L1 + L2 X) for B' with X = max |x| on the window.  Any other cell
+    is halved.  A sample with |B| at most its floor is a root itself when
+    |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a double
+    root reaches that slope); otherwise it keeps its cells open.  An open
+    cell of width ROOT_TOL, an open cell with both samples in the noise, or
+    more open cells than the first grid had means a multiple root or roots
+    too close to separate, and raises with the place.  Sign-change cells are
+    bisected to width ROOT_TOL, then Newton polished.
     """
     if not B:
         raise RootFindingError("cannot scan an identically zero sum")
@@ -341,98 +356,78 @@ def real_root_scan(B: ExpSum, interval, tol: float = 1e-12) -> RootScan:
         raise RootFindingError("empty scan interval")
     span = B.freq_span()
     if span <= 0.0:
-        return RootScan([], [])  # nonzero monomial never vanishes on R
+        return RootScan([])  # nonzero monomial never vanishes on R
     step = 1.0 / (8.0 * span)
     n = max(int(math.ceil((x1 - x0) / step)), 8)
     if n > 50_000_000:
         raise RootFindingError("scan step underflow for this interval")
+    # coefficient masses of B, B' and B'', each a bound on its sup over R
+    mass, L1, L2 = (sum(abs(c) * (2 * math.pi * abs(lam)) ** k
+                        for _, lam, c in B.sorted_terms()) for k in (0, 1, 2))
+    # rounding floors of B and B' on the window: the phase error grows with |x|
+    far = max(abs(x0), abs(x1))
+    floor_b, floor_d = 1e-14 * (mass + L1 * far), 1e-14 * (L1 + L2 * far)
+    min_slope = 2.0 * math.sqrt(floor_b * L2) + floor_d
+    Bp = B.derivative()
+
     xs = np.linspace(x0, x1, n + 1)
-    vals = B.eval(xs).real
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        raise RootFindingError("B vanished on the whole scan grid")
+    fx = B.eval(xs).real.copy()  # the copy lets the complex values go
+    absf = np.abs(fx)
+    # the no-root test on the first grid comes before any B' is evaluated
+    i = np.nonzero(absf[:-1] + absf[1:] <= L1 * np.diff(xs) + 2 * floor_b)[0]
+    need = absf <= floor_b
+    need[i] = need[i + 1] = True
+    dx = np.zeros_like(fx)
+    dx[need] = Bp.eval(xs[need]).real
+    found = [xs[(absf <= floor_b) & (np.abs(dx) > min_slope)]]
+    cells = [xs[i], xs[i + 1], fx[i], fx[i + 1], dx[i], dx[i + 1]]
+    brackets = [(xs[:0], xs[:0], fx[:0])]
+    while cells[0].size:
+        a, b, fa, fb, da, db = cells
+        h = b - a
+        za, zb = np.abs(fa) <= floor_b, np.abs(fb) <= floor_b
+        mono = np.abs(da) + np.abs(db) > L2 * h + 2 * floor_d
+        cross = mono & ~za & ~zb & (fa * fb < 0)
+        brackets.append((a[cross], b[cross], fa[cross]))
+        settled = (np.abs(fa) + np.abs(fb) > L1 * h + 2 * floor_b) | (mono & ~(za & zb))
+        weak = (za & (np.abs(da) <= min_slope)) | (zb & (np.abs(db) <= min_slope))
+        keep = weak | ~settled
+        if np.count_nonzero(keep) > n or np.any(keep & (za & zb | (h <= ROOT_TOL))):
+            # the open cell with the smallest samples is nearest the trouble
+            j = np.argmin(np.where(keep, np.abs(fa) + np.abs(fb), np.inf))
+            raise RootFindingError(
+                "multiple root or roots too close to separate "
+                f"near x = {float(0.5 * (a[j] + b[j]))!r}")
+        a, b, fa, fb, da, db = (v[keep] for v in cells)
+        m = 0.5 * (a + b)
+        fm, dm = B.eval(m).real, Bp.eval(m).real
+        found.append(m[(np.abs(fm) <= floor_b) & (np.abs(dm) > min_slope)])
+        cells = [np.concatenate(p) for p in
+                 ((a, m), (m, b), (fa, fm), (fm, fb), (da, dm), (dm, db))]
 
-    exact = np.abs(vals) < 1e-14 * scale
-    s = np.sign(vals)
-    s[exact] = 0.0
-
-    roots = []
-    touch_points = []  # exact zeros with no sign change: double candidates
-    for i in np.nonzero(exact)[0]:
-        left = i - 1
-        while left >= 0 and s[left] == 0.0:
-            left -= 1
-        right = i + 1
-        while right <= n and s[right] == 0.0:
-            right += 1
-        if left < 0 or right > n:
-            roots.append(float(xs[i]))  # one-sided at the window edge
-        elif s[left] * s[right] > 0:
-            touch_points.append(float(xs[i]))
-        else:
-            roots.append(float(xs[i]))
-    prod = s[:-1] * s[1:]
-    bracket_idx = np.nonzero(prod < 0)[0]
-    lo = xs[bracket_idx].astype(float)
-    hi = xs[bracket_idx + 1].astype(float)
-    if lo.size:
-        flo = vals[bracket_idx]
-        # bracket width tol is clamped at the local ulp; a fixed iteration
-        # cap guards against stalling once mid rounds onto an endpoint
-        for _ in range(64):
-            if np.max(hi - lo) <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = B.eval(mid).real
-            left = flo * fmid <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fmid)
-        found = 0.5 * (lo + hi)
-        # Newton polish to machine precision (weights feed quadratic forms)
-        Bp = B.derivative()
-        for _ in range(3):
-            f = B.eval(found).real
-            fp = Bp.eval(found).real
-            safe = np.abs(fp) > 1e-300
-            cand = np.where(safe, found - f / np.where(safe, fp, 1.0), found)
-            ok = (np.abs(cand - found) < 2 * step) & \
-                 (np.abs(B.eval(cand).real) <= np.abs(f))
-            found = np.where(ok, cand, found)
-        roots.extend(float(x) for x in found)
-
-    roots.sort()
-    merged = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 16 * max(tol, 1e-15):
-            continue
-        if r < x0 - step or r > x1 + step:
-            continue
-        merged.append(r)
-
-    # sign-preserving dips: local minima of |B| without a crossing
-    doubles = list(touch_points)
-    absv = np.abs(vals)
-    interior = np.nonzero((absv[1:-1] < absv[:-2]) & (absv[1:-1] <= absv[2:])
-                          & (absv[1:-1] < 1e-5 * scale))[0] + 1
-    for i in interior:
-        if s[i - 1] * s[i + 1] < 0 or s[i] == 0.0:
-            continue  # genuine crossing or exact zero, already handled
-        a, b2 = xs[i - 1], xs[i + 1]
-        for _ in range(200):
-            m1 = a + (b2 - a) / 3
-            m2 = b2 - (b2 - a) / 3
-            if abs(B.eval(m1)) < abs(B.eval(m2)):
-                b2 = m2
-            else:
-                a = m1
-            if b2 - a < tol:
-                break
-        xm = 0.5 * (a + b2)
-        if abs(B.eval(xm)) < 1e-9 * scale:
-            if all(abs(xm - r) > 16 * tol for r in merged):
-                doubles.append(float(xm))
-    return RootScan(merged, doubles)
+    lo, hi, flo = (np.concatenate(p) for p in zip(*brackets))
+    # bracket width ROOT_TOL is clamped at the local ulp; a fixed iteration
+    # cap guards against stalling once mid rounds onto an endpoint
+    for _ in range(64):
+        if np.max(hi - lo, initial=0.0) <= ROOT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = B.eval(mid).real
+        left = flo * fmid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fmid)
+    x = 0.5 * (lo + hi)
+    # Newton polish to machine precision (weights feed quadratic forms); B'
+    # clears its rounding floor in a monotone cell
+    for _ in range(3):
+        f = B.eval(x).real
+        cand = x - f / Bp.eval(x).real
+        ok = (np.abs(cand - x) < 2 * step) & \
+             (np.abs(B.eval(cand).real) <= np.abs(f))
+        x = np.where(ok, cand, x)
+    found.append(x)
+    return RootScan(np.sort(np.concatenate(found)).tolist())
 
 
 def phase_derivative(H, x):

@@ -275,22 +275,17 @@ def phase_points(H: HermiteBiehler, alpha: float, window):
 
     phi is the phase of e^{i alpha}E, and 1/phi'(gamma) = A_alpha/B_alpha'
     at each root, which is strictly positive for a validated
-    Hermite-Biehler input.  A double root, a vanishing B_alpha' or a
-    nonpositive A_alpha/B_alpha' raises RootFindingError.  Callers form
-    their weights from the returned arrays (2 pi av/bpv for the measure,
-    av/bpv for the kernel; rescaling one into the other would change the
-    last bit of some weights).
+    Hermite-Biehler input.  The root scan certifies every root simple and
+    skips none; it raises RootFindingError on a multiple root or on roots
+    too close to separate, and so does a nonpositive A_alpha/B_alpha'.
+    Callers form their weights from the returned arrays (2 pi av/bpv for
+    the measure, av/bpv for the kernel; rescaling one into the other would
+    change the last bit of some weights).
     """
     A, B = H.rotated(alpha)
-    scan = real_root_scan(B, window)
-    if scan.double_roots:
-        raise RootFindingError(
-            f"degenerate (non-simple) root near {scan.double_roots[0]}")
-    roots = np.array(scan.roots, dtype=float)
+    roots = np.array(real_root_scan(B, window).roots, dtype=float)
     av = A.eval(roots).real
     bpv = B.derivative().eval(roots).real
-    if np.any(np.abs(bpv) < 1e-300):
-        raise RootFindingError("B' vanished at a detected root")
     ratio = av / bpv
     if np.any(ratio <= 0):
         bad = roots[np.argmin(ratio)]

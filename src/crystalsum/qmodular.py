@@ -335,6 +335,8 @@ def eta_expansion(order, scale=Fraction(1)) -> QSeries:
     """
     order = to_fraction(order)
     scale = to_fraction(scale)
+    if scale <= 0:
+        raise ValueError("exponent scale must be positive")
     terms = {}
     n = 1
     while True:

@@ -194,10 +194,11 @@ def _fejer_weight(u):
 _CHUNK_POINTS = 1 << 15
 # panels per row of mean_value_batch's phase tables
 _PHASE_ROW = 64
+_NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer",
-                     panel_width=0.25, nodes=8, eval_y=None):
+                     panel_width=0.25, eval_y=None):
     """Tapered Bohr mean values at several frequencies, sharing f-samples.
 
     `f` is an evaluator (vectorized over ndarray input preferred; a
@@ -208,8 +209,8 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     at large lambda.
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
-    width h, Gauss-Legendre nodes xi_j).  The panels are streamed in chunks
-    of about _CHUNK_POINTS nodes and grouped in rows of R = _PHASE_ROW
+    width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
+    chunks of about _CHUNK_POINTS nodes and grouped in rows of R = _PHASE_ROW
     panels, so the node j of panel r in row m of a chunk sits at
     X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
     midpoint and w the panel width, and the phase factors exactly:
@@ -234,10 +235,10 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
     w_eff = 2 * T / n_panels
     half = 0.5 * w_eff
-    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi, wi = np.polynomial.legendre.leggauss(_NODES)
     node_w = half * wi
     norm = T if taper == "fejer" else 2.0 * T
-    step = max(_CHUNK_POINTS // nodes, 1)
+    step = max(_CHUNK_POINTS // _NODES, 1)
     n_rows = -(-step // _PHASE_ROW)
     # lambdas x row nodes, contiguous along the nodes for the contraction
     offsets = (w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]

@@ -8,6 +8,7 @@ from crystalsum import cli, qmodular
 from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import ks_from_Q
+from crystalsum.measures import DiscreteMeasure, pair_from_hb
 
 
 def write_sin_pi_z(path: Path) -> str:
@@ -229,11 +230,25 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["eta", "--family-l", "1", "--window", "2", "2"],
     ["eta", "--family-l", "1", "--window", "nan", "5"],
     ["eta", "--family-l", "1", "--window", "0", "inf"],
+    ["spectrum", "{H}", "--lambdas", "1", "--T", "inf"],
+    ["spectrum", "{H}", "--lambdas", "1", "--y", "inf"],
+    ["spectrum", "{H}", "--T", "nan"],
+    ["ks", "{q}", "--count", "0"],
+    ["pair-check", "{pair}", "--count", "0"],
+    ["--tol", "-1", "ks", "{q}"],
+    ["--tol", "nan", "pair-check", "{pair}"],
+    ["--tol", "inf", "pair-check", "{pair}"],
+    ["--tol", "0", "selfdual", "{measure}"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
-    files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
-    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
-                                     .to_json_dict()))
+    files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
+             "pair": tmp_path / "pair.json", "measure": tmp_path / "measure.json"}
+    H = ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+    files["H"].write_text(json.dumps(H.to_json_dict()))
+    files["pair"].write_text(json.dumps(pair_from_hb(H, 4.0, (-4.5, 4.5))
+                                        .to_json_dict()))
+    files["measure"].write_text(json.dumps(
+        DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()))
     for name, text in BAD_ETA_SPECS.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)

@@ -1,13 +1,18 @@
+import cmath
 import math
+import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import FreqBasis, cosine, monomial, sine
+from crystalsum.freqalg import ExpSum, FreqBasis, cosine, monomial, sine
 from crystalsum.hermite import (
     GridSpec,
     HermiteBiehler,
     HermiteBiehlerError,
+    RootFindingError,
     default_grid,
     is_hermite_biehler,
     ks_from_Q,
@@ -132,11 +137,46 @@ def test_real_roots_against_independent_bisection():
     assert any(abs(r) < 1e-10 for r in roots)
 
 
+def scan_error_point(B, window):
+    """The point named by the RootFindingError the scan must raise."""
+    with pytest.raises(RootFindingError, match="multiple root") as e:
+        real_root_scan(B, window)
+    return float(re.search(r"near x = (\S+)", str(e.value)).group(1))
+
+
 def test_double_root_flagged():
     B = sine(HALF, (1,)) * sine(HALF, (1,))  # sin^2(pi z)
-    scan = real_root_scan(B, (-1.5, 1.5))
-    assert scan.roots == []
-    assert np.allclose(sorted(scan.double_roots), [-1, 0, 1], atol=1e-6)
+    # step 1/16: the double root 0 of (-0.5, 0.5) is a grid sample, the
+    # roots of the other two windows fall between samples
+    for window, root in (((-0.5, 0.5), 0), ((-0.73, 0.41), 0), ((2.3, 3.9), 3)):
+        assert abs(scan_error_point(B, window) - root) <= 1e-6
+
+
+def test_double_root_raises_near_and_far_from_zero():
+    # B' of sin^2(pi (z - X)) has slope exactly L2 at the double root X, so
+    # the monotone test passes there by rounding unless it clears the
+    # floors of B', which grow with |X|; the root was then silently lost
+    for X in (0.3, 5000.3, 50000.3):
+        S = ExpSum(HALF, {(1,): cmath.exp(-1j * math.pi * X) / 2j,
+                          (-1,): -cmath.exp(1j * math.pi * X) / 2j})
+        B = (S * S).hermitize()
+        assert abs(scan_error_point(B, (X - 0.77, X + 0.61)) - X) <= 1e-5
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_higher_multiplicity_raises_fast_in_little_memory(k):
+    B = sine(HALF, (1,))
+    for _ in range(k - 1):
+        B = B * sine(HALF, (1,))  # sin^k(pi z)
+    tracemalloc.start()
+    t = time.perf_counter()
+    x = scan_error_point(B, (-1.3, 1.7))
+    elapsed = time.perf_counter() - t
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10 * 2**20
+    # |sin(pi x)|^k <= 1e-14 within (1e-14)^(1/k)/pi < 0.006 of a root
+    assert abs(x - round(x)) < 0.006
 
 
 def test_phase_derivative_plane_wave():
@@ -209,9 +249,9 @@ def test_leeyang_rotation_is_real_rooted():
     H = ks_from_Q(Q)  # sampled Hermite-Biehler acceptance
     rng = np.random.default_rng(11)
     assert np.all(phase_derivative(H, rng.uniform(-30, 30, 500)) > 0)
-    # no sign-preserving dips of |Q| were flagged on a wide window
-    scan = real_root_scan(Q, (-25.0, 25.0))
-    assert not scan.double_roots
+    # the scan certifies every root simple on a wide window, or raises
+    roots = real_root_scan(Q, (-25.0, 25.0)).roots
+    assert len(roots) > 100 and np.all(np.diff(roots) > 0)
 
 
 def test_ks_roots_coincide_with_Q_roots():
@@ -239,3 +279,32 @@ def test_json_round_trip():
     d = H.to_json_dict()
     H2 = HermiteBiehler.from_json_dict(d)
     assert H2.E.terms == H.E.terms
+
+
+def phase_root_count(E, x0, x1):
+    """Roots of B in (x0, x1) for E = A - iB: the multiples of pi strictly
+    between the phases of E at the ends, unwrapped on a grid refined until
+    no step turns the phase by pi/4 or more."""
+    xs = np.linspace(x0, x1, 6001)
+    while True:
+        vals = E.eval(xs)
+        turn = np.angle(vals[1:] / vals[:-1])  # wrapped to (-pi, pi]
+        big = np.abs(turn) >= math.pi / 4
+        if not big.any():
+            break
+        xs = np.sort(np.concatenate((xs, 0.5 * (xs[:-1] + xs[1:])[big])))
+    assert np.max(np.abs(turn)) < math.pi / 2
+    start = math.atan2(vals[0].imag, vals[0].real) / math.pi
+    lo, hi = sorted((start, start + float(np.sum(turn)) / math.pi))
+    return math.ceil(hi) - math.floor(lo) - 1
+
+
+@pytest.mark.parametrize("theta", [0.005, 0.05, 0.13, 0.16, 0.5, math.pi - 0.005])
+def test_leeyang_root_count_equals_phase_count(theta):
+    # small |sin theta| puts pairs of roots of B far closer than the grid step
+    U = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    H = ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)],
+                                    FreqBasis((1.0, math.sqrt(2)))))
+    roots = real_root_scan(H.B, (-30.0, 30.0)).roots
+    assert len(roots) == phase_root_count(H.E, -30.0, 30.0) == 144

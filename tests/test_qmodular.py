@@ -45,6 +45,13 @@ def test_eta_empty_below_lead():
     assert not eta_expansion(F(1, 24))
 
 
+@pytest.mark.parametrize("scale", [0, -1])
+def test_eta_expansion_rejects_nonpositive_scale(scale):
+    # scale 0 looped forever, a negative scale grew the dict without bound
+    with pytest.raises(ValueError, match="positive"):
+        eta_expansion(F(8), scale=scale)
+
+
 def test_eta_matches_euler_product():
     # q^{1/24} prod_{n<48} (1 - q^n), truncated, term for term
     order = F(6)
