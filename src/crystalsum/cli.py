@@ -162,10 +162,9 @@ def cmd_eta(args):
 
 
 def cmd_spectrum(args):
-    if not (math.isfinite(args.T) and args.T > 0):
-        raise InputError(f"--T must be finite and positive, got {args.T}")
-    if not (math.isfinite(args.y) and args.y > 0):
-        raise InputError(f"--y must be finite and positive, got {args.y}")
+    for name, v in (("--T", args.T), ("--y", args.y)):
+        if not (math.isfinite(v) and v > 0):
+            raise InputError(f"{name} must be finite and positive, got {v}")
     d = _load_json(args.input)
     H = _load_hb(d)
     cutoff = args.cutoff if args.cutoff is not None else \

@@ -17,9 +17,9 @@ w_j = e^{2 pi i base_j z/D}: one complex exponential per basis entry
 present, nested Horner over the coordinates (gaps bridged by powers of
 w_j from repeated squaring), then one factor prod_j w_j^{lo_j} for the
 minimum exponents.  A range guard sends heights where some intermediate
-power could approach overflow or the subnormals back to one exponential
-per term; inputs where a term itself overflows raise EvalRangeError on
-either route.
+power, or coefficient times power, could approach overflow or the
+subnormals back to one exponential per term; inputs where a term itself
+overflows raise EvalRangeError on either route.
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -184,8 +184,8 @@ class ExpSum:
         docstring) while the largest intermediate power,
         exp(2 pi max|Im z|/D * max(sum_j (hi_j - lo_j) base_j,
         max_j max(|hi_j|, |lo_j|) base_j)) with lo_j and hi_j the extreme
-        exponents of coordinate j, stays below exp(_HORNER_LIMIT); above
-        that, one exponential per term, in ascending frequency order.
+        exponents of coordinate j, stays below exp(_HORNER_LIMIT) and
+        2^970 min |c|; above that, one exponential per term.
         """
         z = np.asarray(z, dtype=complex)
         if not self._terms:
@@ -200,7 +200,7 @@ class ExpSum:
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
         if self._horner is None:
             self._horner = _HornerPlan(self)
-        if self._horner.reach * max(-im_min, im_max) < _HORNER_LIMIT:
+        if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
             out = self._horner.eval(z.reshape(-1)).reshape(z.shape)
         else:
             out = np.zeros(z.shape, dtype=complex)
@@ -325,7 +325,7 @@ class _HornerPlan:
     (shifted exponent, subtree) in descending exponent order, with the
     coefficient as the leaf.  Coordinates that are zero in every term are
     left out.  `reach` times max|Im z| bounds the exponent of every
-    intermediate power.
+    intermediate power, which must stay below `limit`.
     """
 
     def __init__(self, s: ExpSum):
@@ -340,6 +340,10 @@ class _HornerPlan:
             sum((h - l) * b for h, l, b in zip(hi, self.lo, bases)),
             max((max(abs(h), abs(l)) * b for h, l, b in zip(hi, self.lo, bases)),
                 default=0.0))
+        # nor may a coefficient shrink below 2^-970 = 2^-1022/eps: an underflow
+        # past that costs at most eps^2 of its term, however the lo factor grows it
+        self.limit = min(_HORNER_LIMIT,
+                         math.log(2.0**970 * min(map(abs, s._terms.values()))))
         items = sorted(((tuple(v[j] - l for j, l in zip(coords, self.lo)), c)
                         for v, c in s._terms.items()), reverse=True)
         self.tree = self._nest(items, 0)

@@ -285,10 +285,7 @@ def leeyang_trigpoly(U, length_vecs, basis: FreqBasis) -> ExpSum:
     for size in range(n + 1):
         for S in combinations(idx, size):
             rest = [j for j in idx if j not in S]
-            if rest:
-                minor = complex(np.linalg.det(U[np.ix_(rest, rest)]))
-            else:
-                minor = 1.0 + 0j
+            minor = complex(np.linalg.det(U[np.ix_(rest, rest)])) if rest else 1 + 0j
             v = zero
             for j in S:
                 v = tuple(a + b for a, b in zip(v, vecs[j]))
@@ -337,15 +334,14 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     and L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of width h holds
     no root when |B(a)| + |B(b)| > L1 h, and is monotone, so holds one root
     exactly when B changes sign, when |B'(a)| + |B'(b)| > L2 h; both tests
-    also clear twice the rounding floor, 1e-14 (sum |c| + L1 X) for B and
-    1e-14 (L1 + L2 X) for B' with X = max |x| on the window.  Any other cell
-    is halved.  A sample with |B| at most its floor is a root itself when
-    |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a double
-    root reaches that slope); otherwise it keeps its cells open.  An open
-    cell of width ROOT_TOL, an open cell with both samples in the noise, or
-    more open cells than the first grid had means a multiple root or roots
-    too close to separate, and raises with the place.  Sign-change cells are
-    bisected to width ROOT_TOL, then Newton polished.
+    also clear twice the rounding floor of B or B' on the window.  Any other
+    cell is halved.  A sample with |B| at most its floor is a root itself
+    when |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a
+    double root reaches that slope); otherwise it keeps its cells open.  An
+    open cell of width ROOT_TOL, an open cell with both samples in the
+    noise, or more open cells than the first grid had means a multiple root
+    or roots too close to separate, and raises with the place.  Sign-change
+    cells are bisected to width ROOT_TOL, then Newton polished.
     """
     if not B:
         raise RootFindingError("cannot scan an identically zero sum")
@@ -361,12 +357,14 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     n = max(int(math.ceil((x1 - x0) / step)), 8)
     if n > 50_000_000:
         raise RootFindingError("scan step underflow for this interval")
-    # coefficient masses of B, B' and B'', each a bound on its sup over R
-    mass, L1, L2 = (sum(abs(c) * (2 * math.pi * abs(lam)) ** k
-                        for _, lam, c in B.sorted_terms()) for k in (0, 1, 2))
-    # rounding floors of B and B' on the window: the phase error grows with |x|
-    far = max(abs(x0), abs(x1))
-    floor_b, floor_d = 1e-14 * (mass + L1 * far), 1e-14 * (L1 + L2 * far)
+    vs, lams, cs = (np.array(t) for t in zip(*B.sorted_terms()))
+    mod, freq = np.abs(cs), 2 * math.pi * np.abs(lams)
+    L1, L2 = float(mod @ freq), float(mod @ freq**2)
+    # rounding floors of B and B': evaluation puts a phase error of about
+    # eps 2 pi |x| sum_j |k_j| base_j/D on term k, not eps 2 pi |x lam|
+    lam_norm = np.abs(vs) @ np.array(B.basis.base) / B.basis.denominator
+    grow = 1 + 2 * math.pi * max(-x0, x1) * lam_norm
+    floor_b, floor_d = 1e-14 * float(mod @ grow), 1e-14 * float(mod @ (freq * grow))
     min_slope = 2.0 * math.sqrt(floor_b * L2) + floor_d
     Bp = B.derivative()
 
@@ -423,8 +421,7 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     for _ in range(3):
         f = B.eval(x).real
         cand = x - f / Bp.eval(x).real
-        ok = (np.abs(cand - x) < 2 * step) & \
-             (np.abs(B.eval(cand).real) <= np.abs(f))
+        ok = (np.abs(cand - x) < 2 * step) & (np.abs(B.eval(cand).real) <= np.abs(f))
         x = np.where(ok, cand, x)
     found.append(x)
     return RootScan(np.sort(np.concatenate(found)).tolist())

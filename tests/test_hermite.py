@@ -161,6 +161,16 @@ def test_double_root_raises_near_and_far_from_zero():
                           (-1,): -cmath.exp(1j * math.pi * X) / 2j})
         B = (S * S).hermitize()
         assert abs(scan_error_point(B, (X - 0.77, X + 0.61)) - X) <= 1e-5
+    # 1 - cos(2 pi lam (z - X)) with lam = 7 - 5 sqrt 2 over (1, sqrt 2):
+    # evaluation's phase error goes with 7 + 5 sqrt 2, 200 times |lam|, so
+    # floors built from |lam| let the monotone test pass by rounding
+    lam = 7 - 5 * math.sqrt(2)
+    for X in (49991.2, 50019.9):
+        B = ExpSum(FreqBasis((1.0, math.sqrt(2))),
+                   {(0, 0): 1.0, (7, -5): -cmath.exp(-2j * math.pi * lam * X) / 2,
+                    (-7, 5): -cmath.exp(2j * math.pi * lam * X) / 2}).hermitize()
+        # |B| stays below its floor within about 7e-4 of X here
+        assert abs(scan_error_point(B, (X - 10.3, X + 8.7)) - X) <= 1e-3
 
 
 @pytest.mark.parametrize("k", range(3, 9))
