@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .freqalg import EvalRangeError, ExpSum
+from .freqalg import ExpSum
 from .hermite import HermiteBiehler, RootFindingError, ks_from_Q
 from .dbspace import kernel_closed, kernel_closed_eform, kernel_context, kernel_series
 from .measures import DiscreteMeasure, FSPair, pair_from_hb
@@ -170,13 +170,14 @@ def cmd_spectrum(args):
     cutoff = args.cutoff if args.cutoff is not None else \
         (max(args.lambdas) + 1.0 if args.lambdas else 1.0)
     spec = exact_spectrum(H, cutoff)
-    exact = {round(val, 12): c for _, val, c in spec.sorted_atoms()}
+    exact = DiscreteMeasure([(val, c) for _, val, c in spec.sorted_atoms()],
+                            (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     numeric = mean_value_batch(f, args.lambdas, args.y, args.T) \
         if args.lambdas else []
     rows = []
     for lam, nv in zip(args.lambdas, numeric):
-        ev = exact.get(round(lam, 12), 0j) if lam >= 0 else 0j
+        ev = exact.weight_at(lam)
         rows.append((float(lam), ev.real, ev.imag, nv.real, nv.imag,
                      abs(ev - nv)))
     prov = _provenance("spectrum", vars(args), args.seed)
@@ -191,10 +192,13 @@ def _parse_points(raw):
     for s in raw:
         try:
             re_, im_ = s.split(",")
-            pts.append(complex(float(re_), float(im_)))
+            p = complex(float(re_), float(im_))
+            if not (math.isfinite(p.real) and math.isfinite(p.imag)):
+                raise ValueError
         except ValueError:
-            raise InputError(f"cannot parse point '{s}' (expected re,im)") \
+            raise InputError(f"cannot parse point '{s}' (expected finite re,im)") \
                 from None
+        pts.append(p)
     return pts
 
 
@@ -333,8 +337,9 @@ def main(argv=None) -> int:
             raise InputError(f"--count must be at least 1, got {args.count}")
         return args.func(args)
     # domain errors from the library (SpectrumError and HermiteBiehlerError
-    # are ValueErrors) mean the input was invalid, not that a check failed
-    except (InputError, RootFindingError, EvalRangeError, ValueError) as e:
+    # are ValueErrors, EvalRangeError an OverflowError) mean the input was
+    # invalid, not that a check failed
+    except (InputError, RootFindingError, OverflowError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

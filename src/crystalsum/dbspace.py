@@ -65,11 +65,10 @@ class KernelContext:
         return self._weight
 
 
-def kernel_context(H: HermiteBiehler, R: float, alpha: float = 0.0) -> KernelContext:
-    """Phase points of B_alpha on [-R, R] with residue weights A_alpha/B_alpha'."""
-    roots, av, bpv = phase_points(H, alpha, (-R, R))
-    pts = [PhasePoint(float(g), float(wi), alpha)
-           for g, wi in zip(roots, av / bpv)]
+def kernel_context(H: HermiteBiehler, R: float) -> KernelContext:
+    """Roots of B on [-R, R] with residue weights A/B'."""
+    roots, av, bpv = phase_points(H, 0.0, (-R, R))
+    pts = [PhasePoint(float(g), float(wi)) for g, wi in zip(roots, av / bpv)]
     return KernelContext(H, pts, float(R))
 
 

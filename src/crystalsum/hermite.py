@@ -6,11 +6,14 @@ E = A - iB with A = (E* + E)/2 and B = (E* - E)/(2i); both are real on
 the real axis and, for genuine Hermite-Biehler E without real zeros,
 real-rooted with strictly interlacing zeros.
 
-Validation here is sampled, not proven: |E*| < |E| and the positivity of
-Re(iA/B) are checked on a rectangular grid in the upper half-plane, and a
-certificate records the grid and the observed margins.  Deciding the
-inequality globally is equivalent to real-rootedness, which admits no
-finite certificate once the frequencies are irrationally related.
+Validation here is sampled, not proven: |E*| < |E| is checked on a
+rectangular grid in the upper half-plane, and a certificate records the
+grid and the observed margins.  That one inequality is also the positivity
+of the Herglotz function iA/B = (E + E*)/(E - E*), whose real part is
+(|E|^2 - |E*|^2)/|E - E*|^2 (de Branges, Hilbert Spaces of Entire
+Functions, 1968), so both margins come from the samples of E and E*.
+Deciding the inequality globally is equivalent to real-rootedness, which
+admits no finite certificate once the frequencies are irrationally related.
 
 The real-root scan is certified: each root it returns is simple, none is
 skipped, and a multiple root or roots too close to separate raise.
@@ -86,20 +89,18 @@ class HBCertificate:
     """Record of the sampled validation: grid plus observed margins.
 
     margin_modulus = min (|E| - |E*|)/|E| over the grid; margin_herglotz =
-    min Re(iA/B) over non-degenerate grid points.  Both must be positive
-    for an accepted certificate.
+    min Re(iA/B) over the grid (0 if B vanishes at every grid point).  Both
+    are positive for an accepted certificate.
     """
 
     grid: GridSpec
     margin_modulus: float
     margin_herglotz: float
-    degeneracy_floor: float
 
     def to_json_dict(self):
         return {"grid": self.grid.to_json_dict(),
                 "margin_modulus": self.margin_modulus,
-                "margin_herglotz": self.margin_herglotz,
-                "degeneracy_floor": self.degeneracy_floor}
+                "margin_herglotz": self.margin_herglotz}
 
 
 @dataclass(frozen=True)
@@ -118,30 +119,25 @@ def split_AB(E: ExpSum):
     return A, B
 
 
-_FLOOR_REL = 1e-8  # |B| below this fraction of |E| skips the Re(iA/B) test
-
-
 def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     """Sampled check that E is Hermite-Biehler on the grid rectangle.
 
-    Accepts iff |E*(z)| < |E(z)| at every grid point and Re(iA/B) > 0 at
-    every grid point where |B| clears a degeneracy floor.  A preflight scan
-    of the real axis rejects inputs whose A and B nearly vanish together
-    (real zero of E), which the downstream residue weights cannot handle.
+    Accepts iff |E*(z)| < |E(z)| at every grid point, which is Re(iA/B) > 0
+    there.  A preflight scan of the real axis, where A = Re E and
+    B = -Im E, rejects inputs whose A and B nearly vanish together (real
+    zero of E), which the downstream residue weights cannot handle.
     Rejections carry the worst witness point.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
     if grid is None:
         grid = default_grid(E)
-    A, B = split_AB(E)
     xs, ys = grid.mesh()
 
     # preflight: simultaneous near-vanishing of A and B on the real axis
-    av = np.abs(A.eval(xs)) if A else np.zeros_like(xs)
-    bv = np.abs(B.eval(xs)) if B else np.zeros_like(xs)
-    joint = np.maximum(av, bv)
-    scale_real = float(np.max(joint)) if joint.size else 0.0
+    Ex = E.eval(xs)
+    joint = np.maximum(np.abs(Ex.real), np.abs(Ex.imag))
+    scale_real = float(np.max(joint))
     if scale_real == 0.0:
         return HBVerdict(False, complex(xs[0]), "A and B vanish identically")
     j = int(np.argmin(joint))
@@ -162,20 +158,12 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
         return HBVerdict(False, complex(Z.flat[i_flat]),
                          f"|E*| >= |E| (ratio {absEs.flat[i_flat] / max(absE.flat[i_flat], tiny):.4g})")
 
-    Av = A.eval(Z)
-    Bv = B.eval(Z)
-    floor = _FLOOR_REL * absE
-    ok = np.abs(Bv) > floor
-    herg = np.where(ok, (1j * Av / np.where(ok, Bv, 1.0)).real, np.inf)
-    i_flat = int(np.argmin(herg))
-    worst_herg = float(herg.flat[i_flat])
-    if worst_herg <= 0.0:
-        return HBVerdict(False, complex(Z.flat[i_flat]),
-                         f"Re(iA/B) = {worst_herg:.4g} <= 0")
-
+    # Re(iA/B) = (|E|^2 - |E*|^2)/|E - E*|^2, infinite where B = 0
+    with np.errstate(divide="ignore"):
+        herg = (absE - absEs) * (absE + absEs) / np.abs(Ev - Esv) ** 2
+    worst_herg = float(np.min(herg))
     cert = HBCertificate(grid, worst_mod,
-                         worst_herg if math.isfinite(worst_herg) else 0.0,
-                         _FLOOR_REL)
+                         worst_herg if math.isfinite(worst_herg) else 0.0)
     return HBVerdict(True, None, None, cert)
 
 
@@ -234,14 +222,10 @@ class HermiteBiehler:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Real point gamma with phase = alpha (mod pi) and its residue weight.
-
-    weight = 1/phi'(gamma) = A_alpha(gamma)/B_alpha'(gamma) > 0.
-    """
+    """Root gamma of B with its residue weight 1/phi'(gamma) = A/B' > 0."""
 
     gamma: float
     weight: float
-    alpha: float = 0.0
 
 
 def ks_from_Q(Q: ExpSum, grid: GridSpec | None = None) -> HermiteBiehler:
@@ -341,15 +325,17 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     open cell of width ROOT_TOL, an open cell with both samples in the
     noise, or more open cells than the first grid had means a multiple root
     or roots too close to separate, and raises with the place.  Sign-change
-    cells are bisected to width ROOT_TOL, then Newton polished.
+    cells are bisected to width ROOT_TOL, or to one ulp where that is
+    wider, then Newton polished.
     """
     if not B:
         raise RootFindingError("cannot scan an identically zero sum")
     if not B.is_star_fixed(tol=1e-9):
         raise RootFindingError("root scan requires a sum that is real on R")
     x0, x1 = float(interval[0]), float(interval[1])
-    if not x0 < x1:
-        raise RootFindingError("empty scan interval")
+    if not -math.inf < x0 < x1 < math.inf:
+        raise RootFindingError(
+            f"scan interval must be finite and nonempty, got [{x0}, {x1}]")
     span = B.freq_span()
     if span <= 0.0:
         return RootScan([])  # nonzero monomial never vanishes on R
@@ -404,12 +390,12 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
                  ((a, m), (m, b), (fa, fm), (fm, fb), (da, dm), (dm, db))]
 
     lo, hi, flo = (np.concatenate(p) for p in zip(*brackets))
-    # bracket width ROOT_TOL is clamped at the local ulp; a fixed iteration
-    # cap guards against stalling once mid rounds onto an endpoint
-    for _ in range(64):
-        if np.max(hi - lo, initial=0.0) <= ROOT_TOL:
-            break
+    # a bracket is done at width ROOT_TOL or once its midpoint rounds onto
+    # an endpoint (beyond |x| = 8192 one ulp is wider than ROOT_TOL)
+    while True:
         mid = 0.5 * (lo + hi)
+        if not np.any((hi - lo > ROOT_TOL) & (lo < mid) & (mid < hi)):
+            break
         fmid = B.eval(mid).real
         left = flo * fmid <= 0.0
         hi = np.where(left, mid, hi)

@@ -90,8 +90,10 @@ def fit_tail_model(x, w) -> TailModel | None:
     lw = np.log(ws[outer])
     p = float(np.polyfit(lx, lw, 1)[0]) if np.ptp(lx) > 0 else 0.0
     C = float(np.max(ws[outer] / (1 + xs[outer]) ** p)) * 1.05
+    # atoms per unit on each side: window_tail applies it at both edges
     span = xs[outer].max() - xs[outer].min()
-    density = float(np.count_nonzero(outer) / span) if span > 0 else 1.0
+    sides = max(int(np.any(x[outer] < 0)) + int(np.any(x[outer] > 0)), 1)
+    density = float(np.count_nonzero(outer) / span / sides) if span > 0 else 1.0
     return TailModel(C, p, density)
 
 
@@ -204,12 +206,12 @@ class DiscreteMeasure:
     def weights(self):
         return self.w
 
-    def weight_at(self, x, tol=MERGE_TOL):
-        """Weight of the first atom within tol of x, or 0j."""
-        lo = int(np.searchsorted(self.x, x - tol)) - 1
-        hi = int(np.searchsorted(self.x, x + tol, side="right")) + 1
+    def weight_at(self, x):
+        """Weight of the first atom within MERGE_TOL of x, or 0j."""
+        lo = int(np.searchsorted(self.x, x - MERGE_TOL)) - 1
+        hi = int(np.searchsorted(self.x, x + MERGE_TOL, side="right")) + 1
         for i in range(max(lo, 0), min(hi, len(self.x))):
-            if abs(self.x[i] - x) <= tol:
+            if abs(self.x[i] - x) <= MERGE_TOL:
                 return complex(self.w[i])
         return 0j
 
@@ -404,24 +406,20 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
 
     a1(l) = (a(l) + conj(a(-l)))/2,  a2(l) = (conj(a(-l)) - a(l))/(2i),
     mu1 = Re mu,  mu2 = -Im mu,  so that a = a1 - i a2 and mu = mu1 - i mu2.
+    Each of a1, a2 is built from the atoms of a and of its conjugate
+    reflection; the measure's merge pairs them and drops zero sums.
     """
-    xs = a.x.tolist()
-    support = sorted({round(x, 9) for x in xs} | {round(-x, 9) for x in xs})
-    a1_atoms, a2_atoms = [], []
-    for x in support:
-        ax = a.weight_at(x)
-        amx = a.weight_at(-x)
-        a1 = (ax + amx.conjugate()) / 2
-        a2 = (amx.conjugate() - ax) / 2j
-        if a1 != 0:
-            a1_atoms.append((x, a1))
-        if a2 != 0:
-            a2_atoms.append((x, a2))
+    x = np.concatenate((a.x, -a.x)).tolist()
     win = (min(a.window[0], -a.window[1]), max(a.window[1], -a.window[0]))
+
+    def half_sum(c, c_reflected):
+        w = np.concatenate((c, c_reflected)).tolist()
+        return DiscreteMeasure(zip(x, w, a.prov * 2), win)
+
     mu1 = DiscreteMeasure(_records(mu, mu.w.real, mu.w.real != 0), mu.window)
     mu2 = DiscreteMeasure(_records(mu, -mu.w.imag, mu.w.imag != 0), mu.window)
-    return ((mu1, DiscreteMeasure(a1_atoms, win)),
-            (mu2, DiscreteMeasure(a2_atoms, win)))
+    return ((mu1, half_sum(0.5 * a.w, 0.5 * a.w.conj())),
+            (mu2, half_sum(0.5j * a.w, -0.5j * a.w.conj())))
 
 
 # -- degree probe -------------------------------------------------------------

@@ -150,8 +150,9 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
             "Hermite-Biehler (spectrum would not be one-sided)")
     cutoff_value = float(cutoff) if not isinstance(cutoff, tuple) \
         else H.E.basis.value(cutoff)
-    if cutoff_value < 0:
-        raise SpectrumError("cutoff must be nonnegative")
+    if not 0 <= cutoff_value < math.inf:
+        raise SpectrumError(
+            f"cutoff must be finite and nonnegative, got {cutoff_value}")
 
     neg = tuple(-k for k in vb)
     g = ExpSum(B.basis, {tuple(a - b for a, b in zip(v, vb)): -c / b0
@@ -227,11 +228,14 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and positive")
     T = float(T)
     y_line = y if eval_y is None else eval_y
     lam = np.asarray(lambdas, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise SpectrumError(
+            f"frequencies must be finite, got {lam[~np.isfinite(lam)][0]}")
     n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
     w_eff = 2 * T / n_panels
     half = 0.5 * w_eff

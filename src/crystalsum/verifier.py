@@ -48,6 +48,9 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian", "bump"):
             raise ValueError("kind must be 'gaussian' or 'bump'")
+        if not np.all(np.isfinite([self.z, self.x0, self.xi0, self.center,
+                                   self.halfwidth, self.exponent])):
+            raise ValueError("test function parameters must be finite")
         if self.kind == "gaussian" and complex(self.z).imag <= 0:
             raise ValueError("gaussian parameter needs Im z > 0")
         if self.kind == "bump" and (self.halfwidth <= 0 or self.exponent <= 0):

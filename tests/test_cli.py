@@ -7,8 +7,9 @@ import pytest
 from crystalsum import cli, qmodular
 from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
-from crystalsum.hermite import ks_from_Q
+from crystalsum.hermite import ks_from_Q, leeyang_real_form
 from crystalsum.measures import DiscreteMeasure, pair_from_hb
+from crystalsum.spectra import exact_spectrum
 
 
 def write_sin_pi_z(path: Path) -> str:
@@ -239,6 +240,17 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["--tol", "nan", "pair-check", "{pair}"],
     ["--tol", "inf", "pair-check", "{pair}"],
     ["--tol", "0", "selfdual", "{measure}"],
+    # non-finite values, each rejected where it enters the library
+    ["ks", "{q}", "--cutoff", "inf"],
+    ["spectrum", "{H}", "--cutoff", "inf"],
+    ["spectrum", "{H}", "--lambdas", "inf"],
+    ["spectrum", "{H}", "--lambdas", "nan"],
+    ["spectrum", "{H}", "--cutoff", "4", "--lambdas", "1", "nan"],
+    ["kernel", "{H}", "--R", "inf"],
+    ["kernel", "{H}", "--points", "0,nan"],
+    ["eta", "--family-l", "1", "--order", "1e400"],
+    ["selfdual", "{measure}", "--ys", "nan"],
+    ["selfdual", "{measure}", "--ys", "inf"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -258,6 +270,25 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["1.4142135624", "1.41421356237",
+                                 "1.4142135623730951"])
+def test_spectrum_matches_irrational_atoms_within_the_merge_tolerance(tmp_path, lam):
+    th = math.pi / 4
+    U = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
+    H = ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)],
+                                    FreqBasis((1.0, math.sqrt(2)))))
+    hfile = tmp_path / "H.json"
+    hfile.write_text(json.dumps(H.to_json_dict()))
+    atom, = (c for _, val, c in exact_spectrum(H, 2.0).sorted_atoms()
+             if val == math.sqrt(2))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "spectrum", str(hfile), "--lambdas", lam,
+                 "--cutoff", "2", "--T", "20"]) == 0
+    row = (out / "spectrum.csv").read_text().splitlines()[2].split(",")
+    assert complex(float(row[1]), float(row[2])) == atom
+    assert atom.real == pytest.approx(-2 * math.pi, rel=1e-4)
 
 
 @pytest.mark.parametrize("argv, unused", [

@@ -89,6 +89,59 @@ def test_rejects_non_real_rooted_irrational_Q():
     Q = sine(RAW, (1, 0)) + 0.1 * sine(RAW, (0, 1))
     verdict = is_hermite_biehler(Q.derivative() - 1j * Q)
     assert not verdict.accepted
+    assert verdict.witness == pytest.approx(-22.739146825983266 + 5j, abs=1e-12)
+    assert verdict.reason == "|E*| >= |E| (ratio 3.842)"
+
+
+def leeyang_Q(theta=math.pi / 4):
+    """Lee-Yang determinant of the rotation by theta, lengths (1, sqrt2)."""
+    U = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    return leeyang_real_form(U, [(1, 0), (0, 1)], FreqBasis((1.0, math.sqrt(2))))
+
+
+def count_evals(monkeypatch):
+    """Patch ExpSum.eval to count its calls; returns the one-item counter."""
+    calls = [0]
+    original = ExpSum.eval
+
+    def counted(self, z):
+        calls[0] += 1
+        return original(self, z)
+    monkeypatch.setattr(ExpSum, "eval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("Q", [sine(HALF, (1,)), leeyang_Q()],
+                         ids=["poisson", "leeyang"])
+def test_validation_evaluates_E_on_the_axis_and_E_and_Estar_on_the_grid(
+        monkeypatch, Q):
+    E = Q.derivative() - 1j * Q
+    calls = count_evals(monkeypatch)
+    HermiteBiehler.validate(E)
+    assert calls[0] == 3
+
+
+@pytest.mark.parametrize("Q", [sine(HALF, (1,)), leeyang_Q()]
+                         + [leeyang_Q(t) for t in (0.005, 0.3, 1.2, 3.0)],
+                         ids=["poisson", "leeyang", "leeyang-0.005", "leeyang-0.3",
+                              "leeyang-1.2", "leeyang-3.0"])
+def test_margin_herglotz_is_the_grid_minimum_of_re_iA_over_B(Q):
+    E = Q.derivative() - 1j * Q
+    cert = is_hermite_biehler(E).certificate
+    # oracle: A and B evaluated on their own, not through E and E*
+    A, B = split_AB(E)
+    xs, ys = default_grid(E).mesh()
+    Z = xs[None, :] + 1j * ys[:, None]
+    oracle = float(np.min((1j * A.eval(Z) / B.eval(Z)).real))
+    assert cert.margin_herglotz == pytest.approx(oracle, rel=1e-12)
+
+
+def test_certificate_json_has_no_degeneracy_floor_and_old_files_load():
+    d = poisson_E().to_json_dict()
+    assert set(d["certificate"]) == {"grid", "margin_modulus", "margin_herglotz"}
+    d["certificate"]["degeneracy_floor"] = 1e-8  # as written by older versions
+    assert HermiteBiehler.from_json_dict(d).E.terms == poisson_E().E.terms
 
 
 def test_grid_validation():
@@ -318,3 +371,17 @@ def test_leeyang_root_count_equals_phase_count(theta):
                                     FreqBasis((1.0, math.sqrt(2)))))
     roots = real_root_scan(H.B, (-30.0, 30.0)).roots
     assert len(roots) == phase_root_count(H.E, -30.0, 30.0) == 144
+
+
+def test_root_scan_bisection_stops_where_no_bracket_can_shrink(monkeypatch):
+    # beyond |x| = 8192 one ulp is wider than ROOT_TOL, so a bracket stops
+    # once its midpoint rounds onto an endpoint, not after a fixed cap
+    B = ks_from_Q(leeyang_Q()).B
+    calls = count_evals(monkeypatch)
+    counts, roots = [], []
+    for centre in (0.0, 20000.0):
+        calls[0] = 0
+        roots.append(real_root_scan(B, (centre - 5000.0, centre + 5000.0)).roots)
+        counts.append(calls[0])
+    assert counts[1] <= counts[0]
+    assert len(roots[0]) == len(roots[1])

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from crystalsum.freqalg import FreqBasis, monomial, sine
-from crystalsum.hermite import HermiteBiehler, RootFindingError, ks_from_Q
+from crystalsum.hermite import (
+    HermiteBiehler,
+    RootFindingError,
+    ks_from_Q,
+    leeyang_real_form,
+)
 from crystalsum.measures import (
     Atom,
     DiscreteMeasure,
@@ -30,6 +35,14 @@ UNIT = FreqBasis((1.0,))
 
 def poisson_H():
     return ks_from_Q(sine(HALF, (1,)))
+
+
+def leeyang_H():
+    """Lee-Yang determinant of the rotation by pi/4, lengths (1, sqrt2)."""
+    th = math.pi / 4
+    U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+    return ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)],
+                                       FreqBasis((1.0, math.sqrt(2)))))
 
 
 def comb(wt, n_max, spacing=1.0):
@@ -203,6 +216,23 @@ def test_window_tail_of_a_power_law():
     assert window_tail(mu, np.ones_like) == pytest.approx(expect, rel=1e-3)
 
 
+@pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
+def test_herglotz_tail_bound_is_the_truncation_within_thirty_percent(H):
+    # truth: the kernel sum at w = z = i over the atoms beyond X, summed out
+    # to N plus the remainder of the atoms' mean mass per unit length m,
+    # integral_{|t|>N} m/(2 pi (1+t^2)) dt = m (pi/2 - atan N)/pi
+    N = 4000.5
+    far = measure_from_phase(H, 0.0, (-N, N))
+    g, w = far.positions(), far.weights().real
+    m = w.sum() / (2 * N)
+    remainder = m * (math.pi / 2 - math.atan(N)) / math.pi
+    for X in (16.5, 60.5, 200.5):
+        out = np.abs(g) > X
+        truth = np.sum(w[out] / (1 + g[out] ** 2)) / (2 * math.pi) + remainder
+        bound = herglotz_tail_bound(measure_from_phase(H, 0.0, (-X, X)), 1j, 1j)
+        assert truth <= bound <= 1.3 * truth
+
+
 def test_round_trip_fejer_vs_herglotz():
     # equality of the two representations of f (spectrum side vs measure
     # side): the herglotz window tail is ~2|z|/W, so W = 5e4 and moderate
@@ -269,6 +299,16 @@ def test_antipodal_split_quarter_shift_pair():
         lhs = sum(at.w * phi(at.x) for at in aa)
         rhs = sum(at.w * phihat(at.x) for at in m)
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_antipodal_split_keeps_every_irrational_atom():
+    # a real-antipodal a on the irrational Lee-Yang spectrum is all a1
+    pair = pair_from_hb(leeyang_H(), 10.0, (-40.0, 40.0))
+    (_, a1), (_, a2) = antipodal_split(pair.mu, pair.a)
+    assert len(pair.a) == 89
+    assert np.array_equal(a1.positions(), pair.a.positions())
+    assert np.array_equal(a1.weights(), pair.a.weights())
+    assert len(a2) == 0
 
 
 def test_degree_probe_poisson():
