@@ -89,7 +89,10 @@ def fit_tail_model(x, w) -> TailModel | None:
     lx = np.log1p(xs[outer])
     lw = np.log(ws[outer])
     p = float(np.polyfit(lx, lw, 1)[0]) if np.ptp(lx) > 0 else 0.0
-    C = float(np.max(ws[outer] / (1 + xs[outer]) ** p)) * 1.05
+    with np.errstate(over="ignore", divide="ignore"):
+        C = float(np.max(ws[outer] / (1 + xs[outer]) ** p)) * 1.05
+    if not 0 < C < math.inf:
+        return None  # (1+|x|)^p overflowed: window_tail takes the flat model
     # atoms per unit on each side: window_tail applies it at both edges
     span = xs[outer].max() - xs[outer].min()
     sides = max(int(np.any(x[outer] < 0)) + int(np.any(x[outer] > 0)), 1)

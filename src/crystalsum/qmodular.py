@@ -1,14 +1,14 @@
 """Exact formal q-series with rational exponents and rational coefficients.
 
 Everything here is exact and no floating point enters any arithmetic path,
-so re-running a pipeline reproduces identical term maps.  A `QSeries`
-keeps `fractions.Fraction` exponents and coefficients; that general
-rational API (`qpow`, `QSeries.__mul__`) serves arbitrary series.  The eta
-constructions never need it: they run on plain Python `int` lists and
-build their `Fraction` coefficients once, at the end (see the integer
-lattice kernel below).
+so re-running a pipeline reproduces identical term maps.  A `QSeries` is
+a dense list of `fractions.Fraction` coefficients on a declared exponent
+lattice lead + unit*Z>=0; its general rational API (`qpow`, `*`) serves
+arbitrary series.  The eta constructions run on plain Python `int` lists
+instead (see the integer lattice kernel below) and build one `QSeries` at
+the end, which a `SelfDualSeries` reads at integer frequency indices.
 
-The module provides the Dedekind eta expansion as a sparse theta series,
+The module provides the Dedekind eta expansion as a theta series,
 eta-products over the divisors of a level N with rational exponents r_d
 subject to  r_d = r_{N/d},  sum r_d = 1,  sum d r_d = 24k/b,  the modular
 lambda-invariant, and the two self-dual series constructions built from
@@ -93,60 +93,92 @@ def _nth_root_exact(c, n: int):
 
 
 class QSeries:
-    """Truncated formal series sum c_e q^e, exponents rational, e < order."""
+    """Truncated formal series sum_k coeffs[k] q^{lead + k*unit}, exponents < order.
 
-    __slots__ = ("terms", "order")
+    The exponents sit on a declared lattice: `lead` is the lowest exponent
+    carried (the order itself for the zero series), `unit` > 0 the lattice
+    step, and `coeffs` the dense list of exact rationals on it, with
+    coeffs[0] != 0 and no trailing zeros.  The lattice may be finer than
+    the support: zeros between terms are kept.
+    """
+
+    __slots__ = ("lead", "unit", "coeffs", "order")
 
     def __init__(self, terms=None, order=Fraction(0)):
-        self.order = to_fraction(order)
+        """Series from an {exponent: coefficient} map; the unit is the gcd of
+        the exponent differences (1 for fewer than two terms)."""
+        order = to_fraction(order)
         agg = {}
         for e, c in (terms or {}).items():
             e = to_fraction(e)
-            if e >= self.order:
-                continue
-            c = to_fraction(c)
-            if c != 0:
-                agg[e] = agg.get(e, _QQ_ZERO) + c
-        self.terms = {e: c for e, c in agg.items() if c != 0}
+            if e < order:
+                agg[e] = agg.get(e, _QQ_ZERO) + to_fraction(c)
+        agg = {e: c for e, c in agg.items() if c}
+        lead = min(agg, default=order)
+        unit = _QQ_ZERO
+        for e in agg:
+            unit = _frac_gcd(unit, e - lead)
+        unit = unit or _QQ_ONE
+        coeffs = [_QQ_ZERO] * _lattice_len(max(agg, default=lead) + unit, lead, unit)
+        for e, c in agg.items():
+            coeffs[int((e - lead) / unit)] = c
+        self._set(lead, unit, coeffs, order)
+
+    @classmethod
+    def on_lattice(cls, lead, unit, coeffs, order):
+        """Series sum_k coeffs[k] q^{lead + k*unit} below order, on the declared unit.
+
+        The coefficients must already be exact rationals; zeros at either
+        end and terms at or beyond the order are dropped.
+        """
+        self = cls.__new__(cls)
+        self._set(to_fraction(lead), to_fraction(unit), coeffs, to_fraction(order))
+        return self
+
+    def _set(self, lead, unit, coeffs, order):
+        if unit <= 0:
+            raise ValueError("lattice unit must be positive")
+        n = _lattice_len(min(order, lead + len(coeffs) * unit), lead, unit)
+        first = next((i for i in range(n) if coeffs[i]), n)
+        while n > first and not coeffs[n - 1]:
+            n -= 1
+        self.lead = lead + first * unit if first < n else order
+        self.unit, self.coeffs, self.order = unit, coeffs[first:n], order
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponent: coefficient} over the nonzero terms (a fresh dict)."""
+        return dict(self.sorted_terms())
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, QSeries) and self.order == other.order
                 and self.terms == other.terms)
 
     def __repr__(self):
-        items = sorted(self.terms.items())[:5]
-        body = " + ".join(f"({c})q^({e})" for e, c in items)
-        if len(self.terms) > 5:
+        items = self.sorted_terms()
+        body = " + ".join(f"({c})q^({e})" for e, c in items[:5])
+        if len(items) > 5:
             body += " + ..."
         return f"QSeries({body or '0'}; order<{self.order})"
 
     def coefficient(self, e):
-        return self.terms.get(to_fraction(e), _QQ_ZERO)
+        k = (to_fraction(e) - self.lead) / self.unit
+        ok = k.denominator == 1 and 0 <= k < len(self.coeffs)
+        return self.coeffs[int(k)] if ok else _QQ_ZERO
 
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
-        if not self.terms:
+        if not self.coeffs:
             raise ValueError("empty series has no leading term")
-        e = min(self.terms)
-        return e, self.terms[e]
+        return self.lead, self.coeffs[0]
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def lattice_unit(self) -> Fraction:
-        """gcd of exponent differences (0 or 1 term -> Fraction(1))."""
-        exps = sorted(self.terms)
-        if len(exps) < 2:
-            return Fraction(1)
-        g = exps[1] - exps[0]
-        for e in exps[2:]:
-            g = _frac_gcd(g, e - exps[0])
-        return g
+        return [(self.lead + k * self.unit, c) for k, c in enumerate(self.coeffs) if c]
 
     # -- ring operations ----------------------------------------------------
 
@@ -157,16 +189,15 @@ class QSeries:
 
     def __add__(self, other):
         other = self._as_series(other)
-        order = min(self.order, other.order)
-        t = dict(self.terms)
+        t = self.terms
         for e, c in other.terms.items():
             t[e] = t.get(e, _QQ_ZERO) + c
-        return QSeries(t, order)
+        return QSeries(t, min(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.terms.items()}, self.order)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-self._as_series(other))
@@ -177,54 +208,50 @@ class QSeries:
     def scale(self, c):
         """Multiply every coefficient by the exact rational c."""
         c = to_fraction(c)
-        return QSeries({e: c * v for e, v in self.terms.items()}, self.order)
+        return QSeries.on_lattice(self.lead, self.unit, [c * v for v in self.coeffs],
+                                  self.order)
 
     def shift(self, e0, c0=1):
         """Multiply by the monomial c0 * q^{e0}."""
-        e0 = to_fraction(e0)
-        c0 = to_fraction(c0)
-        return QSeries({e + e0: c0 * c for e, c in self.terms.items()},
-                       self.order + e0)
+        e0, c0 = to_fraction(e0), to_fraction(c0)
+        return QSeries.on_lattice(self.lead + e0, self.unit, [c0 * c for c in self.coeffs],
+                                  self.order + e0)
 
     def scale_exponents(self, s):
         """Substitute q -> q^s for an exact rational s > 0."""
         s = to_fraction(s)
         if s <= 0:
             raise ValueError("exponent scale must be positive")
-        return QSeries({e * s: c for e, c in self.terms.items()}, self.order * s)
+        return QSeries.on_lattice(self.lead * s, self.unit * s, self.coeffs, self.order * s)
 
     def truncate(self, order):
-        order = min(to_fraction(order), self.order)
-        return QSeries({e: c for e, c in self.terms.items() if e < order}, order)
+        return QSeries.on_lattice(self.lead, self.unit, self.coeffs,
+                                  min(to_fraction(order), self.order))
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return self.scale(other)
-        if not self.terms or not other.terms:
-            la = min(self.terms) if self.terms else self.order
-            lb = min(other.terms) if other.terms else other.order
-            return QSeries({}, min(self.order + lb, other.order + la))
-        la, lb = min(self.terms), min(other.terms)
         # reliable up to the weaker of the two truncations
-        order = min(self.order + lb, other.order + la)
-        unit = _frac_gcd(self.lattice_unit(), other.lattice_unit())
-        av = _dense(self, la, unit, order - lb - la)
-        bv = _dense(other, lb, unit, order - la - lb)
-        n_out = _lattice_len(order - la - lb, unit)
-        if n_out <= 0:
+        order = min(self.order + other.lead, other.order + self.lead)
+        if not (self and other):
             return QSeries({}, order)
-        out = [_QQ_ZERO] * n_out
-        for i, ai in enumerate(av):
+        # the product lives on lead + unit*Z>=0; each factor's index steps by ra, rb
+        lead = self.lead + other.lead
+        unit = _frac_gcd(self.unit, other.unit)
+        ra, rb = int(self.unit / unit), int(other.unit / unit)
+        top = (len(self.coeffs) - 1) * ra + (len(other.coeffs) - 1) * rb + 1
+        n = _lattice_len(min(order, lead + top * unit), lead, unit)
+        out = [_QQ_ZERO] * n
+        for i, ai in enumerate(self.coeffs):
             if not ai:
                 continue
-            jmax = min(n_out - i, len(bv))
-            for j in range(jmax):
-                bj = bv[j]
+            for j, bj in enumerate(other.coeffs):
+                k = i * ra + j * rb
+                if k >= n:
+                    break
                 if bj:
-                    out[i + j] += ai * bj
-        base = la + lb
-        return QSeries({base + k * unit: c for k, c in enumerate(out) if c},
-                       order)
+                    out[k] += ai * bj
+        return QSeries.on_lattice(lead, unit, out, order)
 
     __rmul__ = __mul__
 
@@ -249,22 +276,17 @@ class QSeries:
         return cls.from_json_dict(json.loads(s))
 
 
-def _lattice_len(rel_order: Fraction, unit: Fraction) -> int:
-    n = rel_order / unit
-    return int(n) + (0 if n.denominator == 1 else 1) if n > 0 else 0
+MAX_TERMS = 10 ** 6  # the longest coefficient list an order may ask for
 
 
-def _dense(series, lead, unit, rel_order):
-    """Coefficients of series on the lattice lead + unit*Z>=0, below rel_order."""
-    out = [_QQ_ZERO] * _lattice_len(rel_order, unit)
-    for e, c in series.terms.items():
-        idx = (e - lead) / unit
-        if idx.denominator != 1:
-            raise ValueError("exponent off the declared lattice")
-        i = int(idx)
-        if 0 <= i < len(out):
-            out[i] = out[i] + c
-    return out
+def _lattice_len(order: Fraction, lead: Fraction, unit: Fraction) -> int:
+    """Number of lattice points lead + unit*Z>=0 below order, at most MAX_TERMS."""
+    n = max(math.ceil((order - lead) / unit), 0)
+    if n > MAX_TERMS:
+        shown = s if len(s := str(order)) <= 20 else f"of {len(s)} digits"
+        raise ValueError(f"order {shown} needs more than the {MAX_TERMS} series "
+                         "terms allowed")
+    return n
 
 
 def qpow(u: QSeries, r) -> QSeries:
@@ -272,11 +294,11 @@ def qpow(u: QSeries, r) -> QSeries:
 
     Requires a nonzero leading term c0*q^{e0}.  For non-integer r the
     leading coefficient must have an exact rational r-th power (c0 = 1 in
-    all the eta constructions).  The result has leading exponent e0*r and
-    the same relative truncation order as u.
+    all the eta constructions).  The result has leading exponent e0*r, the
+    unit of u and the same relative truncation order as u.
     """
     r = to_fraction(r)
-    if not u.terms:
+    if not u:
         if r == 0:
             return QSeries({Fraction(0): _QQ_ONE}, u.order)
         raise ValueError("cannot raise a zero series to a power")
@@ -294,26 +316,19 @@ def qpow(u: QSeries, r) -> QSeries:
                              f"{r.denominator}-th root")
         m = r.numerator
         c0r = root ** m if m >= 0 else _QQ_ONE / (root ** (-m))
-    unit = u.lattice_unit()
-    v = _dense(u, e0, unit, rel_order)
-    n = len(v)
+    n = _lattice_len(u.order, e0, u.unit)
     inv_c0 = _QQ_ONE / c0
-    v = [c * inv_c0 for c in v]  # v[0] == 1
-    w = [_QQ_ZERO] * n
-    w[0] = _QQ_ONE
-    rq = QQ(r.numerator, r.denominator)
-    rp1 = rq + 1
-    support = [e for e in range(1, n) if v[e]]
+    support = [(e, c * inv_c0) for e, c in enumerate(u.coeffs) if e and c]  # v = u/c0 past its 1
+    w = [_QQ_ONE] + [_QQ_ZERO] * (n - 1)
+    rp1 = r + 1
     for E in range(1, n):
         s = _QQ_ZERO
-        for e in support:
+        for e, ve in support:
             if e > E:
                 break
-            s += (rp1 * e - E) * v[e] * w[E - e]
+            s += (rp1 * e - E) * ve * w[E - e]
         w[E] = s / E
-    base = e0 * r
-    return QSeries({base + k * unit: c0r * c for k, c in enumerate(w) if c},
-                   base + rel_order)
+    return QSeries.on_lattice(e0 * r, u.unit, [c0r * c for c in w], e0 * r + rel_order)
 
 
 # -- Dedekind eta -----------------------------------------------------------
@@ -331,7 +346,7 @@ def chi12(n: int) -> int:
 def eta_expansion(order, scale=Fraction(1)) -> QSeries:
     """Theta expansion of eta(scale*z): sum_{n>=1} chi12(n) q^{scale n^2/24}.
 
-    Exact and sparse; only exponents below `order` are kept.
+    Exact; only exponents below `order` are kept.
     """
     order = to_fraction(order)
     scale = to_fraction(scale)
@@ -422,16 +437,6 @@ def _eta_lattice(spec, n: int):
     return s, (_lattice_power(inner, 1, s) if s > 1 else inner)
 
 
-def _lattice(spec: EtaProductSpec, order: Fraction):
-    """(s, W) of `_eta_lattice` for the E with k/b + E < order (W = [] if none).
-
-    fminus reads W_E at its half step i = 2E; its n half steps below the
-    order hold (n + 1) // 2 whole steps, so one W serves both series.
-    """
-    n = _lattice_len(order - Fraction(spec.k, spec.b), Fraction(1))
-    return _eta_lattice(spec, n) if n else (1, [])
-
-
 def _lambda_lattice(n: int) -> list:
     """L with lambda = sum_j L_j q^{(1+j)/2} below q^{(1+n)/2}; all L_j are integers.
 
@@ -503,15 +508,16 @@ class EtaProductSpec:
 def eta_product(spec: EtaProductSpec, order) -> QSeries:
     """Exact expansion of prod_{d|N} eta(d z)^{r_d} below the given order.
 
-    The exponents of the result are k/b + E for integers E >= 0, so they
-    lie in (k + Z>=0)/b.  The coefficients come from the integer lattice
-    kernel as W_E / s^{2E}, with s the common denominator of the r_d.
+    The series lies on the lattice k/b + Z>=0, declared with unit 1 even
+    where the support is sparser.  The coefficients come from the integer
+    lattice kernel as W_E / s^{2E}, with s the common denominator of the r_d.
     """
     order = to_fraction(order)
     lead = Fraction(spec.k, spec.b)
-    s, W = _lattice(spec, order)
-    return QSeries({lead + E: Fraction(w, s ** (2 * E)) for E, w in enumerate(W) if w},
-                   order)
+    n = _lattice_len(order, lead, _QQ_ONE)
+    s, W = _eta_lattice(spec, n) if n else (1, [])
+    return QSeries.on_lattice(lead, _QQ_ONE, [Fraction(w, s ** (2 * E)) if w else _QQ_ZERO
+                                              for E, w in enumerate(W)], order)
 
 
 def lambda_invariant(order) -> QSeries:
@@ -520,31 +526,34 @@ def lambda_invariant(order) -> QSeries:
     Exact expansion with leading terms 16q^{1/2} - 128q + 704q^{3/2}.
     """
     order = to_fraction(order)
-    n = _lattice_len(order - Fraction(1, 2), Fraction(1, 2))
-    if n == 0:
-        return QSeries({}, order)
-    return QSeries({Fraction(1 + j, 2): c for j, c in enumerate(_lambda_lattice(n)) if c},
-                   order)
+    half = Fraction(1, 2)
+    n = _lattice_len(order, half, half)
+    return QSeries.on_lattice(half, half, [QQ(c) for c in _lambda_lattice(n)] if n else [],
+                              order)
 
 
 # -- self-dual series -------------------------------------------------------
 
 @dataclass
 class SelfDualSeries:
-    """Coefficient list of a series F = sum alpha_n q^{n/(denom*sqrt(N))}.
+    """A q-series F read as sum alpha_n q^{n/(denom*sqrt(N))}.
 
-    `sign` records the functional-equation parity:
-    sqrt(i/z) F(-1/z) = sign * F(z).  The support lies on the lattice
-    n = lead_n + step*Z>=0, which the relative indexing helpers use.
+    `series` is F in the variable q^{1/sqrt(N)}, on a lattice whose lead
+    and unit are integers once multiplied by `denom`, so each term sits at
+    an integer n.  `sign` records the functional-equation parity:
+    sqrt(i/z) F(-1/z) = sign * F(z).
     """
 
-    entries: list          # (n, exact rational coefficient), ascending n
+    series: QSeries
     denom: int             # b for the plus family, 2b for the minus family
     N: int
     sign: int
-    lead_n: int
-    step: int
-    order: Fraction        # exponent bound of the generating q-series
+    entries: list = field(init=False, repr=False, compare=False)  # (n, alpha_n), ascending
+
+    def __post_init__(self):
+        s = self.series
+        n0, step = int(self.denom * s.lead), int(self.denom * s.unit)
+        self.entries = [(n0 + j * step, c) for j, c in enumerate(s.coeffs) if c]
 
     def frequency(self, n) -> float:
         """gamma_n = n / (denom * sqrt(N))."""
@@ -554,21 +563,12 @@ class SelfDualSeries:
         return [(n, self.frequency(n)) for n, _ in self.entries]
 
     def coefficient(self, n):
-        for m, c in self.entries:
-            if m == n:
-                return c
-        return _QQ_ZERO
+        return self.series.coefficient(Fraction(n, self.denom))
 
     def relative_coefficients(self, count=None):
-        """Coefficients by lattice index j (n = lead_n + step*j), exact."""
-        out = {}
-        for n, c in self.entries:
-            j, rem = divmod(n - self.lead_n, self.step)
-            if rem:
-                raise AssertionError("entry off the declared support lattice")
-            out[j] = c
-        jmax = (count - 1) if count is not None else (max(out) if out else -1)
-        return [out.get(j, _QQ_ZERO) for j in range(jmax + 1)]
+        """Coefficients by lattice index j from the lead (all of them, or count), exact."""
+        c = self.series.coeffs
+        return list(c) if count is None else (c + [_QQ_ZERO] * count)[:count]
 
     def evaluate(self, z) -> complex:
         """Truncated numeric value sum alpha_n e^{2 pi i z gamma_n}, Im z > 0."""
@@ -613,54 +613,49 @@ class SelfDualSeries:
         return lead * q_eff / (1.0 - q_eff)
 
 
-def fplus(spec: EtaProductSpec, order, lattice=None) -> SelfDualSeries:
+def fplus(spec: EtaProductSpec, order) -> SelfDualSeries:
     """Plus-family series: the eta product re-scaled to argument z/sqrt(N).
 
     Satisfies sqrt(i/z) F(-1/z) = +F(z); coefficients alpha_n sit at
-    frequencies n/(b sqrt N) with n in k + b*Z>=0, and alpha_{k+bE} is
-    W_E/s^{2E} straight from the integer lattice.  `lattice` is
-    `_lattice(spec, order)` when the caller has built it already.
+    frequencies n/(b sqrt N) with n in k + b*Z>=0.
     """
-    order = to_fraction(order)
-    s, W = lattice or _lattice(spec, order)
-    return SelfDualSeries(
-        entries=[(spec.k + spec.b * E, Fraction(w, s ** (2 * E)))
-                 for E, w in enumerate(W) if w],
-        denom=spec.b, N=spec.N, sign=+1, lead_n=spec.k, step=spec.b,
-        order=order * spec.b)
+    return SelfDualSeries(eta_product(spec, order), spec.b, spec.N, +1)
 
 
-def fminus(spec: EtaProductSpec, order, lattice=None) -> SelfDualSeries:
-    """Minus-family series (1 - 2*lambda) * eta product; N a perfect square.
+def fminus(spec: EtaProductSpec, order, eta=None) -> SelfDualSeries:
+    """Minus-family series (1 - 2*lambda(sqrt(N) z)) * eta product; N a perfect square.
 
     Satisfies sqrt(i/z) F(-1/z) = -F(z); coefficients beta_n sit at
-    frequencies n/(2b sqrt N) with n in 2k + step*Z>=0.  `lattice` is as
-    in fplus.
+    frequencies n/(2b sqrt N) with n in 2k + b*Z>=0, and in 2k + 2b*Z>=0
+    for even sqrt(N).  `eta` is `eta_product(spec, order)` when the caller
+    has built it already.
     """
     rootN = math.isqrt(spec.N)
     if rootN * rootN != spec.N:
         raise ValueError("the minus family requires N to be a perfect square")
     order = to_fraction(order)
-    b, k = spec.b, spec.k
-    # g = (1 - 2 lambda(rootN z)) * F on the half steps q^{k/b + i/2}, i < n,
-    # scaled by s^i: F's W_E sits at i = 2E, and lambda's term
-    # q^{rootN (1+j)/2} at i = rootN (1+j), so each product lands on s^i.
-    n = _lattice_len(order - Fraction(k, b), Fraction(1, 2))
-    entries = []
-    if n:
-        s, W = lattice or _lattice(spec, order)
-        f = [0] * n
-        f[::2] = W
-        one_minus = [1] + [0] * (n - 1)
-        n_lam = (n - 1) // rootN  # the j with rootN (1+j) < n
-        for j, c in enumerate(_lambda_lattice(n_lam) if n_lam else ()):
-            i = rootN * (1 + j)
-            one_minus[i] = -2 * c * s ** i
-        entries = [(2 * k + i * b, Fraction(c, s ** i))
-                   for i, c in enumerate(_lattice_mul(f, one_minus)) if c]
-    step = 2 * b if rootN % 2 == 0 else b
-    return SelfDualSeries(entries=entries, denom=2 * b, N=spec.N, sign=-1,
-                          lead_n=2 * k, step=step, order=order * 2 * b)
+    lead = Fraction(spec.k, spec.b)
+    eta = eta if eta is not None else eta_product(spec, order)
+    s = math.lcm(*(v.denominator for v in spec.r.values()))
+    # g = (1 - 2 lambda(rootN z)) * eta on the half steps q^{k/b + i/2}, i < n,
+    # scaled by s^i: eta's c_E sits at i = 2E as the integer c_E s^{2E}, and
+    # lambda's term q^{rootN (1+j)/2} at i = rootN (1+j), so each product lands on s^i.
+    n = _lattice_len(order, lead, Fraction(1, 2))
+    f = [0] * n
+    for E, c in enumerate(eta.coeffs):
+        f[2 * E] = c.numerator * (s ** (2 * E) // c.denominator)
+    one_minus = [1] + [0] * (n - 1)
+    n_lam = (n - 1) // rootN  # the j with rootN (1+j) < n
+    for j, c in enumerate(_lambda_lattice(n_lam) if n_lam > 0 else ()):
+        i = rootN * (1 + j)
+        one_minus[i] = -2 * c * s ** i
+    g = _lattice_mul(f, one_minus)
+    # for even rootN both factors, so g, vanish at odd i: declare the whole unit
+    stride = 2 if rootN % 2 == 0 else 1
+    series = QSeries.on_lattice(lead, Fraction(stride, 2),
+                                [Fraction(g[i], s ** i) if g[i] else _QQ_ZERO
+                                 for i in range(0, n, stride)], order)
+    return SelfDualSeries(series, 2 * spec.b, spec.N, -1)
 
 
 def family_spec(l) -> EtaProductSpec:
@@ -681,8 +676,8 @@ def family_l(l, order):
     classical lattice summation and l = 2/3 to the sqrt(n+1/9) example.
     """
     spec = family_spec(l)
-    lattice = _lattice(spec, to_fraction(order))  # shared by both series
-    return spec, fplus(spec, order, lattice), fminus(spec, order, lattice)
+    plus = fplus(spec, order)
+    return spec, plus, fminus(spec, order, plus.series)  # one eta product for both
 
 
 # -- arithmetic progression probe -------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -98,6 +99,33 @@ def test_eta_poisson_theta_csv(tmp_path):
     coeffs = {int(r.split(",")[0]): int(r.split(",")[1]) for r in rows}
     assert coeffs[0] == 1 and coeffs[1] == 2 and coeffs[4] == 2
     assert coeffs[2] == 0 and coeffs[3] == 0
+
+
+# sha256 of the README eta commands' series.csv after its provenance line
+@pytest.mark.parametrize("argv, digest", [
+    (["--spec-json", "{spec}", "--order", "300"],
+     "17df8004686212bf1e7e5d1d27edd6e2dca49b208421a5e96a6d471ce144ebc6"),
+    (["--family-l", "1", "--order", "200", "--minus"],
+     "75ca423e9a5195da3449b0c4f5e43eeff3d11267bb02010e0c90ee010ee90398"),
+], ids=["guinand-300", "minus-l1-200"])
+def test_readme_eta_csv_bytes_are_pinned(tmp_path, argv, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GUINAND_SPEC))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "eta", *(a.format(spec=spec) for a in argv)]) == 0
+    body = (out / "series.csv").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+def test_eta_csv_rows_follow_the_declared_unit(tmp_path):
+    # eta(2z) = q^{1/12} prod (1 - q^{2j}) lives on even steps only, but the
+    # eta-product lattice 1/12 + Z>=0 has unit 1, so the odd rows print zeros
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": 4, "r": {"2": "1"}}))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "eta", "--spec-json", str(spec), "--order", "6"]) == 0
+    rows = (out / "series.csv").read_text().splitlines()[2:]
+    assert rows == ["0,1,1", "1,0,1", "2,-1,1", "3,0,1", "4,-1,1"]
 
 
 def test_eta_rejects_bad_exponents(tmp_path):
@@ -249,6 +277,8 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["kernel", "{H}", "--R", "inf"],
     ["kernel", "{H}", "--points", "0,nan"],
     ["eta", "--family-l", "1", "--order", "1e400"],
+    ["eta", "--family-l", "1", "--order", "1e12", "--minus"],
+    ["eta", "--spec-json", "{guinand}", "--order", "1e12"],
     ["selfdual", "{measure}", "--ys", "nan"],
     ["selfdual", "{measure}", "--ys", "inf"],
 ])
@@ -261,7 +291,7 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
                                         .to_json_dict()))
     files["measure"].write_text(json.dumps(
         DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()))
-    for name, text in BAD_ETA_SPECS.items():
+    for name, text in {**BAD_ETA_SPECS, "guinand": json.dumps(GUINAND_SPEC)}.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
     out = tmp_path / "run"

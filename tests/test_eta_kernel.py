@@ -61,14 +61,7 @@ def reference_fminus(spec, order):
     rootN = math.isqrt(spec.N)
     lam = reference_lambda(order / rootN).scale_exponents(rootN)
     g = (QSeries({F(0): 1}, order) - lam.scale(2)) * reference_eta_product(spec, order)
-    entries = []
-    for e, c in g.sorted_terms():
-        n = e * 2 * spec.b
-        assert n.denominator == 1
-        entries.append((int(n), c))
-    step = 2 * spec.b if rootN % 2 == 0 else spec.b
-    return SelfDualSeries(entries=entries, denom=2 * spec.b, N=spec.N, sign=-1,
-                          lead_n=2 * spec.k, step=step, order=g.order * 2 * spec.b)
+    return SelfDualSeries(g, 2 * spec.b, spec.N, -1)
 
 
 # -- random admissible specs ----------------------------------------------------

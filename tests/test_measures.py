@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from crystalsum.measures import (
     antipodal_split,
     degree_probe,
     fit_h,
+    fit_tail_model,
     herglotz_eval,
     herglotz_kernel_residual,
     herglotz_tail_bound,
@@ -215,6 +217,22 @@ def test_window_tail_of_a_power_law():
     expect = -2 * tm.C * tm.density * (1 + 50.5) ** (tm.p + 1) / (tm.p + 1)
     assert window_tail(mu, np.ones_like) == pytest.approx(expect, rel=1e-3)
 
+
+
+@pytest.mark.parametrize("w", [[1, 1, 1e10, 1e20, 1e30], [1e30, 1e20, 1e10, 1, 1]],
+                         ids=["rising", "mirrored"])
+def test_tail_fit_is_absent_or_bounds_every_fitted_atom(w):
+    # weights jumping 1e10 per 0.001 near x = 1000 fit |p| ~ 2e7, where
+    # (1+|x|)^p overflows; a stored C of 0 or inf would bound nothing
+    x, w = np.array([-3, 1000, 1000.001, 1000.002, 1000.003]), np.array(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tm = fit_tail_model(x, w)
+    if tm is not None:
+        fitted = np.abs(x) >= np.abs(x).max() / 3
+        assert 0 < tm.C < math.inf
+        assert np.all(np.log(w[fitted])
+                      <= math.log(tm.C) + tm.p * np.log1p(np.abs(x[fitted])))
 
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
 def test_herglotz_tail_bound_is_the_truncation_within_thirty_percent(H):

@@ -1,7 +1,7 @@
 """Property tests: ring laws of ExpSum, its evaluation against a per-term
-reference, qpow round trips, DiscreteMeasure merging against a list
-reference, array against scalar bump transforms, and the pair pipeline on
-random Lee-Yang unitaries."""
+reference, qpow round trips, QSeries through its term map, DiscreteMeasure
+merging against a list reference, array against scalar bump transforms, and
+the pair pipeline on random Lee-Yang unitaries."""
 
 import math
 from fractions import Fraction as F
@@ -143,6 +143,27 @@ def test_qpow_round_trip(t, p, q, e0, tail):
     c0 = t ** (abs(p) * q)
     u = QSeries({e0: c0, **{e0 + k: c for k, c in tail.items()}}, e0 + 7)
     assert qpow(qpow(u, r), 1 / r) == u
+
+
+# declared units finer than the support, and orders cutting the list, included
+lattice_series = st.builds(
+    QSeries.on_lattice,
+    lead=small_q, unit=st.fractions(min_value=F(1, 6), max_value=2, max_denominator=6),
+    coeffs=st.lists(st.sampled_from([F(0), F(0), F(1), F(-2, 3), F(5, 2)]), max_size=10),
+    order=st.fractions(min_value=-3, max_value=12, max_denominator=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=lattice_series, probe=st.fractions(min_value=-4, max_value=14, max_denominator=12))
+def test_qseries_survives_its_term_map(s, probe):
+    assert QSeries(s.terms, s.order) == s
+    if s:
+        assert s.coeffs[0] and s.coeffs[-1]
+        assert s.lead + (len(s.coeffs) - 1) * s.unit < s.order
+        assert s.coefficient(s.lead + s.unit / 2) == 0  # between lattice points
+    for e, c in s.terms.items():
+        assert s.coefficient(e) == c
+    assert s.coefficient(probe) == s.terms.get(probe, 0)
 
 
 # -- DiscreteMeasure against a list reference ---------------------------------
