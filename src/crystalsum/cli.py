@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -167,8 +168,8 @@ def cmd_spectrum(args):
             raise InputError(f"{name} must be finite and positive, got {v}")
     d = _load_json(args.input)
     H = _load_hb(d)
-    cutoff = args.cutoff if args.cutoff is not None else \
-        (max(args.lambdas) + 1.0 if args.lambdas else 1.0)
+    # the spectrum is nonnegative, so a negative lambda needs no atoms
+    cutoff = args.cutoff if args.cutoff is not None else max([*args.lambdas, 0.0]) + 1.0
     spec = exact_spectrum(H, cutoff)
     exact = DiscreteMeasure([(val, c) for _, val, c in spec.sorted_atoms()],
                             (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
@@ -323,6 +324,9 @@ def build_parser():
     pc.add_argument("input", help="pair JSON")
     pc.add_argument("--count", type=int, default=10)
     pc.set_defaults(func=cmd_pair_check)
+    # no option starts with '-' and a digit or '.', so -1e3 and -0.5,1 are values
+    for q in (p, *sub.choices.values()):
+        q._negative_number_matcher = re.compile(r"^-\.?\d")
     return p
 
 
@@ -335,6 +339,8 @@ def main(argv=None) -> int:
         # an empty suite would pass vacuously
         if getattr(args, "count", 1) < 1:
             raise InputError(f"--count must be at least 1, got {args.count}")
+        if getattr(args, "ys", None) == []:
+            raise InputError("--ys needs at least one height")
         return args.func(args)
     # domain errors from the library (SpectrumError and HermiteBiehlerError
     # are ValueErrors, EvalRangeError an OverflowError) mean the input was

@@ -35,8 +35,6 @@ from itertools import groupby
 
 import numpy as np
 
-Freq = tuple  # integer vector over a FreqBasis
-
 # exponent beyond which exp(x) overflows a double
 _EXP_OVERFLOW = 709.0
 # largest exponent Horner's intermediate powers may reach: half the range

@@ -3,10 +3,10 @@
 Everything here is exact and no floating point enters any arithmetic path,
 so re-running a pipeline reproduces identical term maps.  A `QSeries` is
 a dense list of `fractions.Fraction` coefficients on a declared exponent
-lattice lead + unit*Z>=0; its general rational API (`qpow`, `*`) serves
-arbitrary series.  The eta constructions run on plain Python `int` lists
-instead (see the integer lattice kernel below) and build one `QSeries` at
-the end, which a `SelfDualSeries` reads at integer frequency indices.
+lattice lead + unit*Z>=0.  All arithmetic on it (`*`, `qpow` and the eta
+constructions) runs on one integer kernel of plain Python `int` lists,
+and each Fraction is built once, at the end.  A `SelfDualSeries` reads a
+`QSeries` at integer frequency indices.
 
 The module provides the Dedekind eta expansion as a theta series,
 eta-products over the divisors of a level N with rational exponents r_d
@@ -17,7 +17,7 @@ minus family anti-invariant under the same map).
 
 Rational powers of series are computed by the logarithmic-derivative
 recurrence: if w = (1+v)^r then w'(1+v) = r v' w, which fixes each
-coefficient of w from the earlier ones by exact arithmetic.
+coefficient of w from the earlier ones by an exact integer division.
 """
 
 from __future__ import annotations
@@ -235,23 +235,13 @@ class QSeries:
         order = min(self.order + other.lead, other.order + self.lead)
         if not (self and other):
             return QSeries({}, order)
-        # the product lives on lead + unit*Z>=0; each factor's index steps by ra, rb
         lead = self.lead + other.lead
         unit = _frac_gcd(self.unit, other.unit)
-        ra, rb = int(self.unit / unit), int(other.unit / unit)
-        top = (len(self.coeffs) - 1) * ra + (len(other.coeffs) - 1) * rb + 1
-        n = _lattice_len(min(order, lead + top * unit), lead, unit)
-        out = [_QQ_ZERO] * n
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                k = i * ra + j * rb
-                if k >= n:
-                    break
-                if bj:
-                    out[k] += ai * bj
-        return QSeries.on_lattice(lead, unit, out, order)
+        last = lead + (len(self.coeffs) - 1) * self.unit + (len(other.coeffs) - 1) * other.unit
+        n = _lattice_len(min(order, last + unit), lead, unit)
+        D, (a, b) = _int_view(n, unit, self, other)
+        c0 = self.coeffs[0] * other.coeffs[0]
+        return QSeries.on_lattice(lead, unit, _from_view(_lattice_mul(a, b), D, c0), order)
 
     __rmul__ = __mul__
 
@@ -294,8 +284,9 @@ def qpow(u: QSeries, r) -> QSeries:
 
     Requires a nonzero leading term c0*q^{e0}.  For non-integer r the
     leading coefficient must have an exact rational r-th power (c0 = 1 in
-    all the eta constructions).  The result has leading exponent e0*r, the
-    unit of u and the same relative truncation order as u.
+    all the eta constructions).  The result, `_lattice_power` on the integer
+    view of u, has leading exponent e0*r, the unit of u and the same
+    relative truncation order as u.
     """
     r = to_fraction(r)
     if not u:
@@ -306,29 +297,13 @@ def qpow(u: QSeries, r) -> QSeries:
     rel_order = u.order - e0
     if r == 0:
         return QSeries({Fraction(0): _QQ_ONE}, rel_order)
-    if r.denominator == 1:
-        m = int(r)
-        c0r = c0 ** m if m >= 0 else _QQ_ONE / (c0 ** (-m))
-    else:
-        root = _nth_root_exact(c0, r.denominator)
-        if root is None:
-            raise ValueError(f"leading coefficient {c0} has no exact rational "
-                             f"{r.denominator}-th root")
-        m = r.numerator
-        c0r = root ** m if m >= 0 else _QQ_ONE / (root ** (-m))
-    n = _lattice_len(u.order, e0, u.unit)
-    inv_c0 = _QQ_ONE / c0
-    support = [(e, c * inv_c0) for e, c in enumerate(u.coeffs) if e and c]  # v = u/c0 past its 1
-    w = [_QQ_ONE] + [_QQ_ZERO] * (n - 1)
-    rp1 = r + 1
-    for E in range(1, n):
-        s = _QQ_ZERO
-        for e, ve in support:
-            if e > E:
-                break
-            s += (rp1 * e - E) * ve * w[E - e]
-        w[E] = s / E
-    return QSeries.on_lattice(e0 * r, u.unit, [c0r * c for c in w], e0 * r + rel_order)
+    m, s = r.numerator, r.denominator
+    root = Fraction(c0) if s == 1 else _nth_root_exact(c0, s)
+    if root is None:
+        raise ValueError(f"leading coefficient {c0} has no exact rational {s}-th root")
+    D, (v,) = _int_view(_lattice_len(u.order, e0, u.unit), u.unit, u)
+    return QSeries.on_lattice(e0 * r, u.unit, _from_view(_lattice_power(v, m, s), s * s * D,
+                                                         root ** m), e0 * r + rel_order)
 
 
 # -- Dedekind eta -----------------------------------------------------------
@@ -367,12 +342,15 @@ def eta_expansion(order, scale=Fraction(1)) -> QSeries:
 
 # -- integer lattice kernel -------------------------------------------------
 #
-# The eta constructions stay in Z[1/s].  Each factor prod_{j>=1} (1 - x^{dj})
-# is an integer series with constant term 1, so its integer powers and their
-# products are integral.  The s-th root w of such a series has s^{2E} w_E
-# integral, because binomial(1/s, k) s^{2k} is an integer (for a prime p | s,
-# v_p(k!) < k).  So the kernel runs on int lists indexed by the lattice step,
-# and the callers build each Fraction once, at the end.
+# Every product and power runs on int lists indexed by the lattice step.  An
+# integer series with constant term 1 has integral integer powers, and its
+# s-th root w has s^{2E} w_E integral, because binomial(1/s, k) s^{2k} is an
+# integer (for a prime p | s, v_p(k!) < k).  The eta factors
+# prod_{j>=1} (1 - x^{dj}) are such series; a general series c0 q^lead v(x)
+# with v(0) = 1 becomes one as its view V_E = D^E v_E, one integer D serving
+# every series of a call.  Denominators cannot be factored in general, so D
+# takes each number b of a coprime base of them at the power
+# max ceil(v_b(den_E)/E).  Each Fraction is built once, at the end.
 
 def _euler(step: int, n: int) -> list:
     """prod_{j>=1} (1 - x^{step j}) below x^n, by the pentagonal theorem."""
@@ -437,15 +415,49 @@ def _eta_lattice(spec, n: int):
     return s, (_lattice_power(inner, 1, s) if s > 1 else inner)
 
 
-def _lambda_lattice(n: int) -> list:
-    """L with lambda = sum_j L_j q^{(1+j)/2} below q^{(1+n)/2}; all L_j are integers.
+def _valuation(d: int, b: int):
+    """(v, d / b^v) for the largest power b^v dividing d, in O(log v) divisions."""
+    if d % b:
+        return 0, d
+    v, d = _valuation(d // b, b * b)
+    return (2 * v + 2, d // b) if d % b == 0 else (2 * v + 1, d)
 
-    In x = q^{1/2}: 16 prod (1-x^{4j})^16 (1-x^j)^8 / (1-x^{2j})^24.
-    """
-    prod = _lattice_mul(_lattice_mul(_lattice_power(_euler(4, n), 16),
-                                     _lattice_power(_euler(1, n), 8)),
-                        _lattice_power(_euler(2, n), -24))
-    return [16 * c for c in prod]
+
+def _int_view(n: int, unit, *series):
+    """(D, [V, ...]): V_E = D^E [x^E] u / (c0 q^lead) for E < n, x = q^unit, per u."""
+    rel = []
+    for u in series:
+        c0, r = u.coeffs[0], int(u.unit / unit)
+        rel.append([(i * r, c if c0 == 1 else Fraction(c, c0)) for i, c in enumerate(u.coeffs)
+                    if c and 0 < i * r < n])
+    dens = [(E, c.denominator) for terms in rel for E, c in terms if c.denominator > 1]
+    base, todo = [], [d for _, d in dens]
+    while todo:  # strip the base found so far, then refine it by gcds
+        d = todo.pop()
+        for b in base:
+            d = _valuation(d, b)[1]
+        b = next((b for b in base if math.gcd(b, d) > 1), None)
+        if b is not None:
+            base.remove(b)
+            todo += [math.gcd(b, d), b // math.gcd(b, d), d]
+        elif d > 1:
+            base.append(d)
+    D = math.prod(b ** max(-(-_valuation(d, b)[0] // E) for E, d in dens) for b in base)
+    views = []
+    for terms in rel:
+        V = [1] + [0] * (n - 1)
+        for E, c in terms:
+            V[E], rem = divmod(c.numerator * D ** E, c.denominator)
+            if rem:
+                raise AssertionError(f"D = {D} leaves {c} q^{E} fractional")
+        views.append(V)
+    return D, views
+
+
+def _from_view(W: list, scale: int, c0) -> list:
+    """The Fractions c0 W_E / scale^E, back from a view."""
+    p, q = c0.numerator, c0.denominator
+    return [Fraction(p * w, q * scale ** E) if w else _QQ_ZERO for E, w in enumerate(W)]
 
 
 # -- eta-products -----------------------------------------------------------
@@ -516,20 +528,23 @@ def eta_product(spec: EtaProductSpec, order) -> QSeries:
     lead = Fraction(spec.k, spec.b)
     n = _lattice_len(order, lead, _QQ_ONE)
     s, W = _eta_lattice(spec, n) if n else (1, [])
-    return QSeries.on_lattice(lead, _QQ_ONE, [Fraction(w, s ** (2 * E)) if w else _QQ_ZERO
-                                              for E, w in enumerate(W)], order)
+    return QSeries.on_lattice(lead, _QQ_ONE, _from_view(W, s * s, _QQ_ONE), order)
 
 
 def lambda_invariant(order) -> QSeries:
     """Modular lambda-invariant 16 eta(2z)^16 eta(z/2)^8 / eta(z)^24.
 
-    Exact expansion with leading terms 16q^{1/2} - 128q + 704q^{3/2}.
+    Exact expansion with leading terms 16q^{1/2} - 128q + 704q^{3/2}: in
+    x = q^{1/2} it is 16x prod (1-x^{4j})^16 (1-x^j)^8 / (1-x^{2j})^24, an
+    integer series.
     """
     order = to_fraction(order)
     half = Fraction(1, 2)
     n = _lattice_len(order, half, half)
-    return QSeries.on_lattice(half, half, [QQ(c) for c in _lambda_lattice(n)] if n else [],
-                              order)
+    prod = _lattice_mul(_lattice_mul(_lattice_power(_euler(4, n), 16),
+                                     _lattice_power(_euler(1, n), 8)),
+                        _lattice_power(_euler(2, n), -24))
+    return QSeries.on_lattice(half, half, _from_view(prod, 1, QQ(16)), order)
 
 
 # -- self-dual series -------------------------------------------------------
@@ -634,28 +649,12 @@ def fminus(spec: EtaProductSpec, order, eta=None) -> SelfDualSeries:
     if rootN * rootN != spec.N:
         raise ValueError("the minus family requires N to be a perfect square")
     order = to_fraction(order)
-    lead = Fraction(spec.k, spec.b)
     eta = eta if eta is not None else eta_product(spec, order)
-    s = math.lcm(*(v.denominator for v in spec.r.values()))
-    # g = (1 - 2 lambda(rootN z)) * eta on the half steps q^{k/b + i/2}, i < n,
-    # scaled by s^i: eta's c_E sits at i = 2E as the integer c_E s^{2E}, and
-    # lambda's term q^{rootN (1+j)/2} at i = rootN (1+j), so each product lands on s^i.
-    n = _lattice_len(order, lead, Fraction(1, 2))
-    f = [0] * n
-    for E, c in enumerate(eta.coeffs):
-        f[2 * E] = c.numerator * (s ** (2 * E) // c.denominator)
-    one_minus = [1] + [0] * (n - 1)
-    n_lam = (n - 1) // rootN  # the j with rootN (1+j) < n
-    for j, c in enumerate(_lambda_lattice(n_lam) if n_lam > 0 else ()):
-        i = rootN * (1 + j)
-        one_minus[i] = -2 * c * s ** i
-    g = _lattice_mul(f, one_minus)
-    # for even rootN both factors, so g, vanish at odd i: declare the whole unit
-    stride = 2 if rootN % 2 == 0 else 1
-    series = QSeries.on_lattice(lead, Fraction(stride, 2),
-                                [Fraction(g[i], s ** i) if g[i] else _QQ_ZERO
-                                 for i in range(0, n, stride)], order)
-    return SelfDualSeries(series, 2 * spec.b, spec.N, -1)
+    lam = lambda_invariant(order / rootN).scale_exponents(rootN)
+    # 1 - 2 lambda on lambda's lattice (rootN/2) Z>=0, so odd rootN keeps its half steps
+    one_minus = QSeries.on_lattice(0, lam.unit, [_QQ_ONE] + [-2 * c for c in lam.coeffs],
+                                   order)
+    return SelfDualSeries(one_minus * eta, 2 * spec.b, spec.N, -1)
 
 
 def family_spec(l) -> EtaProductSpec:

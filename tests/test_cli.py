@@ -281,6 +281,7 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["eta", "--spec-json", "{guinand}", "--order", "1e12"],
     ["selfdual", "{measure}", "--ys", "nan"],
     ["selfdual", "{measure}", "--ys", "inf"],
+    ["selfdual", "{measure}", "--ys"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -345,3 +346,38 @@ def test_eta_empty_measure_does_not_pass(tmp_path):
     report = json.loads((out / "selfdual_report.json").read_text())
     assert report["all_pass"] is False
     assert {r["verdict"] for r in report["gaussian_reports"]} == {"inconclusive"}
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["ks", "{q}", "--window", "-1e1", "1e1", "--count", "2"],
+     ["ks", "{q}", "--window", "-10", "10", "--count", "2"]),
+    (["spectrum", "{H}", "--lambdas", "-1e-3", "1", "--T", "50"],
+     ["spectrum", "{H}", "--lambdas", "-0.001", "1", "--T", "50"]),
+    (["kernel", "{H}", "--points", "-0.5,1", "--R", "20"],
+     ["kernel", "{H}", "--points=-0.5,1", "--R", "20"]),
+])
+def test_negative_numbers_in_any_spelling_are_values(tmp_path, argv, same_as):
+    files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
+    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+    trees = []
+    for name, args in (("a", argv), ("b", same_as)):
+        assert main(["--out", str(tmp_path / name), *(a.format(**files) for a in args)]) == 0
+        trees.append(_tree(tmp_path / name))
+    assert trees[0] == trees[1] and trees[0]
+
+
+def test_spectrum_negative_lambda_without_cutoff(tmp_path):
+    # with no --cutoff, the default stays nonnegative below a negative lambda
+    H = ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+    hfile = tmp_path / "H.json"
+    hfile.write_text(json.dumps(H.to_json_dict()))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "spectrum", str(hfile), "--lambdas", "-5",
+                 "--T", "50"]) == 0
+    row = (out / "spectrum.csv").read_text().splitlines()[2].split(",")
+    assert float(row[0]) == -5 and float(row[1]) == float(row[2]) == 0.0

@@ -1,8 +1,10 @@
 """The integer lattice kernel of `qmodular` against a Fraction reference.
 
 The reference is the general-rational chain the eta constructions used to
-run on: the public `eta_expansion`, `shift`, `qpow` and `QSeries.__mul__`.
-Both sides are exact, so every comparison is equality of term maps.
+run on: `eta_expansion` and `shift`, with the Fraction recurrences of
+`fraction_reference` in place of `qpow` and `QSeries.__mul__`, which now run
+on the kernel themselves.  Both sides are exact, so every comparison is
+equality of term maps.
 """
 
 import math
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from crystalsum.qmodular import (EtaProductSpec, QSeries, SelfDualSeries, _lattice_power,
                                  eta_expansion, eta_product, family_l, family_spec,
                                  fminus, lambda_invariant, qpow)
@@ -36,8 +39,8 @@ def reference_eta_product(spec, order):
         if m == 0:
             continue
         fac = eta_expansion(rel + F(d, 24), scale=d).shift(F(-d, 24))
-        inner = inner * qpow(fac, m)
-    out = qpow(inner, F(1, s)) if s > 1 else inner
+        inner = ref.mul(inner, ref.qpow(fac, m))
+    out = ref.qpow(inner, F(1, s)) if s > 1 else inner
     return out.shift(lead).truncate(order)
 
 
@@ -51,7 +54,7 @@ def reference_lambda(order):
     f2 = eta_expansion(rel + F(2, 24), scale=2).shift(F(-2, 24))
     fh = eta_expansion(rel + F(1, 48), scale=F(1, 2)).shift(F(-1, 48))
     f1 = eta_expansion(rel + F(1, 24), scale=1).shift(F(-1, 24))
-    prod = qpow(f2, 16) * qpow(fh, 8) * qpow(f1, -24)
+    prod = ref.mul(ref.mul(ref.qpow(f2, 16), ref.qpow(fh, 8)), ref.qpow(f1, -24))
     return prod.shift(lead, 16).truncate(order)
 
 
@@ -60,7 +63,7 @@ def reference_fminus(spec, order):
     order = F(order)
     rootN = math.isqrt(spec.N)
     lam = reference_lambda(order / rootN).scale_exponents(rootN)
-    g = (QSeries({F(0): 1}, order) - lam.scale(2)) * reference_eta_product(spec, order)
+    g = ref.mul(QSeries({F(0): 1}, order) - lam.scale(2), reference_eta_product(spec, order))
     return SelfDualSeries(g, 2 * spec.b, spec.N, -1)
 
 
@@ -123,3 +126,37 @@ def test_lattice_power_refuses_an_inexact_division():
     # (1 + x^2/3)^1: E = 2 gives 2 W_2 = 2/3, which no integer W_2 satisfies
     with pytest.raises(AssertionError):
         _lattice_power([1, 0, F(1, 3)], 1)
+
+
+# -- `*` and `qpow` on the kernel against the Fraction recurrences ---------------
+
+# denominators up to 12 mix several bases (7, 10, 12, ...), so no power of
+# one base clears them; units 1/2 and 1/3 meet on the common unit 1/6
+units = st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 6)])
+coeffs = st.lists(st.fractions(-5, 5, max_denominator=12), max_size=10)
+# orders up to lead + 6 cut the longer coefficient lists
+small_series = st.builds(QSeries.on_lattice, lead=st.fractions(-2, 2, max_denominator=6),
+                         unit=units, coeffs=coeffs,
+                         order=st.fractions(-2, 6, max_denominator=6))
+# 1/7 at E = 1 and 1/5 at E = 3: D = 35, though 5 alone would clear E = 3
+SEVENTH_FIFTH = QSeries({F(0): 1, F(1): F(1, 7), F(3): F(1, 5)}, F(9))
+
+
+@settings(max_examples=70, deadline=None)
+@given(a=small_series, b=small_series)
+@example(a=SEVENTH_FIFTH, b=QSeries.on_lattice(F(1, 3), F(1, 2), [F(2, 9), F(-1, 4)], F(8)))
+@example(a=SEVENTH_FIFTH, b=SEVENTH_FIFTH)
+def test_mul_matches_fraction_reference(a, b):
+    assert a * b == ref.mul(a, b)
+
+
+@settings(max_examples=70, deadline=None)
+@given(t=st.fractions(min_value=F(-3), max_value=3, max_denominator=4).filter(bool),
+       p=st.integers(-3, 3).filter(bool), q=st.integers(1, 3), u=small_series)
+@example(t=F(1), p=2, q=3, u=SEVENTH_FIFTH)
+@example(t=F(1), p=-1, q=2, u=SEVENTH_FIFTH)
+def test_qpow_matches_fraction_reference(t, p, q, u):
+    # lead coefficient t^q, so the q-th root exists
+    assume(u)
+    u = QSeries.on_lattice(u.lead, u.unit, [t ** q] + u.coeffs[1:], u.order)
+    assert qpow(u, F(p, q)) == ref.qpow(u, F(p, q))
