@@ -30,6 +30,13 @@ class InputError(Exception):
     """Bad input or failed validation: exit code 2."""
 
 
+# work bounds, checked before any sample or test function exists: far above
+# the README's sizes (T = 2000, count 10) and the default T = 1e4 (640000
+# points), and far below runs of minutes
+MAX_QUADRATURE_POINTS = 10 ** 8
+MAX_COUNT = 10 ** 4
+
+
 def _provenance(command, config, seed):
     cfg = {k: v for k, v in sorted(config.items())
            if k not in ("out", "func", "command")}
@@ -166,6 +173,12 @@ def cmd_spectrum(args):
     for name, v in (("--T", args.T), ("--y", args.y)):
         if not (math.isfinite(v) and v > 0):
             raise InputError(f"{name} must be finite and positive, got {v}")
+    # mean_value_batch's 8 Gauss nodes on each panel of its width 0.25
+    points = 8 * math.ceil(2 * args.T / 0.25)
+    if points > MAX_QUADRATURE_POINTS:
+        raise InputError(f"--T {args.T:g} needs {points:.3g} quadrature points, more than "
+                         f"the {MAX_QUADRATURE_POINTS} allowed (--T up to "
+                         f"{MAX_QUADRATURE_POINTS / 64:g})")
     d = _load_json(args.input)
     H = _load_hb(d)
     # the spectrum is nonnegative, so a negative lambda needs no atoms
@@ -337,8 +350,8 @@ def main(argv=None) -> int:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be finite and positive, got {args.tol}")
         # an empty suite would pass vacuously
-        if getattr(args, "count", 1) < 1:
-            raise InputError(f"--count must be at least 1, got {args.count}")
+        if not 1 <= getattr(args, "count", 1) <= MAX_COUNT:
+            raise InputError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
         if getattr(args, "ys", None) == []:
             raise InputError("--ys needs at least one height")
         return args.func(args)

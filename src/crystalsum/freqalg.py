@@ -21,6 +21,22 @@ power, or coefficient times power, could approach overflow or the
 subnormals back to one exponential per term; inputs where a term itself
 overflows raise EvalRangeError on either route.
 
+The generators w_j of the last point array of at most CHUNK_POINTS
+points are kept, keyed by their value 2 pi i base_j/D, so A and B of
+iA/B (or E and E*) evaluated one after the other compute each complex
+exponential once, as do sums over different bases sharing an entry.
+They are read only at bitwise-equal points (NaN points match; -0.0 does
+not match 0.0, nor an array changed in place since) and never written,
+so every result is the one a fresh evaluation gives.  Higher powers are
+made per call: keeping them too raised the peak memory of root
+refinement, whose evaluations at new points alternate with its own
+arrays.  Larger arrays get generators of their
+own and empty the kept entry, so it adds nothing to the peak of a large
+evaluation.  The kept entry is module state without a lock, so it is
+not thread-safe: threads evaluating at different points evict each
+other's generators (each call keeps those it started with, so results
+stay exact, but the saving is lost).
+
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
 """
@@ -40,6 +56,10 @@ _EXP_OVERFLOW = 709.0
 # largest exponent Horner's intermediate powers may reach: half the range
 # keeps them within 1e+-154 of their coefficients, clear of the subnormals
 _HORNER_LIMIT = 0.5 * _EXP_OVERFLOW
+# longest point array whose generators are kept: the chunk of streamed
+# evaluations (spectra.mean_value_batch); nothing is kept for or beside
+# the larger grids of the root scan
+CHUNK_POINTS = 1 << 15
 
 
 class BasisMismatchError(ValueError):
@@ -184,6 +204,11 @@ class ExpSum:
         max_j max(|hi_j|, |lo_j|) base_j)) with lo_j and hi_j the extreme
         exponents of coordinate j, stays below exp(_HORNER_LIMIT) and
         2^970 min |c|; above that, one exponential per term.
+
+        The Horner route reuses the generators w_j kept from the last
+        evaluation of any sum when z has at most CHUNK_POINTS points,
+        bitwise equal to its points (see the module docstring); the result
+        is the same either way.  That shared entry is not thread-safe.
         """
         z = np.asarray(z, dtype=complex)
         if not self._terms:
@@ -354,19 +379,45 @@ class _HornerPlan:
 
     def eval(self, z):
         """Sum at the points of the 1-d array z."""
-        powers = {(j, 1): np.exp(g * z) for j, g in enumerate(self.gen)}
+        powers, private = _generator_powers(z, self.gen)
         out = _horner(self.tree, 0, powers)
         for j, lo in enumerate(self.lo):
             if lo > 0:
                 out = _times(out, _power(powers, j, lo))
         down = [_power(powers, j, -lo) for j, lo in enumerate(self.lo) if lo < 0]
         if down:
-            # no power is read again, so their storage is reused
-            d = down[0]
+            # formed in place, as numpy's in-place complex product can differ
+            # from a*b in the last bit; a kept generator is never overwritten
+            d = down[0] if private else down[0].copy()
             for p in down[1:]:
                 d *= p
             out = _times(out, np.reciprocal(d, out=d))
         return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
+
+
+# the points of the last evaluation of at most CHUNK_POINTS points (as
+# bytes) and their generators {g: e^{g z}}; see the module docstring
+_kept = (None, {})
+
+
+def _generator_powers(z, gens):
+    """({(j, 1): e^{gens[j] z}}, private).  For at most CHUNK_POINTS points
+    each e^{g z} is read from, or added to, the kept entry, a new one
+    unless z is bitwise equal to the kept points; larger z gets private
+    exponentials and empties the entry."""
+    global _kept
+    if z.size > CHUNK_POINTS:
+        _kept = (None, {})
+        return {(j, 1): np.exp(g * z) for j, g in enumerate(gens)}, True
+    key = z.tobytes()
+    kept_key, exps = _kept
+    if kept_key != key:
+        exps = {}
+        _kept = (key, exps)
+    for g in gens:
+        if g not in exps:
+            exps[g] = np.exp(g * z)
+    return {(j, 1): exps[g] for j, g in enumerate(gens)}, False
 
 
 def _power(powers, j, n):

@@ -183,16 +183,28 @@ class QSeries:
     # -- ring operations ----------------------------------------------------
 
     def _as_series(self, other):
+        """A series as is; a number as a constant on this series' unit."""
         if isinstance(other, QSeries):
             return other
-        return QSeries({Fraction(0): to_fraction(other)}, self.order)
+        return QSeries.on_lattice(0, self.unit, [to_fraction(other)], self.order)
 
     def __add__(self, other):
+        """Sum on the coarsest lattice holding both: the unit is the gcd of
+        both units and the difference of the leads, so the declared
+        lattices of the operands survive (a zero operand adds none)."""
         other = self._as_series(other)
-        t = self.terms
-        for e, c in other.terms.items():
-            t[e] = t.get(e, _QQ_ZERO) + c
-        return QSeries(t, min(self.order, other.order))
+        order = min(self.order, other.order)
+        if not (self and other):
+            return (self or other).truncate(order)
+        lead = min(self.lead, other.lead)
+        unit = _frac_gcd(_frac_gcd(self.unit, other.unit), other.lead - self.lead)
+        last = max(s.lead + (len(s.coeffs) - 1) * s.unit for s in (self, other))
+        coeffs = [_QQ_ZERO] * _lattice_len(min(order, last + unit), lead, unit)
+        for s in (self, other):
+            start, step = int((s.lead - lead) / unit), int(s.unit / unit)
+            for i, c in zip(range(start, len(coeffs), step), s.coeffs):
+                coeffs[i] += c
+        return QSeries.on_lattice(lead, unit, coeffs, order)
 
     __radd__ = __add__
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freqalg import ExpSum, FreqBasis
+from .freqalg import CHUNK_POINTS, ExpSum, FreqBasis
 from .hermite import HermiteBiehler
 
 
@@ -190,9 +190,6 @@ def _fejer_weight(u):
     return 1.0 - np.abs(u)
 
 
-# quadrature points per streamed chunk of mean_value_batch: a few complex
-# arrays of this length are live at once, whatever T is
-_CHUNK_POINTS = 1 << 15
 # panels per row of mean_value_batch's phase tables
 _PHASE_ROW = 64
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
@@ -211,8 +208,10 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
-    chunks of about _CHUNK_POINTS nodes and grouped in rows of R = _PHASE_ROW
-    panels, so the node j of panel r in row m of a chunk sits at
+    chunks of at most freqalg.CHUNK_POINTS nodes, the size up to which
+    ExpSum.eval keeps generator powers, so an f = iA/B computes each power
+    once per chunk for A and B together.  A chunk is grouped in rows of
+    R = _PHASE_ROW panels, so the node j of panel r in row m sits at
     X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
     midpoint and w the panel width, and the phase factors exactly:
 
@@ -223,13 +222,19 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     once per call.  Per chunk, f is evaluated once at each node, the sum
     within the rows is one (rows x row nodes) by (row nodes x lambdas)
     contraction, the sum over rows a second one, and the only exponential
-    is one lambda vector at mid_0.  Memory stays bounded by the chunk,
-    not by T.
+    is one lambda vector at mid_0.  Memory stays bounded by the chunk (a
+    few complex arrays of its length are live at once), not by T.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
     if not 0 < T < math.inf:
         raise ValueError("T must be finite and positive")
+    if not 0 < panel_width < math.inf:
+        raise SpectrumError(
+            f"panel width must be finite and positive, got {panel_width}")
+    for name, v in (("y", y), ("eval_y", eval_y)):
+        if v is not None and not math.isfinite(v):
+            raise SpectrumError(f"{name} must be finite, got {v}")
     T = float(T)
     y_line = y if eval_y is None else eval_y
     lam = np.asarray(lambdas, dtype=float)
@@ -242,7 +247,7 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     xi, wi = np.polynomial.legendre.leggauss(_NODES)
     node_w = half * wi
     norm = T if taper == "fejer" else 2.0 * T
-    step = max(_CHUNK_POINTS // _NODES, 1)
+    step = max(CHUNK_POINTS // _NODES, 1)
     n_rows = -(-step // _PHASE_ROW)
     # lambdas x row nodes, contiguous along the nodes for the contraction
     offsets = (w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]

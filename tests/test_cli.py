@@ -282,6 +282,12 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["selfdual", "{measure}", "--ys", "nan"],
     ["selfdual", "{measure}", "--ys", "inf"],
     ["selfdual", "{measure}", "--ys"],
+    # work bounds: just above each limit, so a build without the check
+    # spends seconds, not memory
+    ["spectrum", "{H}", "--lambdas", "1", "--T", "2e6"],
+    ["spectrum", "{H}", "--T", "1e300"],
+    ["pair-check", "{pair}", "--count", "10001"],
+    ["ks", "{q}", "--count", "10001"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crystalsum.freqalg import (
+    CHUNK_POINTS,
     BasisMismatchError,
     EvalRangeError,
     ExpSum,
@@ -50,6 +52,23 @@ def test_eval_vectorized_matches_scalar():
     vec = f.eval(xs)
     for x, v in zip(xs, vec):
         assert f.eval(complex(x)) == pytest.approx(v, rel=1e-15)
+
+
+def test_generators_are_kept_only_up_to_the_chunk_size():
+    f = ExpSum(FreqBasis((1.0, math.sqrt(2))), {(1, -2): 1.0, (-3, 1): 0.5j})
+    small = np.linspace(-5.0, 5.0, CHUNK_POINTS) + 0.1j
+    large = np.linspace(-5.0, 5.0, CHUNK_POINTS + 1) + 0.1j
+    tracemalloc.start()
+    try:
+        f.eval(small)
+        kept, _ = tracemalloc.get_traced_memory()
+        f.eval(large)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the small points and their generators are kept; after the large call no
+    # array of either size is held, as it keeps nothing and empties the entry
+    assert kept >= small.nbytes > held
 
 
 def test_eval_overflow_is_an_error():

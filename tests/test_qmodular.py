@@ -148,6 +148,29 @@ def test_mul_truncation_order():
     assert p.terms == {F(3): QQ(1)}
 
 
+def test_add_keeps_declared_lattices():
+    half = F(1, 2)
+    s = QSeries.on_lattice(0, half, [QQ(1)], 4) + QSeries.on_lattice(1, half, [QQ(1)], 4)
+    assert (s.lead, s.unit, s.coeffs) == (0, half, [1, 0, 1])
+    # a number joins on the series' own unit; a zero operand adds no lattice
+    t = 1 - QSeries.on_lattice(2, 2, [QQ(3)], 10) + QSeries({}, 8)
+    assert (t.lead, t.unit, t.coeffs, t.order) == (0, 2, [1, -3], 8)
+    # the unit is the gcd of both units and the lead difference
+    u = (QSeries.on_lattice(F(1, 3), F(2, 3), [QQ(1)] * 3, 5)
+         - QSeries.on_lattice(0, half, [QQ(2)], 5))
+    assert (u.lead, u.unit) == (0, F(1, 6))
+    assert u.terms == {0: -2, F(1, 3): 1, F(1): 1, F(5, 3): 1}
+
+
+def test_add_keeps_the_minus_lattice():
+    # the term map of (1 - 2 lambda(3z)) eta has unit 1; its declared
+    # lattice, and so the rows of series.csv, has the half steps of fminus
+    spec = EtaProductSpec(9, {1: F(1, 3), 3: F(1, 3), 9: F(1, 3)})
+    lam = lambda_invariant(F(1, 2)).scale_exponents(3)
+    series = (1 - 2 * lam) * eta_product(spec, F(3, 2))
+    assert series.coeffs == fminus(spec, F(3, 2)).series.coeffs == [1, 0, F(-1, 3)]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EtaProductSpec(4, {1: 1, 2: 1, 4: -2})        # sum != 1

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import FreqBasis, monomial, sine
+from crystalsum import freqalg
+from crystalsum.freqalg import CHUNK_POINTS, FreqBasis, monomial, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
 from crystalsum.spectra import (
-    _CHUNK_POINTS,
     SpectrumAtoms,
     SpectrumError,
     exact_spectrum,
@@ -191,6 +191,24 @@ def test_mean_value_rejects_poles():
         mean_value_batch(f, [0.0], 1.0, 10.0)[0]
 
 
+@pytest.mark.parametrize("bad", [
+    # a negative or infinite width once gave one panel of width 2T and a
+    # wrong value, zero a ZeroDivisionError, nan a bare ValueError
+    {"panel_width": -1.0},
+    {"panel_width": math.inf},
+    {"panel_width": 0.0},
+    {"panel_width": math.nan},
+    {"y": math.inf},
+    {"y": math.nan},
+    {"eval_y": -math.inf},
+    {"eval_y": math.nan},
+])
+def test_mean_value_rejects_invalid_quadrature(bad):
+    args = {"y": 1.0, **bad}
+    with pytest.raises(SpectrumError):
+        mean_value_batch(icotangent, [1.0], T=50.0, **args)
+
+
 # -- streamed mean value against the one-shot formula ------------------------
 
 def one_shot_mean_values(f, lambdas, y, T, taper="fejer", panel_width=0.25,
@@ -218,7 +236,7 @@ def scalar_icotangent(z):
     return 1j * math.pi * cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
 
 
-PANELS_PER_CHUNK = _CHUNK_POINTS // 8
+PANELS_PER_CHUNK = CHUNK_POINTS // 8
 
 
 @pytest.mark.parametrize("T, width, taper, eval_y, f", [
@@ -267,6 +285,23 @@ def test_mean_value_memory_stays_bounded():
         tracemalloc.stop()
     assert abs(got[1] - 2 * math.pi) <= 1e-3
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
+def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
+    # A and B of f = iA/B share each generator's exponential on a chunk
+    exp, calls = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(freqalg, "_kept", (None, {}))
+    monkeypatch.setattr(np, "exp", counting_exp)
+    f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+    # one chunk: 2T / (1/4) panels of 8 nodes
+    mean_value_batch(f, [0.0, 1.0], 0.3, CHUNK_POINTS / 64)
+    assert calls.count(CHUNK_POINTS) == len(H.B.basis.base)
 
 
 def test_rank2_mean_value_memory_stays_bounded():
