@@ -21,18 +21,17 @@ power, or coefficient times power, could approach overflow or the
 subnormals back to one exponential per term; inputs where a term itself
 overflows raise EvalRangeError on either route.
 
-The generators w_j of the last point array of at most CHUNK_POINTS
-points are kept, keyed by their value 2 pi i base_j/D, so A and B of
-iA/B (or E and E*) evaluated one after the other compute each complex
+ExpSum.eval takes an array of more than CHUNK_POINTS points in balanced
+chunks (np.array_split), so one evaluation holds a few chunk-sized arrays
+beyond its output, whatever its length.  The generators w_j of the last
+chunk are kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B
+(or E and E*) evaluated one after the other compute each complex
 exponential once, as do sums over different bases sharing an entry.
 They are read only at bitwise-equal points (NaN points match; -0.0 does
 not match 0.0, nor an array changed in place since) and never written,
 so every result is the one a fresh evaluation gives.  Higher powers are
 made per call: keeping them too raised the peak memory of root
-refinement, whose evaluations at new points alternate with its own
-arrays.  Larger arrays get generators of their
-own and empty the kept entry, so it adds nothing to the peak of a large
-evaluation.  The kept entry is module state without a lock, so it is
+refinement.  The kept entry is module state without a lock, so it is
 not thread-safe: threads evaluating at different points evict each
 other's generators (each call keeps those it started with, so results
 stay exact, but the saving is lost).
@@ -56,9 +55,7 @@ _EXP_OVERFLOW = 709.0
 # largest exponent Horner's intermediate powers may reach: half the range
 # keeps them within 1e+-154 of their coefficients, clear of the subnormals
 _HORNER_LIMIT = 0.5 * _EXP_OVERFLOW
-# longest point array whose generators are kept: the chunk of streamed
-# evaluations (spectra.mean_value_batch); nothing is kept for or beside
-# the larger grids of the root scan
+# most points per chunk of ExpSum.eval's generator route and mean_value_batch
 CHUNK_POINTS = 1 << 15
 
 
@@ -205,10 +202,10 @@ class ExpSum:
         exponents of coordinate j, stays below exp(_HORNER_LIMIT) and
         2^970 min |c|; above that, one exponential per term.
 
-        The Horner route reuses the generators w_j kept from the last
-        evaluation of any sum when z has at most CHUNK_POINTS points,
-        bitwise equal to its points (see the module docstring); the result
-        is the same either way.  That shared entry is not thread-safe.
+        The Horner route takes z in balanced chunks of at most CHUNK_POINTS
+        points, reusing the generators kept from the last chunk evaluated
+        where its points are bitwise equal (see the module docstring); the
+        result is the same either way.  That shared entry is not thread-safe.
         """
         z = np.asarray(z, dtype=complex)
         if not self._terms:
@@ -224,7 +221,15 @@ class ExpSum:
         if self._horner is None:
             self._horner = _HornerPlan(self)
         if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
-            out = self._horner.eval(z.reshape(-1)).reshape(z.shape)
+            flat, parts = z.reshape(-1), -(-z.size // CHUNK_POINTS)
+            if parts <= 1:
+                out = self._horner.eval(flat)
+            else:  # balanced: a one-point remainder can differ in the last bit
+                out = np.empty(flat.shape, dtype=complex)
+                for part, dst in zip(np.array_split(flat, parts),
+                                     np.array_split(out, parts)):
+                    dst[:] = self._horner.eval(part)
+            out = out.reshape(z.shape)
         else:
             out = np.zeros(z.shape, dtype=complex)
             for v, lam in zip(self._sorted, self._values):
@@ -379,7 +384,7 @@ class _HornerPlan:
 
     def eval(self, z):
         """Sum at the points of the 1-d array z."""
-        powers, private = _generator_powers(z, self.gen)
+        powers = _generator_powers(z, self.gen)
         out = _horner(self.tree, 0, powers)
         for j, lo in enumerate(self.lo):
             if lo > 0:
@@ -388,27 +393,22 @@ class _HornerPlan:
         if down:
             # formed in place, as numpy's in-place complex product can differ
             # from a*b in the last bit; a kept generator is never overwritten
-            d = down[0] if private else down[0].copy()
+            d = down[0].copy()
             for p in down[1:]:
                 d *= p
             out = _times(out, np.reciprocal(d, out=d))
         return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
 
 
-# the points of the last evaluation of at most CHUNK_POINTS points (as
-# bytes) and their generators {g: e^{g z}}; see the module docstring
+# the points of the last chunk evaluated (as bytes) and their generators
+# {g: e^{g z}}; see the module docstring
 _kept = (None, {})
 
 
 def _generator_powers(z, gens):
-    """({(j, 1): e^{gens[j] z}}, private).  For at most CHUNK_POINTS points
-    each e^{g z} is read from, or added to, the kept entry, a new one
-    unless z is bitwise equal to the kept points; larger z gets private
-    exponentials and empties the entry."""
+    """{(j, 1): e^{gens[j] z}}, each e^{g z} read from, or added to, the
+    kept entry, a new one unless z is bitwise equal to the kept points."""
     global _kept
-    if z.size > CHUNK_POINTS:
-        _kept = (None, {})
-        return {(j, 1): np.exp(g * z) for j, g in enumerate(gens)}, True
     key = z.tobytes()
     kept_key, exps = _kept
     if kept_key != key:
@@ -417,7 +417,7 @@ def _generator_powers(z, gens):
     for g in gens:
         if g not in exps:
             exps[g] = np.exp(g * z)
-    return {(j, 1): exps[g] for j, g in enumerate(gens)}, False
+    return {(j, 1): exps[g] for j, g in enumerate(gens)}
 
 
 def _power(powers, j, n):

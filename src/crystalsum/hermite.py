@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -49,6 +50,9 @@ class RootFindingError(RuntimeError):
     pass
 
 
+MAX_GRID_POINTS = 10 ** 6  # the most samples a validation grid may ask for
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling rectangle [x_min,x_max] x [y_min,y_max] with nx*ny points."""
@@ -61,10 +65,19 @@ class GridSpec:
     ny: int = 50
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bounds) \
+                or not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"grid bounds must be finite numbers, got {bounds}")
         if not (self.x_min < self.x_max and 0 < self.y_min < self.y_max):
             raise ValueError("grid must satisfy x_min < x_max, 0 < y_min < y_max")
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
+            raise ValueError(f"grid sizes must be integers, got {self.nx!r} x {self.ny!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid must have at least 2x2 points")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise ValueError(f"grid of {self.nx} x {self.ny} points exceeds the "
+                             f"{MAX_GRID_POINTS} allowed")
 
     def mesh(self):
         xs = np.linspace(self.x_min, self.x_max, self.nx)
@@ -126,10 +139,13 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     there.  A preflight scan of the real axis, where A = Re E and
     B = -Im E, rejects inputs whose A and B nearly vanish together (real
     zero of E), which the downstream residue weights cannot handle.
-    Rejections carry the worst witness point.
+    Rejections carry the worst witness point; a non-finite coefficient
+    rejects before any evaluation.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
+    if not all(cmath.isfinite(c) for c in E.terms.values()):
+        return HBVerdict(False, None, "non-finite coefficient")
     if grid is None:
         grid = default_grid(E)
     xs, ys = grid.mesh()
@@ -154,7 +170,7 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     margin_mod = (absE - absEs) / np.maximum(absE, tiny)
     i_flat = int(np.argmin(margin_mod))
     worst_mod = float(margin_mod.flat[i_flat])
-    if worst_mod <= 0.0:
+    if not worst_mod > 0.0:  # a NaN margin rejects too
         return HBVerdict(False, complex(Z.flat[i_flat]),
                          f"|E*| >= |E| (ratio {absEs.flat[i_flat] / max(absE.flat[i_flat], tiny):.4g})")
 
@@ -180,9 +196,9 @@ class HermiteBiehler:
     def validate(cls, E: ExpSum, grid: GridSpec | None = None) -> "HermiteBiehler":
         verdict = is_hermite_biehler(E, grid)
         if not verdict.accepted:
-            raise HermiteBiehlerError(
-                f"not Hermite-Biehler: {verdict.reason} at z = {verdict.witness}",
-                witness=verdict.witness)
+            where = "" if verdict.witness is None else f" at z = {verdict.witness}"
+            raise HermiteBiehlerError(f"not Hermite-Biehler: {verdict.reason}{where}",
+                                      witness=verdict.witness)
         A, B = split_AB(E)
         recon = A - 1j * B
         if recon.terms != E.terms:
@@ -301,6 +317,7 @@ def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
 
 
 ROOT_TOL = 1e-12  # root scan: narrowest open cell, and width of its brackets
+MAX_SCAN_POINTS = 50_000_000  # most points of the root scan's first grid
 
 
 @dataclass(frozen=True)
@@ -340,9 +357,12 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     if span <= 0.0:
         return RootScan([])  # nonzero monomial never vanishes on R
     step = 1.0 / (8.0 * span)
-    n = max(int(math.ceil((x1 - x0) / step)), 8)
-    if n > 50_000_000:
-        raise RootFindingError("scan step underflow for this interval")
+    steps = (x1 - x0) / step
+    if not steps <= MAX_SCAN_POINTS:
+        raise RootFindingError(
+            f"scan of [{x0:g}, {x1:g}] needs {steps + 1:.3g} grid points at step "
+            f"{step:.3g}, more than the {MAX_SCAN_POINTS:,} allowed")
+    n = max(int(math.ceil(steps)), 8)
     vs, lams, cs = (np.array(t) for t in zip(*B.sorted_terms()))
     mod, freq = np.abs(cs), 2 * math.pi * np.abs(lams)
     L1, L2 = float(mod @ freq), float(mod @ freq**2)

@@ -663,10 +663,7 @@ def fminus(spec: EtaProductSpec, order, eta=None) -> SelfDualSeries:
     order = to_fraction(order)
     eta = eta if eta is not None else eta_product(spec, order)
     lam = lambda_invariant(order / rootN).scale_exponents(rootN)
-    # 1 - 2 lambda on lambda's lattice (rootN/2) Z>=0, so odd rootN keeps its half steps
-    one_minus = QSeries.on_lattice(0, lam.unit, [_QQ_ONE] + [-2 * c for c in lam.coeffs],
-                                   order)
-    return SelfDualSeries(one_minus * eta, 2 * spec.b, spec.N, -1)
+    return SelfDualSeries((1 - 2 * lam) * eta, 2 * spec.b, spec.N, -1)
 
 
 def family_spec(l) -> EtaProductSpec:

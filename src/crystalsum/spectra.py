@@ -40,6 +40,9 @@ class SpectrumError(ValueError):
     pass
 
 
+MAX_SPECTRUM_ATOMS = 10 ** 5  # the most frequencies an exact spectrum may hold
+
+
 @dataclass
 class SpectrumAtoms:
     """Nonnegative-frequency expansion of iA/B up to a cutoff.
@@ -87,7 +90,8 @@ def _divide(p: ExpSum, g: ExpSum, cutoff_value: float) -> dict:
     triangular in ascending frequency: out(v) = p(v) + sum_u g(u) out(v-u)
     over u in supp g, where each v-u precedes v.  The support is the
     closure of supp p under +supp g, kept at or below the cutoff with the
-    tolerance `ExpSum.truncate` uses.
+    tolerance `ExpSum.truncate` uses; a closure of more than
+    MAX_SPECTRUM_ATOMS frequencies raises before any coefficient is formed.
     """
     basis = p.basis
     limit = cutoff_value + 1e-12
@@ -104,6 +108,10 @@ def _divide(p: ExpSum, g: ExpSum, cutoff_value: float) -> dict:
                     if val <= limit:
                         value[w] = val
                         reached.append(w)
+                        if len(value) > MAX_SPECTRUM_ATOMS:
+                            raise SpectrumError(
+                                f"cutoff {cutoff_value:g} needs more than the "
+                                f"{MAX_SPECTRUM_ATOMS} spectrum atoms allowed")
         frontier = reached
     pv = p.terms
     out = {}
@@ -148,8 +156,7 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
         raise SpectrumError(
             "minimum frequencies of A and B differ; E is not normalized "
             "Hermite-Biehler (spectrum would not be one-sided)")
-    cutoff_value = float(cutoff) if not isinstance(cutoff, tuple) \
-        else H.E.basis.value(cutoff)
+    cutoff_value = float(cutoff)
     if not 0 <= cutoff_value < math.inf:
         raise SpectrumError(
             f"cutoff must be finite and nonnegative, got {cutoff_value}")
@@ -208,9 +215,9 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
-    chunks of at most freqalg.CHUNK_POINTS nodes, the size up to which
-    ExpSum.eval keeps generator powers, so an f = iA/B computes each power
-    once per chunk for A and B together.  A chunk is grouped in rows of
+    chunks of at most freqalg.CHUNK_POINTS nodes, the size of ExpSum.eval's
+    own chunks, so an f = iA/B computes each generator once per chunk for
+    A and B together.  A chunk is grouped in rows of
     R = _PHASE_ROW panels, so the node j of panel r in row m sits at
     X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
     midpoint and w the panel width, and the phase factors exactly:

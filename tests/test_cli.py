@@ -288,6 +288,18 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["spectrum", "{H}", "--T", "1e300"],
     ["pair-check", "{pair}", "--count", "10001"],
     ["ks", "{q}", "--count", "10001"],
+    # validation data that would make every grid sample NaN, or is no grid
+    ["kernel", "{pair_inf_grid}"],
+    ["kernel", "{pair_nx_frac}"],
+    ["kernel", "{pair_nx_str}"],
+    ["kernel", "{pair_nan_E}"],
+    ["ks", "{q_nan}"],
+    # the exact spectrum's atom bound, just above it
+    ["spectrum", "{H}", "--cutoff", "1e5", "--lambdas", "1"],
+    ["ks", "{q}", "--cutoff", "1e5"],
+    # the root scan's grid bound
+    ["kernel", "{H}", "--R", "1e8"],
+    ["ks", "{q}", "--window", "-1e8", "1e8"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -298,7 +310,10 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
                                         .to_json_dict()))
     files["measure"].write_text(json.dumps(
         DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()))
-    for name, text in {**BAD_ETA_SPECS, "guinand": json.dumps(GUINAND_SPEC)}.items():
+    bad = {**BAD_ETA_SPECS, "guinand": json.dumps(GUINAND_SPEC),
+           **bad_validation_inputs(json.loads(files["pair"].read_text()),
+                                   H.to_json_dict(), json.loads(Path(files["q"]).read_text()))}
+    for name, text in bad.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
     out = tmp_path / "run"
@@ -307,6 +322,25 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+    if "1e8" in argv:  # the root-scan cap names its cause and its limit
+        assert "grid points" in err and "50,000,000" in err
+
+
+def bad_validation_inputs(pair, H, q):
+    """JSON texts: pairs whose meta.H has a bad grid or a NaN in E, and a Q
+    with a NaN coefficient (json writes them as Infinity and NaN)."""
+    def pair_with(edit):
+        h = json.loads(json.dumps(H))
+        edit(h)
+        return json.dumps({**pair, "meta": {**pair["meta"], "H": h}})
+    grid = lambda **kw: lambda h: h["certificate"]["grid"].update(kw)
+    nan_q = json.loads(json.dumps(q))
+    nan_q["terms"][0]["c"] = [math.nan, -0.5]
+    return {"pair_inf_grid": pair_with(grid(x=[-math.inf, math.inf])),
+            "pair_nx_frac": pair_with(grid(nx=2.5)),
+            "pair_nx_str": pair_with(grid(nx="400")),
+            "pair_nan_E": pair_with(lambda h: h["E"]["terms"][0].update(c=[math.nan, 0.0])),
+            "q_nan": json.dumps(nan_q)}
 
 
 @pytest.mark.parametrize("lam", ["1.4142135624", "1.41421356237",

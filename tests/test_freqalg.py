@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crystalsum import freqalg
 from crystalsum.freqalg import (
     CHUNK_POINTS,
     BasisMismatchError,
@@ -54,21 +55,41 @@ def test_eval_vectorized_matches_scalar():
         assert f.eval(complex(x)) == pytest.approx(v, rel=1e-15)
 
 
-def test_generators_are_kept_only_up_to_the_chunk_size():
-    f = ExpSum(FreqBasis((1.0, math.sqrt(2))), {(1, -2): 1.0, (-3, 1): 0.5j})
-    small = np.linspace(-5.0, 5.0, CHUNK_POINTS) + 0.1j
-    large = np.linspace(-5.0, 5.0, CHUNK_POINTS + 1) + 0.1j
-    tracemalloc.start()
-    try:
-        f.eval(small)
-        kept, _ = tracemalloc.get_traced_memory()
-        f.eval(large)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the small points and their generators are kept; after the large call no
-    # array of either size is held, as it keeps nothing and empties the entry
-    assert kept >= small.nbytes > held
+KEPT_SUM = ExpSum(FreqBasis((1.0, math.sqrt(2))), {(1, -2): 1.0, (-3, 1): 0.5j})
+
+
+def test_generators_are_kept_only_up_to_the_chunk_size(monkeypatch):
+    # after an evaluation of any length, the last chunk's points (as bytes)
+    # and its two generators stay held, and nothing more
+    for size in (7, CHUNK_POINTS, CHUNK_POINTS + 1, 4 * CHUNK_POINTS + 3):
+        z = np.linspace(-5.0, 5.0, size) + 0.1j
+        last = size // -(-size // CHUNK_POINTS)   # the smallest, last chunk
+        monkeypatch.setattr(freqalg, "_kept", (None, {}))
+        tracemalloc.start()
+        try:
+            KEPT_SUM.eval(z)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 3 * z.itemsize * last <= held <= 3 * z.itemsize * CHUNK_POINTS + 2**14
+
+
+def test_one_evaluation_holds_as_much_at_16_chunks_as_at_4(monkeypatch):
+    held = []
+    for chunks in (4, 16):
+        z = np.linspace(-5.0, 5.0, chunks * CHUNK_POINTS) + 0.1j
+        monkeypatch.setattr(freqalg, "_kept", (None, {}))
+        tracemalloc.start()
+        try:
+            out = KEPT_SUM.eval(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held.append(peak - out.nbytes)
+        del out
+    # a few chunk-sized arrays beyond the output (5 MiB), whatever the length;
+    # generators and powers of the whole array took 14 and 56 MiB here
+    assert held[1] <= held[0] + z.itemsize * CHUNK_POINTS and held[1] < 6 * 2**20
 
 
 def test_eval_overflow_is_an_error():

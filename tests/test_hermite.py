@@ -153,6 +153,45 @@ def test_grid_validation():
     assert g.x_max == pytest.approx(8.0)  # 4 periods of frequency 1/2
 
 
+@pytest.mark.parametrize("args", [
+    (-math.inf, math.inf, 0.05, 5.0),          # every grid point would be NaN
+    (0.0, math.nan, 0.05, 5.0),
+    (-1e308, 1e308, 0.05, 5.0),                # finite bounds, infinite width
+    (-1.0, 1.0, 0.05, math.inf),
+    (-1.0, 1.0, 0.05, 5.0, 2.5),
+    (-1.0, 1.0, 0.05, 5.0, "400"),
+    (-1.0, 1.0, 0.05, 5.0, 400, 1.0),
+    (-1.0, 1.0, 0.05, 5.0, 1, 50),
+    (-1.0, 1.0, 0.05, 5.0, 1001, 1000),        # above the 10^6 points allowed
+])
+def test_grid_spec_refuses_before_any_mesh(monkeypatch, args):
+    def refuse(*a, **k):
+        raise AssertionError("a mesh was built")
+    monkeypatch.setattr(np, "linspace", refuse)
+    with pytest.raises(ValueError):
+        GridSpec(*args)
+    assert GridSpec(-1.0, 1.0, 0.05, 5.0, 1000, 1000).nx == 1000
+
+
+def test_non_finite_coefficient_rejects_before_evaluation(monkeypatch):
+    E = poisson_E().E + monomial(HALF, (3,), complex(math.nan, 0.0))
+    calls = count_evals(monkeypatch)
+    verdict = is_hermite_biehler(E)
+    assert not verdict.accepted and "non-finite" in verdict.reason
+    assert calls[0] == 0
+    with pytest.raises(HermiteBiehlerError, match="non-finite coefficient$"):
+        HermiteBiehler.validate(E)
+
+
+def test_nan_samples_reject(monkeypatch):
+    # every comparison with NaN is false, so a test that looks for a failing
+    # sample would accept; only a margin known to be positive may
+    E, original = poisson_E().E, ExpSum.eval
+    monkeypatch.setattr(ExpSum, "eval", lambda self, z: original(self, z)
+                        if np.ndim(z) < 2 else np.full(np.shape(z), complex(math.nan)))
+    assert not is_hermite_biehler(E).accepted
+
+
 def test_real_roots_sine():
     roots = real_root_scan(sine(HALF, (1,)), (-2.5, 2.5)).roots
     assert np.allclose(roots, [-2, -1, 0, 1, 2], atol=1e-11)

@@ -136,7 +136,8 @@ def test_expsum_eval_matches_per_term_reference(case):
 # two bases sharing the entry sqrt(2), hence one generator value: the
 # generators kept for a sum over one are read by sums over the other
 SHARED_ENTRY = (FreqBasis((1.0, math.sqrt(2))), FreqBasis((math.sqrt(2), 0.5)))
-SIZES = (1, 7, CHUNK_POINTS, CHUNK_POINTS + 1)   # both sides of the kept size
+# both sides of the chunk size, and arrays of three balanced chunks
+SIZES = (1, 7, CHUNK_POINTS, CHUNK_POINTS + 1, 2 * CHUNK_POINTS + 1, 3 * CHUNK_POINTS - 1)
 
 
 def fresh_points(seed, size):
