@@ -3,14 +3,3 @@ structure, Bohr spectra, de Branges kernels, exact eta-product q-series,
 self-dual measures, and two-sided verification of summation identities."""
 
 __version__ = "0.1.0"
-
-from .freqalg import ExpSum, FreqBasis
-from .hermite import GridSpec, HermiteBiehler, ks_from_Q
-from .measures import DiscreteMeasure, FSPair
-from .qmodular import EtaProductSpec, QSeries, SelfDualSeries
-
-__all__ = [
-    "ExpSum", "FreqBasis", "GridSpec", "HermiteBiehler", "ks_from_Q",
-    "DiscreteMeasure", "FSPair", "EtaProductSpec", "QSeries",
-    "SelfDualSeries", "__version__",
-]

@@ -11,13 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
 
+# no command needs a second BLAS thread; OpenBLAS reads this once, as numpy loads
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
 from .freqalg import ExpSum
-from .hermite import HermiteBiehler, RootFindingError, ks_from_Q
+from .hermite import HermiteBiehler, RootFindingError, ks_from_Q, scan_step
 from .dbspace import kernel_closed, kernel_closed_eform, kernel_context, kernel_series
 from .measures import DiscreteMeasure, FSPair, pair_from_hb
 from .qmodular import EtaProductSpec, family_spec, fminus, fplus, to_fraction
@@ -30,11 +35,13 @@ class InputError(Exception):
     """Bad input or failed validation: exit code 2."""
 
 
-# work bounds, checked before any sample or test function exists: far above
-# the README's sizes (T = 2000, count 10) and the default T = 1e4 (640000
-# points), and far below runs of minutes
+# work bounds, checked before any sample, grid or test function exists: far
+# above the README's sizes (T = 2000, count 10), the default T = 1e4 (640000
+# points) and the widest scan window tested (+-50000.5 at span 1, 800009
+# grid points), and far below runs of minutes
 MAX_QUADRATURE_POINTS = 10 ** 8
 MAX_COUNT = 10 ** 4
+MAX_SCAN_GRID_POINTS = 4 * 10 ** 6
 
 
 def _provenance(command, config, seed):
@@ -81,6 +88,15 @@ def _load_hb(d) -> HermiteBiehler:
                      "(expected an H JSON or a pair JSON with meta.H)")
 
 
+def _check_scan(option, B, x0, x1):
+    """Refuse a root scan of B on [x0, x1] with more first-grid points than
+    MAX_SCAN_GRID_POINTS; the library's own scan rejects a nonfinite window."""
+    points = (x1 - x0) / scan_step(B) + 1
+    if math.isfinite(points) and points > MAX_SCAN_GRID_POINTS:
+        raise InputError(f"{option} needs {points:.3g} root-scan grid points, more "
+                         f"than the {MAX_SCAN_GRID_POINTS:,} allowed")
+
+
 def _worst_exit(reports):
     verdicts = {r.verdict for r in reports}
     return 0 if verdicts <= {"pass"} else 1
@@ -96,6 +112,7 @@ def cmd_ks(args):
         raise InputError(f"malformed Q JSON: {e}") from None
     H = ks_from_Q(Q)
     window = tuple(args.window)
+    _check_scan("--window", H.B, *window)
     pair = pair_from_hb(H, args.cutoff, window)
     pair.meta["H"] = H.to_json_dict()
     suite = gaussian_suite(args.count, seed=args.seed)
@@ -223,6 +240,10 @@ def cmd_kernel(args):
     for p in points:
         if p.imag <= 0:
             raise InputError(f"point {p} lies on or below the real axis")
+        # kernel_series' truncation tail 2/(R - |Re p|) needs the point inside
+        if abs(p.real) >= args.R:
+            raise InputError(f"point {p} lies at or beyond the window radius --R {args.R:g}")
+    _check_scan("--R", H.B, -args.R, args.R)
     ctx = kernel_context(H, args.R)
     entries = []
     ok = True

@@ -110,7 +110,8 @@ def kernel_series(ctx: KernelContext, w: complex, z: complex):
     Returns (value, tail_estimate): the one-signed truncation tail is
     bounded by |B(z) B(conj w)| * wbar * rho * 2/(R - a) / pi with wbar and
     rho the observed mean weight and root density and a the largest real
-    offset of the evaluation points.
+    offset of the evaluation points.  For a >= R there is no such bound and
+    the tail is inf, as for an empty window.
     """
     w = complex(w)
     z = complex(z)
@@ -129,8 +130,8 @@ def kernel_series(ctx: KernelContext, w: complex, z: complex):
     density = g.size / span if span > 0 else 1.0
     wbar = float(np.mean(ctx.weights))
     a = max(abs(z.real), abs(w.real))
-    eff = max(ctx.R - a, ctx.R / 2)
-    tail = abs(bb) * wbar * density * 2.0 / (math.pi * eff)
+    tail = abs(bb) * wbar * density * 2.0 / (math.pi * (ctx.R - a)) \
+        if a < ctx.R else math.inf
     return complex(val), float(tail)
 
 

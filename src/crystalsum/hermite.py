@@ -327,14 +327,21 @@ class RootScan:
     roots: list
 
 
+def scan_step(B: ExpSum) -> float:
+    """Step of the root scan's first grid: 1/(8*span), span = frequency
+    spread of B (a Bernstein-type density bound); inf for a monomial."""
+    span = B.freq_span()
+    return 1.0 / (8.0 * span) if span > 0.0 else math.inf
+
+
 def real_root_scan(B: ExpSum, interval) -> RootScan:
     """All real roots of a star-fixed sum on [x0, x1], or RootFindingError.
 
-    The grid has step 1/(8*span) (span = frequency spread of B, a
-    Bernstein-type density bound).  With L1 = sum |c| 2 pi |lam| >= sup|B'|
-    and L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of width h holds
-    no root when |B(a)| + |B(b)| > L1 h, and is monotone, so holds one root
-    exactly when B changes sign, when |B'(a)| + |B'(b)| > L2 h; both tests
+    The first grid has step `scan_step(B)`.  With L1 = sum |c| 2 pi |lam|
+    >= sup|B'| and L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of
+    width h holds no root when |B(a)| + |B(b)| > L1 h, and is monotone, so
+    holds one root exactly when B changes sign, when |B'(a)| + |B'(b)| >
+    L2 h; both tests
     also clear twice the rounding floor of B or B' on the window.  Any other
     cell is halved.  A sample with |B| at most its floor is a root itself
     when |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a
@@ -353,10 +360,9 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     if not -math.inf < x0 < x1 < math.inf:
         raise RootFindingError(
             f"scan interval must be finite and nonempty, got [{x0}, {x1}]")
-    span = B.freq_span()
-    if span <= 0.0:
+    step = scan_step(B)
+    if step == math.inf:
         return RootScan([])  # nonzero monomial never vanishes on R
-    step = 1.0 / (8.0 * span)
     steps = (x1 - x0) / step
     if not steps <= MAX_SCAN_POINTS:
         raise RootFindingError(

@@ -300,6 +300,9 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     # the root scan's grid bound
     ["kernel", "{H}", "--R", "1e8"],
     ["ks", "{q}", "--window", "-1e8", "1e8"],
+    # kernel points at or beyond the window radius have no tail bound
+    ["kernel", "{H}", "--points", "25,1", "--R", "20"],
+    ["kernel", "{H}", "--points", "1e300,1", "--R", "20"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -320,10 +323,37 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     argv = [a.format(**files) for a in argv]
     assert main(["--out", str(out), *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
-    if "1e8" in argv:  # the root-scan cap names its cause and its limit
-        assert "grid points" in err and "50,000,000" in err
+    if "1e8" in argv:  # the CLI's scan bound names the option and its limit
+        option = "--R" if "--R" in argv else "--window"
+        assert option in err and "grid points" in err
+        assert f"{cli.MAX_SCAN_GRID_POINTS:,}" in err
+    if "20" in argv:  # names the point and the radius
+        assert "point (" in err and "--R 20" in err
+
+
+@pytest.mark.parametrize("refused, accepted", [
+    (["ks", "{q}", "--window", "-10", "10"], ["ks", "{q}", "--window", "-6", "6"]),
+    (["kernel", "{H}", "--R", "10"], ["kernel", "{H}", "--R", "6"]),
+])
+def test_scan_bound_refuses_before_any_grid(tmp_path, capsys, monkeypatch, refused, accepted):
+    # at step 1/8, a window of width 20 needs 161 grid points and width 12 needs 97
+    monkeypatch.setattr(cli, "MAX_SCAN_GRID_POINTS", 100)
+    files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
+    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+    assert main(["--out", str(tmp_path / "ok"), *(a.format(**files) for a in accepted)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root scan started")
+    monkeypatch.setattr(cli, "pair_from_hb", refuse)
+    monkeypatch.setattr(cli, "kernel_context", refuse)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), *(a.format(**files) for a in refused)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {refused[2]} needs 161 root-scan grid points, more than " \
+                  "the 100 allowed\n"
+    assert not out.exists()
 
 
 def bad_validation_inputs(pair, H, q):

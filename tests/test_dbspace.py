@@ -90,6 +90,20 @@ def test_series_tail_shrinks_with_R():
     assert diffs[2] < 0.15 * diffs[1]
 
 
+def test_series_tail_near_the_window_edge_is_the_stated_bound():
+    ctx = poisson_ctx(20.0)
+    B, g = ctx.H.B, ctx.gammas
+    w = z = 19.0 + 1j  # a = 0.95 R
+    _, tail = kernel_series(ctx, w, z)
+    bb = abs(complex(B.eval(z)) * complex(B.eval(w.conjugate())))
+    density = g.size / (g[-1] - g[0])
+    expect = bb * float(np.mean(ctx.weights)) * density * 2.0 / (20.0 - 19.0) / math.pi
+    assert tail == pytest.approx(expect, rel=1e-12)
+    # at or beyond the window radius there is no bound
+    for x in (20.0, 25.0):
+        assert kernel_series(ctx, x + 1j, 1j)[1] == math.inf
+
+
 def test_series_single_root_rank_one():
     H = ks_from_Q(sine(HALF, (1,)))
     ctx = kernel_context(H, 0.4)   # only the root at 0

@@ -20,6 +20,7 @@ from crystalsum.hermite import (
     leeyang_trigpoly,
     phase_derivative,
     real_root_scan,
+    scan_step,
     split_AB,
 )
 
@@ -424,3 +425,10 @@ def test_root_scan_bisection_stops_where_no_bracket_can_shrink(monkeypatch):
         counts.append(calls[0])
     assert counts[1] <= counts[0]
     assert len(roots[0]) == len(roots[1])
+
+
+def test_scan_cap_refuses_before_any_grid_exists():
+    B = sine(HALF, (1,))
+    assert scan_step(B) == 1 / 8 and scan_step(monomial(HALF, (1,))) == math.inf
+    with pytest.raises(RootFindingError, match=r"1\.6e\+09 grid points .* 50,000,000 allowed"):
+        real_root_scan(B, (-1e8, 1e8))
