@@ -73,19 +73,30 @@ def _csv_text(provenance, header, rows):
 
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        d = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read JSON from {path}: {e}") from None
+    if not isinstance(d, dict):
+        raise InputError(f"{path} holds a JSON {type(d).__name__}, not an object")
+    return d
+
+
+def _read(reader, d, what):
+    """reader(d); a key, index or type that d lacks makes the input invalid.
+    The readers' ValueErrors name what is wrong, and main reports them."""
+    try:
+        return reader(d)
+    except (LookupError, TypeError, AttributeError) as e:
+        raise InputError(f"malformed {what} JSON: {e!r}") from None
 
 
 def _load_hb(d) -> HermiteBiehler:
-    if "E" in d:
-        return HermiteBiehler.from_json_dict(d)
-    meta = d.get("meta", {})
-    if "H" in meta:
-        return HermiteBiehler.from_json_dict(meta["H"])
-    raise InputError("input carries no Hermite-Biehler data "
-                     "(expected an H JSON or a pair JSON with meta.H)")
+    meta = d.get("meta")
+    h = d if "E" in d else meta.get("H") if isinstance(meta, dict) else None
+    if h is None:
+        raise InputError("input carries no Hermite-Biehler data "
+                         "(expected an H JSON or a pair JSON with meta.H)")
+    return _read(HermiteBiehler.from_json_dict, h, "Hermite-Biehler")
 
 
 def _check_scan(option, B, x0, x1):
@@ -105,11 +116,7 @@ def _worst_exit(reports):
 # -- commands -----------------------------------------------------------------
 
 def cmd_ks(args):
-    qd = _load_json(args.q_json)
-    try:
-        Q = ExpSum.from_json_dict(qd)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed Q JSON: {e}") from None
+    Q = _read(ExpSum.from_json_dict, _load_json(args.q_json), "Q")
     H = ks_from_Q(Q)
     window = tuple(args.window)
     _check_scan("--window", H.B, *window)
@@ -159,7 +166,16 @@ def cmd_eta(args):
     prov = _provenance("eta", vars(args), args.seed)
     rel = series.relative_coefficients()
     rows = [(j, c.numerator, c.denominator) for j, c in enumerate(rel)]
-    csv_text = _csv_text(prov, ("n", "numerator", "denominator"), rows)
+    # the exact coefficients are results, not input: Python's digit limit on
+    # int -> str (3.10.7 on) is lifted while they are written, and only then
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        csv_text = _csv_text(prov, ("n", "numerator", "denominator"), rows)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     window = tuple(args.window)
     m = selfdual_measure(series, window)
     mjson = m.to_json_dict()
@@ -237,6 +253,10 @@ def cmd_kernel(args):
     d = _load_json(args.input)
     H = _load_hb(d)
     points = _parse_points(args.points) or [1j, 1 + 2j]
+    # each (w, z) entry costs about 0.4 ms: at most MAX_COUNT entries
+    if len(points) > math.isqrt(MAX_COUNT):
+        raise InputError(f"--points takes at most {math.isqrt(MAX_COUNT)} points "
+                         f"({MAX_COUNT} kernel entries), got {len(points)}")
     for p in points:
         if p.imag <= 0:
             raise InputError(f"point {p} lies on or below the real axis")
@@ -270,11 +290,7 @@ def cmd_kernel(args):
 
 
 def cmd_selfdual(args):
-    d = _load_json(args.input)
-    try:
-        m = DiscreteMeasure.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed measure JSON: {e}") from None
+    m = _read(DiscreteMeasure.from_json_dict, _load_json(args.input), "measure")
     if m.dual_sign is None:
         raise InputError("measure JSON carries no dual_sign tag")
     tol = args.tol if args.tol is not None else 1e-6
@@ -289,11 +305,7 @@ def cmd_selfdual(args):
 
 
 def cmd_pair_check(args):
-    d = _load_json(args.input)
-    try:
-        pair = FSPair.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed pair JSON: {e}") from None
+    pair = _read(FSPair.from_json_dict, _load_json(args.input), "pair")
     tol = args.tol if args.tol is not None else 1e-6
     suite = gaussian_suite(args.count, seed=args.seed)
     reports = [check_pair(pair, tf, tol) for tf in suite]

@@ -156,16 +156,3 @@ def sampling_eval(ctx: KernelContext, samples: dict, z: complex) -> complex:
     B = ctx.H.B
     bpv = B.derivative().eval(g).real
     return complex(B.eval(z) * np.sum(F / (bpv * (z - g))))
-
-
-def e1_transform(ctx: KernelContext, beta: float, p: complex):
-    """E1 = e^{i beta}(E - conj(p) E*)/sqrt(1-|p|^2), |p| < 1.
-
-    Every such E1 generates the same space and the same kernel; exposed for
-    the kernel-invariance property tests.
-    """
-    if abs(p) >= 1:
-        raise ValueError("|p| must be < 1")
-    E = ctx.H.E
-    c = complex(np.exp(1j * beta)) / math.sqrt(1 - abs(p) ** 2)
-    return (E - complex(p).conjugate() * E.star()) * c

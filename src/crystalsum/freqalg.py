@@ -43,7 +43,6 @@ not verified here.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -103,6 +102,14 @@ class FreqBasis:
         v = [0] * len(self.base)
         v[j] = mult
         return tuple(v)
+
+
+def complex_from_json(v) -> complex:
+    """complex(re, im) from a JSON pair [re, im] of numbers; ValueError otherwise."""
+    if not (isinstance(v, list) and len(v) == 2
+            and all(type(x) in (int, float) for x in v)):
+        raise ValueError(f"expected a pair [re, im] of numbers, got {v!r}")
+    return complex(v[0], v[1])
 
 
 def _vec_add(a, b):
@@ -334,16 +341,12 @@ class ExpSum:
 
     @classmethod
     def from_json_dict(cls, d):
-        basis = FreqBasis(tuple(d["basis"]), d.get("denominator", 1))
-        terms = {tuple(t["k"]): complex(t["c"][0], t["c"][1]) for t in d["terms"]}
-        return cls(basis, terms)
-
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json_dict(json.loads(s))
+        den = d.get("denominator", 1)
+        if type(den) is not int or not all(type(k) is int for t in d["terms"] for k in t["k"]):
+            raise ValueError("the denominator and every frequency vector entry "
+                             "must be JSON integers")
+        basis = FreqBasis(tuple(d["basis"]), den)
+        return cls(basis, {tuple(t["k"]): complex_from_json(t["c"]) for t in d["terms"]})
 
 
 class _HornerPlan:
@@ -464,19 +467,7 @@ def constant(basis, c):
     return ExpSum(basis, {basis.zero_vec(): c})
 
 
-def monomial(basis, vec, c=1.0):
-    """c * e^{2 pi i freq(vec) z}."""
-    return ExpSum(basis, {tuple(vec): c})
-
-
-def cosine(basis, vec, amplitude=1.0):
-    """amplitude * cos(2 pi freq(vec) x) as an exponential sum."""
-    a = amplitude / 2.0
-    return ExpSum(basis, {tuple(vec): a, _vec_neg(tuple(vec)): a})
-
-
 def sine(basis, vec, amplitude=1.0):
     """amplitude * sin(2 pi freq(vec) x) as an exponential sum."""
     a = amplitude / 2j
     return ExpSum(basis, {tuple(vec): a, _vec_neg(tuple(vec)): -a})
-

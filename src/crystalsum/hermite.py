@@ -437,18 +437,3 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
         x = np.where(ok, cand, x)
     found.append(x)
     return RootScan(np.sort(np.concatenate(found)).tolist())
-
-
-def phase_derivative(H, x):
-    """phi'(x) = Re(i E'(x)/E(x)); positive on R for Hermite-Biehler E.
-
-    Accepts a HermiteBiehler or a bare ExpSum; x may be scalar or ndarray.
-    Raises when |E(x)| underflows the degeneracy floor (real zero of E).
-    """
-    E = H.E if isinstance(H, HermiteBiehler) else H
-    Ev = E.eval(x)
-    scale = sum(abs(c) for _, _, c in E.sorted_terms())
-    if np.min(np.abs(Ev)) < 1e-12 * scale:
-        raise ValueError("E(x) is numerically zero; strip real zeros first")
-    val = (1j * E.derivative().eval(x) / Ev).real
-    return val if np.ndim(x) else float(val)

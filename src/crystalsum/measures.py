@@ -1,4 +1,4 @@
-"""Discrete measures, summation pairs, and the Herglotz/Poisson evaluator.
+"""Discrete measures, summation pairs, and the Herglotz kernel residual.
 
 A DiscreteMeasure is a finite, window-truncated set of weighted atoms on
 the real line, stored as sorted position and weight arrays.  Positions are
@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .freqalg import complex_from_json
 from .hermite import HermiteBiehler, RootFindingError, real_root_scan
 from .spectra import exact_spectrum
 
@@ -39,6 +40,11 @@ class SqrtProvenance:
     n: int
     b: int
     N: int
+
+    def __post_init__(self):
+        if not (all(type(v) is int for v in (self.n, self.b, self.N))
+                and self.n >= 0 and self.b >= 1 and self.N >= 1):
+            raise ValueError(f"{self} needs integers n >= 0, b >= 1 and N >= 1")
 
     def radicand_key(self):
         """(n/(b s), N') for N = s^2 N' with N' squarefree: equal positions, equal keys."""
@@ -239,9 +245,11 @@ class DiscreteMeasure:
             if "prov" in rec:
                 p = rec["prov"]
                 prov = SqrtProvenance(p["n"], p["b"], p["N"])
-            atoms.append(Atom(rec["x"], complex(rec["w"][0], rec["w"][1]), prov))
-        return cls(atoms, d["window"], d.get("nonneg", False),
-                   d.get("dual_sign"))
+            atoms.append(Atom(rec["x"], complex_from_json(rec["w"]), prov))
+        sign = d.get("dual_sign")
+        if not (sign is None or type(sign) is int and sign in (1, -1)):
+            raise ValueError(f"dual_sign must be 1, -1 or null, got {sign!r}")
+        return cls(atoms, d["window"], d.get("nonneg", False), sign)
 
 
 @dataclass
@@ -267,10 +275,14 @@ class FSPair:
 
     @classmethod
     def from_json_dict(cls, d):
+        meta = d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {meta!r}")
+        antipodal = meta.get("real_antipodal", False)
+        if not isinstance(antipodal, bool):
+            raise ValueError(f"real_antipodal must be true or false, got {antipodal!r}")
         return cls(DiscreteMeasure.from_json_dict(d["mu"]),
-                   DiscreteMeasure.from_json_dict(d["a"]),
-                   d.get("meta", {}),
-                   d.get("meta", {}).get("real_antipodal", False))
+                   DiscreteMeasure.from_json_dict(d["a"]), meta, antipodal)
 
 
 # -- construction from Hermite-Biehler data ----------------------------------
@@ -332,29 +344,6 @@ def pair_from_hb(H: HermiteBiehler, cutoff, window) -> FSPair:
 
 # -- Herglotz representation -------------------------------------------------
 
-def herglotz_eval(mu: DiscreteMeasure, h: float, z: complex) -> complex:
-    """ih + (1/2 pi i) sum w (1+gamma z)/((gamma-z)(1+gamma^2)).
-
-    The Poisson-type compensated kernel keeps the sum convergent for
-    measures of quadratic growth; for nonnegative mu the real part is
-    positive on the upper half-plane.
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("herglotz evaluation requires Im z > 0")
-    g = mu.positions()
-    if g.size and np.min(np.abs(g - z)) < 1e-9:
-        raise ValueError("z is too close to an atom")
-    w = mu.weights()
-    s = np.sum(w * (1 + g * z) / ((g - z) * (1 + g * g))) if g.size else 0j
-    return 1j * h + s / (2j * math.pi)
-
-
-def fit_h(mu: DiscreteMeasure, f_at_i: complex) -> float:
-    """Real constant making the compensated sum match f at z = i."""
-    return float((f_at_i - herglotz_eval(mu, 0.0, 1j)).imag)
-
-
 def herglotz_kernel_residual(mu: DiscreteMeasure, f, w: complex,
                              z: complex) -> float:
     """| (f(z)+conj(f(w)))/(z-conj w) - (1/2 pi i) sum w_g/((z-g)(conj w-g)) |.
@@ -391,19 +380,6 @@ def _records(mu: DiscreteMeasure, w, keep):
     return [(x, wi, p) for x, wi, p, k in zip(mu.x, w, mu.prov, keep) if k]
 
 
-def signed_split(mu: DiscreteMeasure):
-    """Positive/negative parts of a real measure: mu = plus - minus.
-
-    Complex measures must first be separated into real and imaginary parts
-    (see antipodal_split); complex weights are an error here.
-    """
-    if np.any(np.abs(mu.w.imag) > 1e-12 * (1 + np.abs(mu.w))):
-        raise ValueError("signed_split requires real weights")
-    re = mu.w.real
-    return (DiscreteMeasure(_records(mu, re, re > 0), mu.window, nonneg=True),
-            DiscreteMeasure(_records(mu, -re, re < 0), mu.window, nonneg=True))
-
-
 def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
     """Split a complex pair into two real-antipodal pairs.
 
@@ -423,38 +399,3 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
     mu2 = DiscreteMeasure(_records(mu, -mu.w.imag, mu.w.imag != 0), mu.window)
     return ((mu1, half_sum(0.5 * a.w, 0.5 * a.w.conj())),
             (mu2, half_sum(0.5j * a.w, -0.5j * a.w.conj())))
-
-
-# -- degree probe -------------------------------------------------------------
-
-_PROBE_STAGES = 8  # expanding windows of degree_probe
-
-
-def degree_probe(mu: DiscreteMeasure, n: int) -> dict:
-    """Partial sums of sum |w|/(1+x^2)^{n/2} over expanding windows.
-
-    A truncated window can only exhibit trends, so the verdict is either
-    'convergent-at-window-scale' or 'divergent trend', with the staged
-    sums included for inspection.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    xs = np.abs(mu.positions())
-    ws = np.abs(mu.weights())
-    X = max(xs.max() if xs.size else 0.0, 1.0)
-    edges = np.linspace(X / _PROBE_STAGES, X, _PROBE_STAGES)
-    sums = []
-    for e in edges:
-        sel = xs <= e
-        sums.append(float(np.sum(ws[sel] / (1 + xs[sel] ** 2) ** (n / 2.0))))
-    increments = np.diff([0.0] + sums)
-    total = sums[-1] if sums else 0.0
-    converged = bool(total == 0.0
-                     or increments[-1] <= max(0.02 * total, 1e-12))
-    if len(increments) >= 3 and increments[-1] > increments[-3] > 0:
-        converged = False
-    return {"verdict": "convergent-at-window-scale" if converged
-            else "divergent trend",
-            "exponent": n,
-            "window_edges": [float(e) for e in edges],
-            "partial_sums": sums}

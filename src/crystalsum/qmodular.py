@@ -8,8 +8,8 @@ constructions) runs on one integer kernel of plain Python `int` lists,
 and each Fraction is built once, at the end.  A `SelfDualSeries` reads a
 `QSeries` at integer frequency indices.
 
-The module provides the Dedekind eta expansion as a theta series,
-eta-products over the divisors of a level N with rational exponents r_d
+The module provides eta-products over the divisors of a level N, each
+factor expanded by the pentagonal theorem, with rational exponents r_d
 subject to  r_d = r_{N/d},  sum r_d = 1,  sum d r_d = 24k/b,  the modular
 lambda-invariant, and the two self-dual series constructions built from
 them (a plus family invariant under  F(z) -> sqrt(i/z) F(-1/z)  and a
@@ -23,13 +23,10 @@ coefficient of w from the earlier ones by an exact integer division.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 # the coefficient type; benchmark reports name the backend as type(QQ(1))
 QQ = Fraction
@@ -270,13 +267,6 @@ class QSeries:
         return cls({Fraction(t["e"]): QQ(t["c"]) for t in d["terms"]},
                    Fraction(d["order"]))
 
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json_dict(json.loads(s))
-
 
 MAX_TERMS = 10 ** 6  # the longest coefficient list an order may ask for
 
@@ -328,28 +318,6 @@ def chi12(n: int) -> int:
     if m in (5, 7):
         return -1
     return 0
-
-
-def eta_expansion(order, scale=Fraction(1)) -> QSeries:
-    """Theta expansion of eta(scale*z): sum_{n>=1} chi12(n) q^{scale n^2/24}.
-
-    Exact; only exponents below `order` are kept.
-    """
-    order = to_fraction(order)
-    scale = to_fraction(scale)
-    if scale <= 0:
-        raise ValueError("exponent scale must be positive")
-    terms = {}
-    n = 1
-    while True:
-        e = scale * n * n / 24
-        if e >= order:
-            break
-        c = chi12(n)
-        if c:
-            terms[e] = QQ(c)
-        n += 1
-    return QSeries(terms, order)
 
 
 # -- integer lattice kernel -------------------------------------------------
@@ -582,13 +550,6 @@ class SelfDualSeries:
         n0, step = int(self.denom * s.lead), int(self.denom * s.unit)
         self.entries = [(n0 + j * step, c) for j, c in enumerate(s.coeffs) if c]
 
-    def frequency(self, n) -> float:
-        """gamma_n = n / (denom * sqrt(N))."""
-        return n / (self.denom * math.sqrt(self.N))
-
-    def frequencies(self):
-        return [(n, self.frequency(n)) for n, _ in self.entries]
-
     def coefficient(self, n):
         return self.series.coefficient(Fraction(n, self.denom))
 
@@ -612,7 +573,7 @@ class SelfDualSeries:
         the last stored entries (individual ratios are useless when a
         coefficient happens to be near zero), padded by 10%, and combined
         with the nome modulus per index step.  Returns inf when the ratio
-        test fails at this height.
+        test fails at this height, or when the bound leaves double range.
         """
         y = complex(z).imag
         if y <= 0:
@@ -630,13 +591,15 @@ class SelfDualSeries:
         else:
             growth = 1.0
         growth *= 1.1
-        rho1 = math.exp(-2 * math.pi * y / (self.denom * math.sqrt(self.N)))
-        q_eff = rho1 * growth
+        log_rho1 = -2 * math.pi * y / (self.denom * math.sqrt(self.N))
+        q_eff = math.exp(log_rho1) * growth
         if q_eff >= 1.0:
             return math.inf
         n_last = self.entries[-1][0]
-        lead = m2 * growth ** max(n_last - n2, 0) \
-            * rho1 ** n_last
+        # m2 growth^(n_last - n2) rho1^n_last, in log space: across the gaps
+        # of a sparse series one factor overflows while the other underflows
+        log_lead = math.log(m2) + max(n_last - n2, 0) * math.log(growth) + n_last * log_rho1
+        lead = math.exp(log_lead) if log_lead < 709.0 else math.inf
         return lead * q_eff / (1.0 - q_eff)
 
 
@@ -686,22 +649,3 @@ def family_l(l, order):
     spec = family_spec(l)
     plus = fplus(spec, order)
     return spec, plus, fminus(spec, order, plus.series)  # one eta product for both
-
-
-# -- arithmetic progression probe -------------------------------------------
-
-def progression_hits(c, progression, nmax, tol=1e-9) -> int:
-    """Count n in [0, nmax] with sqrt(c+n) within tol of {start + k*step, k>=0}.
-
-    For irrational c the count is at most 2 for any infinite arithmetic
-    progression; rational c can embed a full progression, e.g. c = 1/9
-    contains 3m + 1/3 at n = 9m^2 + 2m.
-    """
-    start, step = progression
-    if step <= 0:
-        raise ValueError("progression step must be positive")
-    n = np.arange(0, int(nmax) + 1, dtype=float)
-    x = np.sqrt(float(c) + n)
-    k = np.maximum(np.round((x - start) / step), 0.0)
-    dist = np.abs(x - (start + k * step))
-    return int(np.count_nonzero(dist <= tol))

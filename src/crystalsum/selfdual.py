@@ -21,9 +21,6 @@ import math
 from .measures import Atom, DiscreteMeasure, SqrtProvenance
 from .qmodular import SelfDualSeries
 
-__all__ = ["SelfDualSeries", "selfdual_measure",
-           "functional_equation_residual", "sqrt_i_over_z"]
-
 
 def sqrt_i_over_z(z: complex) -> complex:
     """Principal sqrt(i/z): positive on the imaginary axis, continuous on H."""

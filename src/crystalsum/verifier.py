@@ -18,12 +18,11 @@ atoms, neither pass nor fail would be honest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import DiscreteMeasure, FSPair, herglotz_tail_bound, window_tail
+from .measures import DiscreteMeasure, FSPair, window_tail
 from .selfdual import sqrt_i_over_z
 
 
@@ -261,41 +260,6 @@ def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6,
             {"check": "selfdual", "sign": m.dual_sign, "tol": tol,
              "test_function": _tf_params(tf)}))
     return reports
-
-
-def fejer_identity_check(pair: FSPair, w: complex, z: complex,
-                         T: float) -> VerificationReport:
-    """Tapered coefficient sum against the kernel sum of the measure.
-
-    lhs = sum_{|lambda|<T} a(lambda) g(w,z,lambda)(1-|lambda|/T) with
-    g(w,z,x) = (e^{-2 pi i conj(w)|x|} [x<0] + e^{2 pi i z|x|} [x>=0])/(z - conj w);
-    rhs = (1/2 pi i) sum w_gamma/((gamma-z)(gamma-conj w)).  The reported
-    lhs tail is the O(1/T) taper scale, the rhs tail the window bound of
-    the kernel integrand (`herglotz_tail_bound`).  An empty measure gives
-    "inconclusive".
-    """
-    w = complex(w)
-    z = complex(z)
-    if w.imag <= 0 or z.imag <= 0:
-        raise ValueError("both points must lie in the upper half-plane")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    wb = w.conjugate()
-    inside = np.abs(pair.a.x) < T
-    lam = pair.a.x[inside]
-    aw = pair.a.w[inside]
-    ax = np.abs(lam)
-    gval = np.where(lam < 0, np.exp(-2j * math.pi * wb * ax),
-                    np.exp(2j * math.pi * z * ax)) / (z - wb)
-    lhs = complex(np.sum(aw * gval * (1 - ax / T)))
-    taper_scale = float(np.sum(np.abs(aw) * np.abs(gval) * ax / T))
-    g = pair.mu.x
-    rhs = complex(np.sum(pair.mu.w / ((g - z) * (g - wb)))) / (2j * math.pi)
-    # the taper error of an isolated atom is O(lambda/T); report its scale
-    return _report(lhs, rhs, (taper_scale, herglotz_tail_bound(pair.mu, w, z)),
-                   len(pair.mu), max(10 * taper_scale, 1e-12),
-                   {"check": "fejer-kernel", "T": T, "w": [w.real, w.imag],
-                    "z": [z.real, z.imag]})
 
 
 _SUITE_Y = (0.5, 3.0)       # range of Im z in gaussian_suite

@@ -3,14 +3,15 @@
 `mul` and `qpow` are the general-rational recurrences that `QSeries.__mul__`
 and `qmodular.qpow` ran on before both moved to the integer kernel: a
 convolution of Fractions, and the log-derivative recurrence in Fractions.
-They share no arithmetic with the kernel, so the tests use them as its
-oracle.  The file name keeps pytest from collecting it.
+`eta_expansion` is the theta series of eta that the eta constructions
+start from.  They share no arithmetic with the kernel, so the tests use
+them as its oracle.  The file name keeps pytest from collecting it.
 """
 
 from fractions import Fraction
 
 from crystalsum.qmodular import (QQ, QSeries, _frac_gcd, _lattice_len, _nth_root_exact,
-                                 to_fraction)
+                                 chi12, to_fraction)
 
 _QQ_ZERO = QQ(0)
 _QQ_ONE = QQ(1)
@@ -83,3 +84,25 @@ def qpow(u: QSeries, r) -> QSeries:
             s += (rp1 * e - E) * ve * w[E - e]
         w[E] = s / E
     return QSeries.on_lattice(e0 * r, u.unit, [c0r * c for c in w], e0 * r + rel_order)
+
+
+def eta_expansion(order, scale=Fraction(1)) -> QSeries:
+    """Theta expansion of eta(scale*z): sum_{n>=1} chi12(n) q^{scale n^2/24}.
+
+    Exact; only exponents below `order` are kept.
+    """
+    order = to_fraction(order)
+    scale = to_fraction(scale)
+    if scale <= 0:
+        raise ValueError("exponent scale must be positive")
+    terms = {}
+    n = 1
+    while True:
+        e = scale * n * n / 24
+        if e >= order:
+            break
+        c = chi12(n)
+        if c:
+            terms[e] = QQ(c)
+        n += 1
+    return QSeries(terms, order)

@@ -34,17 +34,14 @@ from fractions import Fraction as F
 import numpy as np
 
 from crystalsum.dbspace import kernel_closed, kernel_context, kernel_series, sampling_eval
-from crystalsum.freqalg import FreqBasis, monomial, sine
+from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import (
     HermiteBiehler,
     is_hermite_biehler,
     ks_from_Q,
     leeyang_real_form,
-    phase_derivative,
 )
 from crystalsum.measures import (
-    fit_h,
-    herglotz_eval,
     herglotz_kernel_residual,
     herglotz_tail_bound,
     pair_from_hb,
@@ -56,11 +53,11 @@ from crystalsum.qmodular import (
     family_l,
     fplus,
     lambda_invariant,
-    progression_hits,
 )
 from crystalsum.selfdual import functional_equation_residual, selfdual_measure
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct, mean_value_batch
 from crystalsum.verifier import TestFunction, check_pair, check_selfdual, gaussian_suite
+from probes import fit_h, herglotz_eval, monomial, phase_derivative, progression_hits
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))

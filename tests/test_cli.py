@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import ks_from_Q, leeyang_real_form
 from crystalsum.measures import DiscreteMeasure, pair_from_hb
+from crystalsum.qmodular import fplus
 from crystalsum.spectra import exact_spectrum
 
 
@@ -87,6 +90,37 @@ def test_eta_guinand_csv_and_reports(tmp_path):
     assert measure["dual_sign"] == 1
     xs = [a["x"] for a in measure["atoms"]]
     assert any(abs(x - math.sqrt(1 / 9)) < 1e-12 for x in xs)
+
+
+def test_eta_writes_coefficients_past_the_int_digit_limit(tmp_path):
+    # Guinand at order 1000 has 714-digit numerators; the limit guards the
+    # parsing of input, not the writing of the program's exact results
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GUINAND_SPEC))
+    out = tmp_path / "run"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc = main(["--out", str(out), "eta", "--spec-json", str(spec), "--order", "1000"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 0
+    rows = (out / "series.csv").read_text().splitlines()[2:]
+    exact = fplus(qmodular.EtaProductSpec(4, {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)}),
+                  F(1000)).relative_coefficients()
+    assert max(len(str(c.numerator)) for c in exact) > 640
+    assert rows == [f"{j},{c.numerator},{c.denominator}" for j, c in enumerate(exact)]
+
+
+def test_eta_sparse_series_tail_stays_finite(tmp_path):
+    # 110 entries up to n = 47961: the tail bound's lead term used to
+    # overflow in growth^(gap) and end the run with exit 2
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "eta", "--family-l", "1", "--order", "6000"]) == 0
+    report = json.loads((out / "selfdual_report.json").read_text())
+    assert report["all_pass"] is True
+    assert all(isinstance(v, float) for v in report["functional_equation_residuals"].values())
 
 
 def test_eta_poisson_theta_csv(tmp_path):
@@ -303,6 +337,23 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     # kernel points at or beyond the window radius have no tail bound
     ["kernel", "{H}", "--points", "25,1", "--R", "20"],
     ["kernel", "{H}", "--points", "1e300,1", "--R", "20"],
+    # malformed JSON: a wrong shape or type, each read where the JSON is read
+    ["ks", "{q_c_short}"],
+    ["ks", "{q_den_float}"],
+    ["pair-check", "{pair_w_short}"],
+    ["pair-check", "{pair_meta_str}"],
+    ["pair-check", "{pair_antipodal_str}"],
+    ["selfdual", "{measure_sign_str}"],
+    ["selfdual", "{measure_sign_list}"],
+    ["selfdual", "{measure_sign_2}"],
+    ["selfdual", "{measure_sign_true}"],
+    ["selfdual", "{measure_prov_b0}"],
+    ["spectrum", "{top_list}"],
+    ["kernel", "{top_list}"],
+    ["spectrum", "{pair_E_c_short}"],
+    ["kernel", "{pair_E_c_short}"],
+    # the kernel's work bound: 101 points are 10201 (w, z) entries
+    ["kernel", "{H}", "--points", *["0,1"] * 101],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -311,11 +362,12 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files["H"].write_text(json.dumps(H.to_json_dict()))
     files["pair"].write_text(json.dumps(pair_from_hb(H, 4.0, (-4.5, 4.5))
                                         .to_json_dict()))
-    files["measure"].write_text(json.dumps(
-        DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()))
+    measure = DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()
+    files["measure"].write_text(json.dumps(measure))
     bad = {**BAD_ETA_SPECS, "guinand": json.dumps(GUINAND_SPEC),
            **bad_validation_inputs(json.loads(files["pair"].read_text()),
-                                   H.to_json_dict(), json.loads(Path(files["q"]).read_text()))}
+                                   H.to_json_dict(), json.loads(Path(files["q"]).read_text()),
+                                   measure)}
     for name, text in bad.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
@@ -356,21 +408,41 @@ def test_scan_bound_refuses_before_any_grid(tmp_path, capsys, monkeypatch, refus
     assert not out.exists()
 
 
-def bad_validation_inputs(pair, H, q):
-    """JSON texts: pairs whose meta.H has a bad grid or a NaN in E, and a Q
-    with a NaN coefficient (json writes them as Infinity and NaN)."""
+def bad_validation_inputs(pair, H, q, measure):
+    """JSON texts: pairs whose meta.H has a bad grid or a NaN in E, a Q with
+    a NaN coefficient (json writes them as Infinity and NaN), and Q, pair,
+    H and measure JSON with a value of the wrong shape or type."""
     def pair_with(edit):
         h = json.loads(json.dumps(H))
         edit(h)
         return json.dumps({**pair, "meta": {**pair["meta"], "H": h}})
+
+    def edited(d, edit):
+        d = json.loads(json.dumps(d))
+        edit(d)
+        return json.dumps(d)
     grid = lambda **kw: lambda h: h["certificate"]["grid"].update(kw)
-    nan_q = json.loads(json.dumps(q))
-    nan_q["terms"][0]["c"] = [math.nan, -0.5]
+    prov = {"form": "sqrt", "n": 1, "b": 0, "N": 4}
     return {"pair_inf_grid": pair_with(grid(x=[-math.inf, math.inf])),
             "pair_nx_frac": pair_with(grid(nx=2.5)),
             "pair_nx_str": pair_with(grid(nx="400")),
             "pair_nan_E": pair_with(lambda h: h["E"]["terms"][0].update(c=[math.nan, 0.0])),
-            "q_nan": json.dumps(nan_q)}
+            "q_nan": edited(q, lambda d: d["terms"][0].update(c=[math.nan, -0.5])),
+            "q_c_short": edited(q, lambda d: d["terms"][0].update(c=[0.0])),
+            "q_den_float": edited(q, lambda d: d.update(denominator=1.5)),
+            "pair_w_short": edited(pair, lambda d: d["mu"]["atoms"][0].update(w=[1.0])),
+            "pair_meta_str": edited(pair, lambda d: d.update(meta="x")),
+            "pair_antipodal_str": edited(pair, lambda d: d["meta"].update(real_antipodal="no")),
+            "pair_E_c_short": pair_with(lambda h: h["E"]["terms"][0].update(c=[1.0])),
+            "measure_sign_str": edited(measure, lambda d: d.update(dual_sign="1")),
+            "measure_sign_list": edited(measure, lambda d: d.update(dual_sign=[1])),
+            "measure_sign_2": edited(measure, lambda d: d.update(dual_sign=2)),
+            "measure_sign_true": edited(measure, lambda d: d.update(dual_sign=True)),
+            # two atoms, so that merging compares their radicands
+            "measure_prov_b0": edited(measure, lambda d: d.update(atoms=[
+                {"x": -0.5, "w": [1.0, 0.0], "prov": prov},
+                {"x": 0.5, "w": [1.0, 0.0], "prov": prov}])),
+            "top_list": "[1]"}
 
 
 @pytest.mark.parametrize("lam", ["1.4142135624", "1.41421356237",

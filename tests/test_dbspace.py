@@ -5,15 +5,15 @@ import pytest
 
 from crystalsum.dbspace import (
     KernelContext,
-    e1_transform,
     kernel_closed,
     kernel_closed_eform,
     kernel_context,
     kernel_series,
     sampling_eval,
 )
-from crystalsum.freqalg import FreqBasis, monomial, sine
+from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, split_AB
+from probes import e1_transform, monomial
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -12,10 +13,9 @@ from crystalsum.freqalg import (
     ExpSum,
     FreqBasis,
     constant,
-    cosine,
-    monomial,
     sine,
 )
+from probes import cosine, monomial
 
 HALF = FreqBasis((0.5,))        # frequencies in (1/2)Z
 UNIT = FreqBasis((1.0,))        # frequencies in Z
@@ -189,7 +189,7 @@ def test_merging_is_exact_not_floating():
 def test_json_round_trip():
     basis = FreqBasis((1.0, math.sqrt(2)), denominator=2)
     f = ExpSum(basis, {(1, 0): 1 + 2j, (0, -3): -0.5j})
-    g = ExpSum.loads(f.dumps())
+    g = ExpSum.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
     assert g == f
 
 

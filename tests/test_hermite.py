@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import ExpSum, FreqBasis, cosine, monomial, sine
+from crystalsum.freqalg import ExpSum, FreqBasis, sine
 from crystalsum.hermite import (
     GridSpec,
     HermiteBiehler,
@@ -18,11 +18,11 @@ from crystalsum.hermite import (
     ks_from_Q,
     leeyang_real_form,
     leeyang_trigpoly,
-    phase_derivative,
     real_root_scan,
     scan_step,
     split_AB,
 )
+from probes import cosine, monomial, phase_derivative
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import FreqBasis, monomial, sine
+from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import (
     HermiteBiehler,
     RootFindingError,
@@ -18,18 +18,15 @@ from crystalsum.measures import (
     FSPair,
     SqrtProvenance,
     antipodal_split,
-    degree_probe,
-    fit_h,
     fit_tail_model,
-    herglotz_eval,
     herglotz_kernel_residual,
     herglotz_tail_bound,
     measure_from_phase,
     pair_from_hb,
-    signed_split,
     window_tail,
 )
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct
+from probes import degree_probe, fit_h, herglotz_eval, monomial
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
@@ -265,24 +262,6 @@ def test_round_trip_fejer_vs_herglotz():
         lhs = fejer_reconstruct(spec, a0, cutoff, z)
         rhs = herglotz_eval(pair.mu, h, z)
         assert abs(lhs - rhs) <= 1e-4
-
-
-def test_signed_split():
-    mu = DiscreteMeasure([(0.0, 1.0), (1.0, -1.0)], (-1, 2))
-    plus, minus = signed_split(mu)
-    assert plus.weight_at(0.0) == 1.0 and len(plus) == 1
-    assert minus.weight_at(1.0) == 1.0 and len(minus) == 1
-    # recombination is exact
-    for at in mu:
-        assert (plus.weight_at(at.x) - minus.weight_at(at.x)) == at.w
-    with pytest.raises(ValueError):
-        signed_split(DiscreteMeasure([(0.0, 1j)], (-1, 1)))
-
-
-def test_signed_split_all_positive():
-    mu = comb(2 * math.pi, 3)
-    plus, minus = signed_split(mu)
-    assert len(plus) == len(mu) and len(minus) == 0
 
 
 def test_antipodal_split_quarter_shift_pair():

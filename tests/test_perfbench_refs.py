@@ -7,6 +7,10 @@ with `ast` (nothing there is imported or run) and resolves each reference:
 * `mod.name[.name...]` attribute chains on a crystalsum module;
 * `cls.__dict__["name"]` lookups on such a chain;
 * `(owner, "name", ...)` tuples, the form its wrapper tables take.
+
+The same references bound the library from the other side: every public
+name of `src/crystalsum` must be named by other code in `src/` or reached
+by one of them, so code that only tests call lives with the tests.
 """
 
 import ast
@@ -103,3 +107,59 @@ def test_the_benchmark_reaches_the_library():
 @pytest.mark.parametrize("ref", sorted(REFS))
 def test_perfbench_reference_resolves(ref):
     _resolve(*REFS[ref])
+
+
+# -- the library keeps no test-only code -------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "crystalsum"
+
+
+def _public_definitions(tree):
+    """(name, statement) for each module-level public function, class and constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        yield from ((n, stmt) for n in names if not n.startswith("_"))
+
+
+def _names_read(stmt):
+    """Every name a statement reads, imports or takes as an attribute."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unreached_names():
+    """'module.name' for each public name of src/crystalsum that no other
+    top-level statement of src/ names and no benchmark reference reaches."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    reads = [(id(stmt), _names_read(stmt)) for t in trees.values() for stmt in t.body]
+    out = []
+    for module, tree in trees.items():
+        for name, stmt in _public_definitions(tree):
+            key = f"crystalsum.{module}.{name}"
+            if any(name in names for sid, names in reads if sid != id(stmt)):
+                continue
+            if any(ref == key or ref.startswith(key + ".") for ref in REFS):
+                continue
+            out.append(f"{module}.{name}")
+    return out
+
+
+def test_every_public_name_is_reached_from_src_or_the_benchmark():
+    # a parser that finds nothing would pass vacuously
+    assert sum(1 for p in SRC.glob("*.py")
+               for _ in _public_definitions(ast.parse(p.read_text()))) >= 60
+    unreached = unreached_names()
+    assert not unreached, f"only tests reach {unreached}: move them to a test helper"

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from crystalsum.qmodular import EtaProductSpec, family_l, fplus
+from crystalsum.qmodular import EtaProductSpec, family_l, family_spec, fplus
 from crystalsum.selfdual import (
     functional_equation_residual,
     selfdual_measure,
@@ -85,6 +85,27 @@ def _pairing_residuals(m, ys):
     """check_selfdual residuals against e^{-pi y t^2}, i.e. z = iy."""
     suite = [TestFunction("gaussian", z=1j * y) for y in ys]
     return [rep.residual for rep in check_selfdual(m, suite)]
+
+
+def test_tail_bound_of_a_sparse_series_is_finite():
+    # 110 entries up to n = 47961 with gaps in the thousands: growth^gap
+    # overflowed while rho1^n underflowed
+    s = fplus(family_spec(1), F(6000))
+    assert math.isfinite(s.tail_bound(1j)) and math.isfinite(s.tail_bound(0.3j))
+
+
+# tail_bound at the README orders as the direct product m2 growth^gap rho1^n
+# gave it, wherever that product is a normal double
+@pytest.mark.parametrize("which, z, direct", [
+    ("plus", 0.3j, 3.3852323014227064e-118),
+    ("plus", 0.1 + 0.5j, 9.31132477041493e-201),
+    ("minus", 1j, 1.605148301381343e-228),
+    ("minus", 0.8j, 6.478486584807137e-174),
+    ("minus", 0.3j, math.inf),
+])
+def test_tail_bound_in_log_space_equals_the_direct_product(which, z, direct):
+    s = fplus(GUINAND, F(300)) if which == "plus" else family_l(F(1), F(200))[2]
+    assert s.tail_bound(z) == pytest.approx(direct, rel=1e-12)
 
 
 def test_gaussian_pairing_guinand():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crystalsum import freqalg
-from crystalsum.freqalg import CHUNK_POINTS, FreqBasis, monomial, sine
+from crystalsum.freqalg import CHUNK_POINTS, FreqBasis, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
 from crystalsum.spectra import (
     SpectrumAtoms,
@@ -16,6 +16,7 @@ from crystalsum.spectra import (
     fejer_reconstruct,
     mean_value_batch,
 )
+from probes import monomial
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))

@@ -15,11 +15,11 @@ from crystalsum.verifier import (
     bump_ft,
     check_pair,
     check_selfdual,
-    fejer_identity_check,
     gaussian_ft,
     gaussian_suite,
     transform,
 )
+from probes import fejer_identity_check
 
 HALF = FreqBasis((0.5,))
 
