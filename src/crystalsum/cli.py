@@ -142,9 +142,9 @@ def _load_eta_spec(path) -> EtaProductSpec:
         N, r = d["N"], d["r"]
         if not isinstance(r, dict):
             raise TypeError(f"r must be a JSON object, got {type(r).__name__}")
-        if isinstance(N, float) and not N.is_integer():
-            raise ValueError(f"N must be a finite integer, got {N}")
-        return EtaProductSpec(int(N), {int(k): to_fraction(v) for k, v in r.items()})
+        if type(N) is not int:
+            raise ValueError(f"N must be a JSON integer, got {N!r}")
+        return EtaProductSpec(N, {int(k): to_fraction(v) for k, v in r.items()})
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"invalid eta-product spec: {e}") from None
 

@@ -22,19 +22,22 @@ subnormals back to one exponential per term; inputs where a term itself
 overflows raise EvalRangeError on either route.
 
 ExpSum.eval takes an array of more than CHUNK_POINTS points in balanced
-chunks (np.array_split), so one evaluation holds a few chunk-sized arrays
-beyond its output, whatever its length.  The generators w_j of the last
-chunk are kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B
-(or E and E*) evaluated one after the other compute each complex
-exponential once, as do sums over different bases sharing an entry.
-They are read only at bitwise-equal points (NaN points match; -0.0 does
-not match 0.0, nor an array changed in place since) and never written,
-so every result is the one a fresh evaluation gives.  Higher powers are
-made per call: keeping them too raised the peak memory of root
-refinement.  The kept entry is module state without a lock, so it is
-not thread-safe: threads evaluating at different points evict each
-other's generators (each call keeps those it started with, so results
-stay exact, but the saving is lost).
+chunks (np.array_split), so one evaluation holds a few chunk-sized
+arrays beyond its output, whatever its length.  A Grid (row heads plus
+column offsets) of at most CHUNK_POINTS points is one chunk whose
+generators come from two tables, e^{g z} = e^{g row_m} e^{g col_k}, not
+one complex exponential per point.  The generators w_j of the last chunk
+are kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B (or E
+and E*) evaluated one after the other compute each generator once, as do
+sums over different bases sharing an entry.  They are read only at
+bitwise-equal points, or a grid with bitwise-equal tables and size (NaN
+points match; -0.0 does not match 0.0, nor an array changed in place
+since) and never written, so every result is the one a fresh evaluation
+gives.  Higher powers are made per call: keeping them too raised the
+peak memory of root refinement.  The kept entry is module state without
+a lock, so it is not thread-safe: threads evaluating at different points
+evict each other's generators (each call keeps those it started with, so
+results stay exact, but the saving is lost).
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -102,6 +105,30 @@ class FreqBasis:
         v = [0] * len(self.base)
         v[j] = mult
         return tuple(v)
+
+
+class Grid(np.lib.mixins.NDArrayOperatorsMixin):
+    """The first n (at most rows x cols) points rows[m] + cols[k], row-major,
+    of complex row heads (those past the n-th point dropped) and real column
+    offsets.  Under numpy it acts as that flat array; see ExpSum.eval."""
+
+    def __init__(self, rows, cols, n):
+        self.cols = np.asarray(cols, dtype=float).ravel()
+        self.rows = np.asarray(rows, dtype=complex).ravel()[:-(-n // self.cols.size)]
+        self.size, self.shape = n, (n,)
+        self.key = (self.rows.tobytes(), self.cols.tobytes(), n)
+
+    def __array__(self, dtype=None, copy=None):
+        flat = (self.rows[:, None] + self.cols).ravel()[:self.size]
+        return flat.astype(dtype or complex, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) if isinstance(x, Grid) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def exp(self, g):
+        """e^{g z} at the points: an outer product of two exponential tables."""
+        return np.outer(np.exp(g * self.rows), np.exp(g * self.cols)).ravel()[:self.size]
 
 
 def complex_from_json(v) -> complex:
@@ -213,13 +240,18 @@ class ExpSum:
         points, reusing the generators kept from the last chunk evaluated
         where its points are bitwise equal (see the module docstring); the
         result is the same either way.  That shared entry is not thread-safe.
+        A Grid of at most CHUNK_POINTS points is one chunk, Im z read from its
+        row heads and each generator from its tables, kept under their bytes;
+        the per-term route and larger grids take np.asarray(grid).
         """
-        z = np.asarray(z, dtype=complex)
+        small_grid = isinstance(z, Grid) and z.size <= CHUNK_POINTS
+        z = z if small_grid else np.asarray(z, dtype=complex)
         if not self._terms:
             out = np.zeros(z.shape, dtype=complex)
             return out if out.shape else 0j
-        im_min = float(np.min(z.imag)) if z.size else 0.0
-        im_max = float(np.max(z.imag)) if z.size else 0.0
+        im = z.rows.imag if small_grid else z.imag
+        im_min = float(np.min(im)) if z.size else 0.0
+        im_max = float(np.max(im)) if z.size else 0.0
         for lam in self._values:
             worst = -2.0 * math.pi * lam * (im_min if lam > 0 else im_max)
             if worst > _EXP_OVERFLOW:
@@ -228,7 +260,8 @@ class ExpSum:
         if self._horner is None:
             self._horner = _HornerPlan(self)
         if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
-            flat, parts = z.reshape(-1), -(-z.size // CHUNK_POINTS)
+            flat = z if small_grid else z.reshape(-1)
+            parts = -(-z.size // CHUNK_POINTS)
             if parts <= 1:
                 out = self._horner.eval(flat)
             else:  # balanced: a one-point remainder can differ in the last bit
@@ -238,6 +271,7 @@ class ExpSum:
                     dst[:] = self._horner.eval(part)
             out = out.reshape(z.shape)
         else:
+            z = np.asarray(z)
             out = np.zeros(z.shape, dtype=complex)
             for v, lam in zip(self._sorted, self._values):
                 out += self._terms[v] * np.exp(2j * np.pi * lam * z)
@@ -403,8 +437,8 @@ class _HornerPlan:
         return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
 
 
-# the points of the last chunk evaluated (as bytes) and their generators
-# {g: e^{g z}}; see the module docstring
+# the points of the last chunk evaluated (as bytes, or a grid's key) and
+# their generators {g: e^{g z}}; see the module docstring
 _kept = (None, {})
 
 
@@ -412,14 +446,14 @@ def _generator_powers(z, gens):
     """{(j, 1): e^{gens[j] z}}, each e^{g z} read from, or added to, the
     kept entry, a new one unless z is bitwise equal to the kept points."""
     global _kept
-    key = z.tobytes()
+    key = z.key if isinstance(z, Grid) else z.tobytes()
     kept_key, exps = _kept
     if kept_key != key:
         exps = {}
         _kept = (key, exps)
     for g in gens:
         if g not in exps:
-            exps[g] = np.exp(g * z)
+            exps[g] = z.exp(g) if isinstance(z, Grid) else np.exp(g * z)
     return {(j, 1): exps[g] for j, g in enumerate(gens)}
 
 

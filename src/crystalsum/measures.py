@@ -239,17 +239,24 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, d):
+        def number(v):
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(f"expected a finite JSON number, got {v!r}")
+            return float(v)
         atoms = []
         for rec in d["atoms"]:
             prov = None
             if "prov" in rec:
                 p = rec["prov"]
                 prov = SqrtProvenance(p["n"], p["b"], p["N"])
-            atoms.append(Atom(rec["x"], complex_from_json(rec["w"]), prov))
+            atoms.append(Atom(number(rec["x"]), complex_from_json(rec["w"]), prov))
         sign = d.get("dual_sign")
         if not (sign is None or type(sign) is int and sign in (1, -1)):
             raise ValueError(f"dual_sign must be 1, -1 or null, got {sign!r}")
-        return cls(atoms, d["window"], d.get("nonneg", False), sign)
+        lo, hi = map(number, d["window"])
+        if not lo < hi:
+            raise ValueError(f"window must have lo < hi, got {[lo, hi]}")
+        return cls(atoms, (lo, hi), d.get("nonneg", False), sign)
 
 
 @dataclass

@@ -19,8 +19,8 @@ along a horizontal line, with the Fejer taper w(u) = 1-|u| (rescaled by
 its integral) as default: the taper improves the truncation error of an
 isolated atom from O(1/T) to O(1/T^2).  The quadrature is composite
 Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
-with the phase factored over panel midpoints and nodes, so memory does
-not grow with T.
+that f receives as product grids (freqalg.Grid), with the phase factored
+over the same grid, so memory does not grow with T.
 
 The two routes share no code and serve as oracles for each other.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freqalg import CHUNK_POINTS, ExpSum, FreqBasis
+from .freqalg import CHUNK_POINTS, ExpSum, FreqBasis, Grid
 from .hermite import HermiteBiehler
 
 
@@ -193,10 +193,6 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     return SpectrumAtoms(B.basis, atoms, cutoff_vec, y_valid, meta)
 
 
-def _fejer_weight(u):
-    return 1.0 - np.abs(u)
-
-
 # panels per row of mean_value_batch's phase tables
 _PHASE_ROW = 64
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
@@ -206,8 +202,9 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
                      panel_width=0.25, eval_y=None):
     """Tapered Bohr mean values at several frequencies, sharing f-samples.
 
-    `f` is an evaluator (vectorized over ndarray input preferred; a
-    scalar-only `f` is called point by point).  When eval_y is given, the
+    `f` is an evaluator, vectorized or scalar-only (called point by point
+    when it raises TypeError on a chunk or returns the wrong shape).  When
+    eval_y is given, the
     integration line is moved there; by Cauchy's theorem the mean of a
     function holomorphic and bounded between the two heights is unchanged,
     and a lower line avoids amplifying quadrature noise by e^{2 pi lambda y}
@@ -215,18 +212,20 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
-    chunks of at most freqalg.CHUNK_POINTS nodes, the size of ExpSum.eval's
-    own chunks, so an f = iA/B computes each generator once per chunk for
-    A and B together.  A chunk is grouped in rows of
+    chunks of at most freqalg.CHUNK_POINTS nodes, grouped in rows of
     R = _PHASE_ROW panels, so the node j of panel r in row m sits at
     X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
-    midpoint and w the panel width, and the phase factors exactly:
+    midpoint and w the panel width.  f receives the chunk's nodes X + iy,
+    a partial last row included, as one freqalg.Grid of row heads
+    mid_0 + w R m + iy and offsets w r + h xi_j: their flat array under
+    numpy, on which an f = iA/B takes each generator from two tables, once
+    per chunk for A and B together.  The phase factors exactly:
 
         e^{-2 pi i lam (X + iy)} = e^{2 pi lam y} e^{-2 pi i lam mid_0}
             e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.
 
     The last two factors do not depend on the chunk and are tabulated
-    once per call.  Per chunk, f is evaluated once at each node, the sum
+    once per call.  Per chunk, f is evaluated once on the grid, the sum
     within the rows is one (rows x row nodes) by (row nodes x lambdas)
     contraction, the sum over rows a second one, and the only exponential
     is one lambda vector at mid_0.  Memory stays bounded by the chunk (a
@@ -257,8 +256,8 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     step = max(CHUNK_POINTS // _NODES, 1)
     n_rows = -(-step // _PHASE_ROW)
     # lambdas x row nodes, contiguous along the nodes for the contraction
-    offsets = (w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]
-    node_phase = np.exp(-2j * np.pi * np.outer(lam, offsets.ravel()))
+    offsets = ((w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]).ravel()
+    node_phase = np.exp(-2j * np.pi * np.outer(lam, offsets))
     row_starts = w_eff * _PHASE_ROW * np.arange(n_rows)
     row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
     acc = np.zeros(lam.shape, dtype=complex)
@@ -266,26 +265,25 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
         count = min(step, n_panels - start)
         mids = -T + w_eff * (np.arange(start, start + count) + 0.5)
         X = mids[:, None] + half * xi[None, :]
-        Z = (X + 1j * y_line).ravel()
+        grid = Grid(mids[0] + 1j * y_line + row_starts, offsets, X.size)
         try:
-            fv = np.asarray(f(Z), dtype=complex)
-            if fv.shape != Z.shape:
+            fv = np.asarray(f(grid), dtype=complex)
+            if fv.shape != grid.shape:
                 raise TypeError
         except TypeError:
-            fv = np.array([f(z) for z in Z], dtype=complex)
+            fv = np.array([f(z) for z in np.asarray(grid)], dtype=complex)
         if not np.all(np.isfinite(fv)):
             raise SpectrumError("non-finite sample: a pole is too close to the line")
-        wts = node_w * _fejer_weight(X / T) if taper == "fejer" else node_w
-        rows = -(-count // _PHASE_ROW)
+        wts = node_w * (1.0 - np.abs(X / T)) if taper == "fejer" else node_w
         # the last row of the last chunk is padded with zero samples
-        weighted = np.zeros((rows, node_phase.shape[1]), dtype=complex)
+        weighted = np.zeros((grid.rows.size, node_phase.shape[1]), dtype=complex)
         np.multiply(wts, fv.reshape(X.shape),
                     out=weighted.reshape(-1)[:X.size].reshape(X.shape))
         # einsum, not @: a BLAS product wakes worker threads that then spin
         # through the rest of the run and double its CPU time
         per_row = np.einsum("mk,lk->ml", weighted, node_phase)
         acc += np.exp(-2j * np.pi * lam * mids[0]) \
-            * np.einsum("ml,ml->l", per_row, row_phase[:rows])
+            * np.einsum("ml,ml->l", per_row, row_phase[:grid.rows.size])
     scale = np.exp(2 * np.pi * lam * y_line) / norm
     return [complex(v) for v in acc * scale]
 

@@ -273,7 +273,9 @@ def test_pair_check_command(tmp_path):
 BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
                  "r_zero_den": '{"N": 4, "r": {"1": "1/0", "2": "1", "4": "1/0"}}',
                  "r_null": '{"N": 4, "r": {"1": null, "2": "1", "4": null}}',
-                 "N_inf": '{"N": 1e400, "r": {"1": "1"}}'}
+                 "N_inf": '{"N": 1e400, "r": {"1": "1"}}',
+                 "N_true": '{"N": true, "r": {"1": "1"}}',
+                 "N_str": '{"N": "4", "r": {"1": "2/3", "2": "-1/3", "4": "2/3"}}'}
 
 
 @pytest.mark.parametrize("argv", [
@@ -354,6 +356,14 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["kernel", "{pair_E_c_short}"],
     # the kernel's work bound: 101 points are 10201 (w, z) entries
     ["kernel", "{H}", "--points", *["0,1"] * 101],
+    # the eta spec's level and a measure's positions and window are JSON numbers
+    ["eta", "--spec-json", "{N_true}"],
+    ["eta", "--spec-json", "{N_str}"],
+    ["selfdual", "{measure_x_str}"],
+    ["selfdual", "{measure_x_true}"],
+    ["selfdual", "{measure_window_str}"],
+    ["selfdual", "{measure_window_nan}"],
+    ["selfdual", "{measure_window_reversed}"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -442,6 +452,13 @@ def bad_validation_inputs(pair, H, q, measure):
             "measure_prov_b0": edited(measure, lambda d: d.update(atoms=[
                 {"x": -0.5, "w": [1.0, 0.0], "prov": prov},
                 {"x": 0.5, "w": [1.0, 0.0], "prov": prov}])),
+            "measure_x_str": edited(measure, lambda d: d["atoms"][0].update(x="0.0")),
+            "measure_x_true": edited(measure, lambda d: d["atoms"][0].update(x=True)),
+            "measure_window_str": edited(measure, lambda d: d.update(window=["-1", "1"])),
+            "measure_window_nan": edited(measure, lambda d: d.update(window=[-1.0, math.nan])),
+            # no atoms, so no support check meets the reversed window
+            "measure_window_reversed": edited(measure, lambda d: d.update(
+                atoms=[], window=[1.0, -1.0])),
             "top_list": "[1]"}
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crystalsum import freqalg
-from crystalsum.freqalg import CHUNK_POINTS, EvalRangeError, ExpSum, FreqBasis
+from crystalsum.freqalg import CHUNK_POINTS, EvalRangeError, ExpSum, FreqBasis, Grid
 from crystalsum.hermite import ks_from_Q, leeyang_real_form
 from crystalsum.measures import (MERGE_TOL, Atom, DiscreteMeasure, SqrtProvenance,
                                  pair_from_hb)
@@ -68,10 +68,10 @@ def per_term_reference(s, z):
 
 
 @st.composite
-def sums_and_points(draw):
-    """Rank 1-3 sums with k in [-8, 8] (gaps included), and points whose
-    heights fall on both sides of eval's range guard and past the
-    per-term overflow check."""
+def sums_and_point_strategies(draw):
+    """A rank 1-3 sum with k in [-8, 8] (gaps included), and a strategy of
+    points whose heights fall on both sides of eval's range guard and past
+    the per-term overflow check."""
     base = draw(st.lists(st.sampled_from([1.0, math.sqrt(2), math.sqrt(3),
                                           math.pi / 3, 0.5, math.e / 2]),
                          min_size=1, max_size=3, unique=True))
@@ -80,7 +80,14 @@ def sums_and_points(draw):
     vec = st.tuples(*[st.integers(-8, 8)] * len(base))
     s = ExpSum(basis, draw(st.dictionaries(vec, coef, min_size=1, max_size=8)))
     height = draw(st.sampled_from([1.5, 8.0, 25.0]))
-    point = st.builds(complex, st.floats(-50, 50), st.floats(-height, height))
+    return s, st.builds(complex, st.floats(-50, 50), st.floats(-height, height))
+
+
+@st.composite
+def sums_and_points(draw):
+    """The sums of sums_and_point_strategies at a scalar, a 0-d array, an
+    empty array or an array of 1-6 of its points."""
+    s, point = draw(sums_and_point_strategies())
     shape = draw(st.sampled_from(["scalar", "0-d", "empty", "array"]))
     if shape == "scalar":
         z = draw(point)
@@ -91,6 +98,19 @@ def sums_and_points(draw):
     else:
         z = np.array(draw(st.lists(point, min_size=1, max_size=6)))
     return s, z
+
+
+def reference_bound(s, scale, moduli):
+    """The error allowed of an evaluation against per_term_reference at
+    points of modulus `scale`."""
+    # a term's frequency sum_j k_j base_j/D is rounded relative to
+    # sum_j |k_j| base_j/D, in the reference too, and |z| times that sets
+    # the phase error of either route
+    norm = max(sum(abs(k) * b for k, b in zip(v, s.basis.base))
+               for v in s.terms) / s.basis.denominator
+    # and underflow, a few subnormal steps per term
+    return 16 * np.finfo(float).eps * (1 + 2 * math.pi * norm * scale) * moduli \
+        + 4 * len(s) * np.finfo(float).smallest_subnormal
 
 
 WIDE_GAP = ExpSum(FreqBasis((1.0,)), {(-8,): 1.0, (8,): 0.5j})
@@ -118,17 +138,47 @@ def test_expsum_eval_matches_per_term_reference(case):
     else:
         assert isinstance(got, np.ndarray) and got.dtype == complex
         assert got.shape == np.shape(z)
-    # a term's frequency sum_j k_j base_j/D is rounded relative to
-    # sum_j |k_j| base_j/D, in the reference too, and |z| times that sets
-    # the phase error of either route
-    norm = max(sum(abs(k) * b for k, b in zip(v, s.basis.base))
-               for v in s.terms) / s.basis.denominator
-    # and underflow, a few subnormal steps per term
-    bound = 16 * np.finfo(float).eps * (1 + 2 * math.pi * norm * np.abs(z)) * moduli \
-        + 4 * len(s) * np.finfo(float).smallest_subnormal
+    bound = reference_bound(s, np.abs(z), moduli)
     finite = np.isfinite(moduli)
     assert np.all(np.isfinite(np.asarray(got)[finite]))
     assert np.all(np.abs(np.asarray(got) - want)[finite] <= bound[finite])
+
+
+@st.composite
+def sums_and_grids(draw):
+    """The sums of sums_and_points on grids of 1-4 row heads at the same
+    heights and 1-6 real column offsets, the last row partial or unused."""
+    s, point = draw(sums_and_point_strategies())
+    rows = draw(st.lists(point, min_size=1, max_size=4))
+    cols = draw(st.lists(st.floats(-50, 50), min_size=1, max_size=6))
+    return s, Grid(rows, cols, draw(st.integers(0, len(rows) * len(cols))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums_and_grids())
+@example((WIDE_GAP, Grid([0.5 + 1j, -3 + 2j], [0.0, 0.25, 7.5], 5)))  # Horner
+@example((WIDE_GAP, Grid([1 + 4j, -2 - 4j], [0.1, -0.3], 3)))         # per term
+@example((WIDE_GAP, Grid([15j, 0j], [0.0, 1.0], 3)))                  # raises
+def test_grid_eval_matches_eval_at_its_points(case):
+    s, grid = case
+    z = np.asarray(grid)
+    assert z.shape == grid.shape and z.dtype == complex
+    if per_term_reference(s, z) is None:
+        with pytest.raises(EvalRangeError):
+            s.eval(z)
+        with pytest.raises(EvalRangeError):
+            s.eval(grid)
+        return
+    got, want = s.eval(grid), s.eval(z)
+    assert isinstance(got, np.ndarray) and got.dtype == complex
+    assert got.shape == z.shape
+    _, moduli = per_term_reference(s, z)
+    # a point is the rounded sum of its row head and column offset, so it
+    # is known to the scale of their moduli, not of its own
+    scale = (np.abs(grid.rows)[:, None] + np.abs(grid.cols)).ravel()[:grid.size]
+    finite = np.isfinite(moduli)
+    assert np.all(np.isfinite(got[finite]))
+    assert np.all(np.abs(got - want)[finite] <= reference_bound(s, scale, moduli)[finite])
 
 
 # -- generators kept between evaluations ---------------------------------------

@@ -290,7 +290,9 @@ def test_mean_value_memory_stays_bounded():
 
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
 def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
-    # A and B of f = iA/B share each generator's exponential on a chunk
+    # no exponential of chunk size: each generator of f = iA/B comes from
+    # one exponential of each table of the chunk's grid (64 row heads, 512
+    # column offsets), shared by A and B
     exp, calls = np.exp, []
 
     def counting_exp(x, *args, **kwargs):
@@ -301,8 +303,50 @@ def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
     monkeypatch.setattr(np, "exp", counting_exp)
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     # one chunk: 2T / (1/4) panels of 8 nodes
-    mean_value_batch(f, [0.0, 1.0], 0.3, CHUNK_POINTS / 64)
-    assert calls.count(CHUNK_POINTS) == len(H.B.basis.base)
+    mean_value_batch(f, [1.0], 0.3, CHUNK_POINTS / 64)
+    assert max(calls) < CHUNK_POINTS
+    # the mean value's own phase tables for one lambda, and its final scale
+    own = 64 + 512 + 1 + 1
+    assert sum(calls) <= own + len(H.B.basis.base) * (64 + 512 + 1)
+
+
+@pytest.mark.parametrize("T, width", [
+    (37.0, 1 / 8),                       # 9.25 rows of one chunk
+    (2.5 * PANELS_PER_CHUNK / 8, 1 / 4),  # two full chunks and half of one
+    (CHUNK_POINTS / 64 + 0.1, 1 / 4),    # a full chunk and one panel
+])
+def test_integrand_sees_exactly_the_chunk_nodes(T, width):
+    seen = []
+
+    def f(z):
+        assert isinstance(z, freqalg.Grid) and z.size <= CHUNK_POINTS
+        seen.append(np.asarray(z))
+        return np.ones(z.shape, dtype=complex)
+
+    mean_value_batch(f, [1.0], 0.3, T, panel_width=width)
+    n_panels = math.ceil(2 * T / width)
+    w = 2 * T / n_panels
+    xi, _ = np.polynomial.legendre.leggauss(8)
+    X = (-T + w * (np.arange(n_panels) + 0.5)[:, None] + 0.5 * w * xi).ravel()
+    got = np.concatenate(seen)
+    assert len(seen) == -(-n_panels // PANELS_PER_CHUNK)
+    assert got.shape == X.shape
+    assert np.all(np.abs(got.real) <= T) and np.all(got.imag == 0.3)
+    assert np.max(np.abs(got.real - X)) <= 4 * np.spacing(T)
+
+
+def test_integrand_written_with_operators_is_called_once_per_chunk():
+    # numpy arithmetic on the grid gives its flat array, so such an f is not
+    # sent to the point-by-point fallback
+    calls = []
+
+    def f(z):
+        calls.append(np.size(z))
+        return 1j * np.pi * np.cos(np.pi * z) / np.sin(np.pi * z)
+
+    got = mean_value_batch(f, [1.0], 0.3, 2.5 * PANELS_PER_CHUNK / 8)
+    assert calls == [CHUNK_POINTS, CHUNK_POINTS, CHUNK_POINTS // 2]
+    assert got[0] == pytest.approx(2 * math.pi, abs=1e-3)
 
 
 def test_rank2_mean_value_memory_stays_bounded():
