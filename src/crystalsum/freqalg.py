@@ -17,27 +17,28 @@ w_j = e^{2 pi i base_j z/D}: one complex exponential per basis entry
 present, nested Horner over the coordinates (gaps bridged by powers of
 w_j from repeated squaring), then one factor prod_j w_j^{lo_j} for the
 minimum exponents.  A range guard sends heights where some intermediate
-power, or coefficient times power, could approach overflow or the
-subnormals back to one exponential per term; inputs where a term itself
-overflows raise EvalRangeError on either route.
+power or product, or coefficient times power, could approach overflow or
+the subnormals back to one exponential per term; inputs where a term
+itself overflows raise EvalRangeError on either route.
 
 ExpSum.eval takes an array of more than CHUNK_POINTS points in balanced
 chunks (np.array_split), so one evaluation holds a few chunk-sized
-arrays beyond its output, whatever its length.  A Grid (row heads plus
-column offsets) of at most CHUNK_POINTS points is one chunk whose
-generators come from two tables, e^{g z} = e^{g row_m} e^{g col_k}, not
-one complex exponential per point.  The generators w_j of the last chunk
-are kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B (or E
-and E*) evaluated one after the other compute each generator once, as do
-sums over different bases sharing an entry.  They are read only at
-bitwise-equal points, or a grid with bitwise-equal tables and size (NaN
-points match; -0.0 does not match 0.0, nor an array changed in place
-since) and never written, so every result is the one a fresh evaluation
-gives.  Higher powers are made per call: keeping them too raised the
-peak memory of root refinement.  The kept entry is module state without
-a lock, so it is not thread-safe: threads evaluating at different points
-evict each other's generators (each call keeps those it started with, so
-results stay exact, but the saving is lost).
+arrays beyond its output, whatever its length.  On a Grid (row heads r_m,
+real column offsets x_k) a sum factors, sum_t c_t w^{k_t}(r_m + x_k) =
+sum_t (c_t U_mt) V_tk: one einsum of tables of integer powers of e^{g r_m}
+and e^{g x_k}, with no Horner pass, and only the output grows with the
+grid.  The generators w_j of the last chunk (a grid's two tables) are
+kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B (or E and
+E*) evaluated one after the other compute each generator once, as do sums
+over different bases sharing an entry.  They are read only at bitwise-equal
+points, or a grid with bitwise-equal tables and size (NaN points match;
+-0.0 does not match 0.0, nor an array changed in place since) and never
+written, so every result is the one a fresh evaluation gives.  Higher
+powers are made per call: keeping them too raised the peak memory of root
+refinement.  The kept entry is module state without a lock, so it is not
+thread-safe: threads evaluating at different points evict each other's
+generators (each call keeps those it started with, so results stay exact,
+but the saving is lost).
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -109,11 +110,14 @@ class FreqBasis:
 
 class Grid(np.lib.mixins.NDArrayOperatorsMixin):
     """The first n (at most rows x cols) points rows[m] + cols[k], row-major,
-    of complex row heads (those past the n-th point dropped) and real column
-    offsets.  Under numpy it acts as that flat array; see ExpSum.eval."""
+    of complex row heads (those past the n-th point dropped) and at least one
+    real column offset.  Under numpy it acts as that flat array; ExpSum.eval
+    contracts a sum over its two tables."""
 
     def __init__(self, rows, cols, n):
         self.cols = np.asarray(cols, dtype=float).ravel()
+        if not self.cols.size:
+            raise ValueError("a Grid needs at least one column offset, got none")
         self.rows = np.asarray(rows, dtype=complex).ravel()[:-(-n // self.cols.size)]
         self.size, self.shape = n, (n,)
         self.key = (self.rows.tobytes(), self.cols.tobytes(), n)
@@ -125,10 +129,6 @@ class Grid(np.lib.mixins.NDArrayOperatorsMixin):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         inputs = [np.asarray(x) if isinstance(x, Grid) else x for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def exp(self, g):
-        """e^{g z} at the points: an outer product of two exponential tables."""
-        return np.outer(np.exp(g * self.rows), np.exp(g * self.cols)).ravel()[:self.size]
 
 
 def complex_from_json(v) -> complex:
@@ -240,16 +240,16 @@ class ExpSum:
         points, reusing the generators kept from the last chunk evaluated
         where its points are bitwise equal (see the module docstring); the
         result is the same either way.  That shared entry is not thread-safe.
-        A Grid of at most CHUNK_POINTS points is one chunk, Im z read from its
-        row heads and each generator from its tables, kept under their bytes;
-        the per-term route and larger grids take np.asarray(grid).
+        A Grid of any size is one contraction over its tables, Im z read from
+        its row heads, under the same guard with every partial product of a
+        term's powers counted; the per-term route takes np.asarray(grid).
         """
-        small_grid = isinstance(z, Grid) and z.size <= CHUNK_POINTS
-        z = z if small_grid else np.asarray(z, dtype=complex)
+        grid = isinstance(z, Grid)
+        z = z if grid else np.asarray(z, dtype=complex)
         if not self._terms:
             out = np.zeros(z.shape, dtype=complex)
             return out if out.shape else 0j
-        im = z.rows.imag if small_grid else z.imag
+        im = z.rows.imag if grid else z.imag
         im_min = float(np.min(im)) if z.size else 0.0
         im_max = float(np.max(im)) if z.size else 0.0
         for lam in self._values:
@@ -259,8 +259,10 @@ class ExpSum:
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
         if self._horner is None:
             self._horner = _HornerPlan(self)
-        if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
-            flat = z if small_grid else z.reshape(-1)
+        if grid and self._horner.grid_reach * max(-im_min, im_max) < self._horner.limit:
+            out = self._horner.grid_eval(z)
+        elif not grid and self._horner.reach * max(-im_min, im_max) < self._horner.limit:
+            flat = z.reshape(-1)
             parts = -(-z.size // CHUNK_POINTS)
             if parts <= 1:
                 out = self._horner.eval(flat)
@@ -384,13 +386,14 @@ class ExpSum:
 
 
 class _HornerPlan:
-    """The z-independent half of ExpSum.eval's generator route.
+    """The z-independent half of ExpSum.eval's generator routes (Horner, grid).
 
     `tree` nests the terms by coordinate: at each level a list of
     (shifted exponent, subtree) in descending exponent order, with the
     coefficient as the leaf.  Coordinates that are zero in every term are
     left out.  `reach` times max|Im z| bounds the exponent of every
-    intermediate power, which must stay below `limit`.
+    intermediate power, which must stay below `limit`; `grid_reach` also
+    that of each partial product of a term's powers on grid_eval's route.
     """
 
     def __init__(self, s: ExpSum):
@@ -409,6 +412,10 @@ class _HornerPlan:
         # past that costs at most eps^2 of its term, however the lo factor grows it
         self.limit = min(_HORNER_LIMIT,
                          math.log(2.0**970 * min(map(abs, s._terms.values()))))
+        self.k = np.array([[v[j] for j in coords] for v in vecs], dtype=int)
+        self.coef = np.array(list(s._terms.values()))
+        partial = np.abs(np.cumsum(self.k * bases, axis=1)).max(initial=0.0)
+        self.grid_reach = max(self.reach, 2 * math.pi / basis.denominator * partial)
         items = sorted(((tuple(v[j] - l for j, l in zip(coords, self.lo)), c)
                         for v, c in s._terms.items()), reverse=True)
         self.tree = self._nest(items, 0)
@@ -421,7 +428,8 @@ class _HornerPlan:
 
     def eval(self, z):
         """Sum at the points of the 1-d array z."""
-        powers = _generator_powers(z, self.gen)
+        powers = {(j, 1): w for j, w in enumerate(
+            _generators(z.tobytes(), self.gen, lambda g: np.exp(g * z)))}
         out = _horner(self.tree, 0, powers)
         for j, lo in enumerate(self.lo):
             if lo > 0:
@@ -436,25 +444,37 @@ class _HornerPlan:
             out = _times(out, np.reciprocal(d, out=d))
         return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
 
+    def grid_eval(self, grid):
+        """Sum at the points of a Grid: sum_t (c_t U_mt) V_tk, U and V products
+        of each term's powers of the generators' row and column tables."""
+        U = np.ones((grid.rows.size, len(self.coef)), dtype=complex)
+        V = np.ones((len(self.coef), grid.cols.size), dtype=complex)
+        for k, (u, v) in zip(self.k.T, _generators(grid.key, self.gen, lambda g: (
+                np.exp(g * grid.rows), np.exp(g * grid.cols)))):
+            U *= np.power(u[:, None], k)
+            V *= np.power(v, k[:, None])
+        U *= self.coef  # last: a coefficient may be tiny, each product is in range
+        # einsum, not @: see spectra.mean_value_batch
+        return np.einsum("mt,tk->mk", U, V).reshape(-1)[:grid.size]
 
-# the points of the last chunk evaluated (as bytes, or a grid's key) and
-# their generators {g: e^{g z}}; see the module docstring
+
+# the points of the last chunk evaluated (as bytes, or a grid's key) and their
+# generators {g: e^{g z}}, or a grid's two tables of them; see the module docstring
 _kept = (None, {})
 
 
-def _generator_powers(z, gens):
-    """{(j, 1): e^{gens[j] z}}, each e^{g z} read from, or added to, the
-    kept entry, a new one unless z is bitwise equal to the kept points."""
+def _generators(key, gens, make):
+    """[make(g) for g in gens], each read from, or added to, the kept entry,
+    a new one unless key is that of the kept points."""
     global _kept
-    key = z.key if isinstance(z, Grid) else z.tobytes()
     kept_key, exps = _kept
     if kept_key != key:
         exps = {}
         _kept = (key, exps)
     for g in gens:
         if g not in exps:
-            exps[g] = z.exp(g) if isinstance(z, Grid) else np.exp(g * z)
-    return {(j, 1): exps[g] for j, g in enumerate(gens)}
+            exps[g] = make(g)
+    return [exps[g] for g in gens]
 
 
 def _power(powers, j, n):

@@ -19,8 +19,8 @@ along a horizontal line, with the Fejer taper w(u) = 1-|u| (rescaled by
 its integral) as default: the taper improves the truncation error of an
 isolated atom from O(1/T) to O(1/T^2).  The quadrature is composite
 Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
-that f receives as product grids (freqalg.Grid), with the phase factored
-over the same grid, so memory does not grow with T.
+that f receives as product grids (freqalg.Grid, one contraction for an
+ExpSum), the phase factored over the same grid: memory does not grow with T.
 
 The two routes share no code and serve as oracles for each other.
 """
@@ -218,8 +218,8 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     midpoint and w the panel width.  f receives the chunk's nodes X + iy,
     a partial last row included, as one freqalg.Grid of row heads
     mid_0 + w R m + iy and offsets w r + h xi_j: their flat array under
-    numpy, on which an f = iA/B takes each generator from two tables, once
-    per chunk for A and B together.  The phase factors exactly:
+    numpy, on which A and B of an f = iA/B are each one contraction over
+    generator tables made once per chunk for both.  The phase factors exactly:
 
         e^{-2 pi i lam (X + iy)} = e^{2 pi lam y} e^{-2 pi i lam mid_0}
             e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.

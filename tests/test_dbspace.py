@@ -104,6 +104,15 @@ def test_series_tail_near_the_window_edge_is_the_stated_bound():
         assert kernel_series(ctx, x + 1j, 1j)[1] == math.inf
 
 
+@pytest.mark.parametrize("w, z", [(1e300 + 1j, 1e300 + 1j), (-1e300 + 1j, 1e300 - 1j),
+                                  (1e160 + 2j, 1e160 + 2j)])
+def test_series_far_beyond_the_window_has_no_bound_and_no_overflow(w, z):
+    # (g - z)(g - conj w) leaves double range there; the test configuration
+    # turns the overflow warning into an error
+    val, tail = kernel_series(poisson_ctx(20.0), w, z)
+    assert tail == math.inf and abs(val) < 1e-300
+
+
 def test_series_single_root_rank_one():
     H = ks_from_Q(sine(HALF, (1,)))
     ctx = kernel_context(H, 0.4)   # only the root at 0

@@ -12,6 +12,7 @@ from crystalsum.freqalg import (
     EvalRangeError,
     ExpSum,
     FreqBasis,
+    Grid,
     constant,
     sine,
 )
@@ -90,6 +91,38 @@ def test_one_evaluation_holds_as_much_at_16_chunks_as_at_4(monkeypatch):
     # a few chunk-sized arrays beyond the output (5 MiB), whatever the length;
     # generators and powers of the whole array took 14 and 56 MiB here
     assert held[1] <= held[0] + z.itemsize * CHUNK_POINTS and held[1] < 6 * 2**20
+
+
+def test_grid_evaluation_holds_only_its_output_and_small_tables(monkeypatch):
+    # one contraction of a (rows x terms) by a (terms x cols) table: no
+    # generator, power, accumulator or down factor of the grid's size
+    s = ExpSum(FreqBasis((1.0, math.sqrt(2)), 2),
+               {(1, 1): 2j, (-1, 1): 1.0, (1, -1): -1.0, (-1, -1): 0.5})
+    grid = Grid(0.3j + 2.0 * np.arange(64), np.linspace(0.0, 2.0, 512, endpoint=False),
+                CHUNK_POINTS)
+    monkeypatch.setattr(freqalg, "_kept", (None, {}))
+    tracemalloc.start()
+    try:
+        out = s.eval(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (CHUNK_POINTS,)
+    assert peak <= out.nbytes + 2**16
+
+
+def test_grid_refuses_an_empty_column_table():
+    with pytest.raises(ValueError, match="column offset"):
+        Grid([1j], [], 0)
+
+
+def test_grid_keeps_partial_products_of_powers_in_range():
+    # at rank 4 the first three powers of (8, 8, 8, -8) reach e^950 at Im z = -3,
+    # past double range, while the term (e^603) and each power stay inside it
+    s = ExpSum(FreqBasis((2.0, 2.1, 2.2, 2.3)), {(8, 8, 8, -8): 1.0})
+    grid = Grid([0.5 - 3j], [0.0, 0.25], 2)
+    want = np.exp(2j * np.pi * 32 * np.asarray(grid))
+    assert np.allclose(s.eval(grid), want, rtol=1e-12, atol=0)
 
 
 def test_eval_overflow_is_an_error():

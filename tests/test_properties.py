@@ -159,6 +159,11 @@ def sums_and_grids(draw):
 @example((WIDE_GAP, Grid([0.5 + 1j, -3 + 2j], [0.0, 0.25, 7.5], 5)))  # Horner
 @example((WIDE_GAP, Grid([1 + 4j, -2 - 4j], [0.1, -0.3], 3)))         # per term
 @example((WIDE_GAP, Grid([15j, 0j], [0.0, 1.0], 3)))                  # raises
+@example((ExpSum(FreqBasis((1.0, math.sqrt(2), math.sqrt(3)), 2),       # rank 3,
+                 {(3, -2, 1): 0.5, (-4, 1, 0): 1j, (0, 5, -3): -0.25}),  # last row
+          Grid([0.5 + 0.4j, -7 - 0.3j, 11 + 0.2j], [0.0, 0.3, -1.7, 4.0], 10)))  # partial
+@example((ExpSum(BASIS, {(2, -1): 1.0, (-3, 2): 0.5j, (0, 1): -2.0}),  # more than
+          Grid(np.linspace(-40, 40, 100) + 0.3j, np.linspace(0, 0.8, 512), 51193)))  # a chunk
 def test_grid_eval_matches_eval_at_its_points(case):
     s, grid = case
     z = np.asarray(grid)
