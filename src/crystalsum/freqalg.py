@@ -27,18 +27,10 @@ arrays beyond its output, whatever its length.  On a Grid (row heads r_m,
 real column offsets x_k) a sum factors, sum_t c_t w^{k_t}(r_m + x_k) =
 sum_t (c_t U_mt) V_tk: one einsum of tables of integer powers of e^{g r_m}
 and e^{g x_k}, with no Horner pass, and only the output grows with the
-grid.  The generators w_j of the last chunk (a grid's two tables) are
-kept, keyed by their value 2 pi i base_j/D, so A and B of iA/B (or E and
-E*) evaluated one after the other compute each generator once, as do sums
-over different bases sharing an entry.  They are read only at bitwise-equal
-points, or a grid with bitwise-equal tables and size (NaN points match;
--0.0 does not match 0.0, nor an array changed in place since) and never
-written, so every result is the one a fresh evaluation gives.  Higher
-powers are made per call: keeping them too raised the peak memory of root
-refinement.  The kept entry is module state without a lock, so it is not
-thread-safe: threads evaluating at different points evict each other's
-generators (each call keeps those it started with, so results stay exact,
-but the saving is lost).
+grid.  The grid makes the two tables of each generator value
+g = 2 pi i base_j/D on first use and keeps them, so A and B of iA/B (or E
+and E*) on one grid, or sums over bases sharing an entry, exponentiate
+each table once.  An array's generators are made afresh by each evaluation.
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -109,18 +101,29 @@ class FreqBasis:
 
 
 class Grid(np.lib.mixins.NDArrayOperatorsMixin):
-    """The first n (at most rows x cols) points rows[m] + cols[k], row-major,
+    """The first n (0 <= n <= rows x cols) points rows[m] + cols[k], row-major,
     of complex row heads (those past the n-th point dropped) and at least one
     real column offset.  Under numpy it acts as that flat array; ExpSum.eval
-    contracts a sum over its two tables."""
+    contracts a sum over the tables of its generators, which the grid makes
+    on first use and keeps: rows and cols must not change after that."""
 
     def __init__(self, rows, cols, n):
         self.cols = np.asarray(cols, dtype=float).ravel()
         if not self.cols.size:
             raise ValueError("a Grid needs at least one column offset, got none")
-        self.rows = np.asarray(rows, dtype=complex).ravel()[:-(-n // self.cols.size)]
+        rows = np.asarray(rows, dtype=complex).ravel()
+        if not 0 <= n <= rows.size * self.cols.size:
+            raise ValueError(f"a Grid of {rows.size} x {self.cols.size} points "
+                             f"cannot hold n = {n}")
+        self.rows = rows[:-(-n // self.cols.size)]
         self.size, self.shape = n, (n,)
-        self.key = (self.rows.tobytes(), self.cols.tobytes(), n)
+        self._tables = {}
+
+    def tables(self, g):
+        """(e^{g rows}, e^{g cols}), made on the first call for g and kept."""
+        if g not in self._tables:
+            self._tables[g] = np.exp(g * self.rows), np.exp(g * self.cols)
+        return self._tables[g]
 
     def __array__(self, dtype=None, copy=None):
         flat = (self.rows[:, None] + self.cols).ravel()[:self.size]
@@ -230,19 +233,12 @@ class ExpSum:
         overflows, instead of silently returning inf.
 
         Sums by nested Horner in the generators w_j (see the module
-        docstring) while the largest intermediate power,
-        exp(2 pi max|Im z|/D * max(sum_j (hi_j - lo_j) base_j,
-        max_j max(|hi_j|, |lo_j|) base_j)) with lo_j and hi_j the extreme
-        exponents of coordinate j, stays below exp(_HORNER_LIMIT) and
-        2^970 min |c|; above that, one exponential per term.
-
-        The Horner route takes z in balanced chunks of at most CHUNK_POINTS
-        points, reusing the generators kept from the last chunk evaluated
-        where its points are bitwise equal (see the module docstring); the
-        result is the same either way.  That shared entry is not thread-safe.
-        A Grid of any size is one contraction over its tables, Im z read from
-        its row heads, under the same guard with every partial product of a
-        term's powers counted; the per-term route takes np.asarray(grid).
+        docstring), or on a Grid by one contraction over its tables, while
+        every power and partial product either route forms stays in range:
+        _HornerPlan.reach times max|Im z| (read from a grid's row heads)
+        below exp(_HORNER_LIMIT) and 2^970 min |c|.  Above that, one
+        exponential per term at np.asarray(z).  The Horner route takes z in
+        balanced chunks of at most CHUNK_POINTS points.
         """
         grid = isinstance(z, Grid)
         z = z if grid else np.asarray(z, dtype=complex)
@@ -259,19 +255,20 @@ class ExpSum:
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
         if self._horner is None:
             self._horner = _HornerPlan(self)
-        if grid and self._horner.grid_reach * max(-im_min, im_max) < self._horner.limit:
-            out = self._horner.grid_eval(z)
-        elif not grid and self._horner.reach * max(-im_min, im_max) < self._horner.limit:
-            flat = z.reshape(-1)
-            parts = -(-z.size // CHUNK_POINTS)
-            if parts <= 1:
-                out = self._horner.eval(flat)
-            else:  # balanced: a one-point remainder can differ in the last bit
-                out = np.empty(flat.shape, dtype=complex)
-                for part, dst in zip(np.array_split(flat, parts),
-                                     np.array_split(out, parts)):
-                    dst[:] = self._horner.eval(part)
-            out = out.reshape(z.shape)
+        if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
+            if grid:
+                out = self._horner.grid_eval(z)
+            else:
+                flat = z.reshape(-1)
+                parts = -(-z.size // CHUNK_POINTS)
+                if parts <= 1:
+                    out = self._horner.eval(flat)
+                else:  # balanced: a one-point remainder can differ in the last bit
+                    out = np.empty(flat.shape, dtype=complex)
+                    for part, dst in zip(np.array_split(flat, parts),
+                                         np.array_split(out, parts)):
+                        dst[:] = self._horner.eval(part)
+                out = out.reshape(z.shape)
         else:
             z = np.asarray(z)
             out = np.zeros(z.shape, dtype=complex)
@@ -391,9 +388,14 @@ class _HornerPlan:
     `tree` nests the terms by coordinate: at each level a list of
     (shifted exponent, subtree) in descending exponent order, with the
     coefficient as the leaf.  Coordinates that are zero in every term are
-    left out.  `reach` times max|Im z| bounds the exponent of every
-    intermediate power, which must stay below `limit`; `grid_reach` also
-    that of each partial product of a term's powers on grid_eval's route.
+    left out.  `reach` times max|Im z| bounds the exponent of every power
+    and product either route forms, which must stay below `limit`.  In units
+    of 2 pi |Im z|, with hi_j and lo_j the extreme exponents of coordinate j:
+    Horner's sums times the running product of the factors w_j^{lo_j > 0}
+    reach sum_j (hi_j - min(lo_j, 0)) base_j/D, the down factor
+    prod_j w_j^{-lo_j < 0} reaches down = -sum_j min(lo_j, 0) base_j/D, and
+    each partial product of a term's powers on a grid lies between -down
+    and the former.
     """
 
     def __init__(self, s: ExpSum):
@@ -404,18 +406,15 @@ class _HornerPlan:
         hi = [max(v[j] for v in vecs) for j in coords]
         bases = [basis.base[j] for j in coords]
         self.gen = [2j * math.pi * b / basis.denominator for b in bases]
-        self.reach = 2 * math.pi / basis.denominator * max(
-            sum((h - l) * b for h, l, b in zip(hi, self.lo, bases)),
-            max((max(abs(h), abs(l)) * b for h, l, b in zip(hi, self.lo, bases)),
-                default=0.0))
+        down = -sum(min(l, 0) * b for l, b in zip(self.lo, bases))
+        self.reach = 2 * math.pi / basis.denominator * (
+            down + max(sum(h * b for h, b in zip(hi, bases)), 0.0))
         # nor may a coefficient shrink below 2^-970 = 2^-1022/eps: an underflow
         # past that costs at most eps^2 of its term, however the lo factor grows it
         self.limit = min(_HORNER_LIMIT,
                          math.log(2.0**970 * min(map(abs, s._terms.values()))))
         self.k = np.array([[v[j] for j in coords] for v in vecs], dtype=int)
         self.coef = np.array(list(s._terms.values()))
-        partial = np.abs(np.cumsum(self.k * bases, axis=1)).max(initial=0.0)
-        self.grid_reach = max(self.reach, 2 * math.pi / basis.denominator * partial)
         items = sorted(((tuple(v[j] - l for j, l in zip(coords, self.lo)), c)
                         for v, c in s._terms.items()), reverse=True)
         self.tree = self._nest(items, 0)
@@ -428,8 +427,7 @@ class _HornerPlan:
 
     def eval(self, z):
         """Sum at the points of the 1-d array z."""
-        powers = {(j, 1): w for j, w in enumerate(
-            _generators(z.tobytes(), self.gen, lambda g: np.exp(g * z)))}
+        powers = {(j, 1): np.exp(g * z) for j, g in enumerate(self.gen)}
         out = _horner(self.tree, 0, powers)
         for j, lo in enumerate(self.lo):
             if lo > 0:
@@ -437,8 +435,8 @@ class _HornerPlan:
         down = [_power(powers, j, -lo) for j, lo in enumerate(self.lo) if lo < 0]
         if down:
             # formed in place, as numpy's in-place complex product can differ
-            # from a*b in the last bit; a kept generator is never overwritten
-            d = down[0].copy()
+            # from a*b in the last bit; every power is this evaluation's own
+            d = down[0]
             for p in down[1:]:
                 d *= p
             out = _times(out, np.reciprocal(d, out=d))
@@ -449,32 +447,13 @@ class _HornerPlan:
         of each term's powers of the generators' row and column tables."""
         U = np.ones((grid.rows.size, len(self.coef)), dtype=complex)
         V = np.ones((len(self.coef), grid.cols.size), dtype=complex)
-        for k, (u, v) in zip(self.k.T, _generators(grid.key, self.gen, lambda g: (
-                np.exp(g * grid.rows), np.exp(g * grid.cols)))):
+        for k, g in zip(self.k.T, self.gen):
+            u, v = grid.tables(g)
             U *= np.power(u[:, None], k)
             V *= np.power(v, k[:, None])
         U *= self.coef  # last: a coefficient may be tiny, each product is in range
         # einsum, not @: see spectra.mean_value_batch
         return np.einsum("mt,tk->mk", U, V).reshape(-1)[:grid.size]
-
-
-# the points of the last chunk evaluated (as bytes, or a grid's key) and their
-# generators {g: e^{g z}}, or a grid's two tables of them; see the module docstring
-_kept = (None, {})
-
-
-def _generators(key, gens, make):
-    """[make(g) for g in gens], each read from, or added to, the kept entry,
-    a new one unless key is that of the kept points."""
-    global _kept
-    kept_key, exps = _kept
-    if kept_key != key:
-        exps = {}
-        _kept = (key, exps)
-    for g in gens:
-        if g not in exps:
-            exps[g] = make(g)
-    return [exps[g] for g in gens]
 
 
 def _power(powers, j, n):

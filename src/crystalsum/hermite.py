@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .freqalg import ExpSum, FreqBasis
+from .freqalg import ExpSum, FreqBasis, Grid
 
 
 class HermiteBiehlerError(ValueError):
@@ -136,11 +136,13 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     """Sampled check that E is Hermite-Biehler on the grid rectangle.
 
     Accepts iff |E*(z)| < |E(z)| at every grid point, which is Re(iA/B) > 0
-    there.  A preflight scan of the real axis, where A = Re E and
-    B = -Im E, rejects inputs whose A and B nearly vanish together (real
-    zero of E), which the downstream residue weights cannot handle.
-    Rejections carry the worst witness point; a non-finite coefficient
-    rejects before any evaluation.
+    there.  The rectangle is sampled as one freqalg.Grid (row heads i*y,
+    column offsets x), so E and E* share its exponential tables: per
+    generator ny + nx exponentials, not one per point.  A preflight scan of
+    the real axis, where A = Re E and B = -Im E, rejects inputs whose A and
+    B nearly vanish together (real zero of E), which the downstream residue
+    weights cannot handle.  Rejections carry the worst witness point; a
+    non-finite coefficient rejects before any evaluation.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
@@ -161,18 +163,18 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
         return HBVerdict(False, complex(xs[j]),
                          "A and B nearly vanish together (real zero of E)")
 
-    Z = xs[None, :] + 1j * ys[:, None]
+    Z = Grid(1j * ys, xs, grid.ny * grid.nx)
     Ev = E.eval(Z)
     Esv = E.star().eval(Z)
     absE = np.abs(Ev)
     absEs = np.abs(Esv)
     tiny = 1e-300
     margin_mod = (absE - absEs) / np.maximum(absE, tiny)
-    i_flat = int(np.argmin(margin_mod))
-    worst_mod = float(margin_mod.flat[i_flat])
+    i = int(np.argmin(margin_mod))
+    worst_mod = float(margin_mod[i])
     if not worst_mod > 0.0:  # a NaN margin rejects too
-        return HBVerdict(False, complex(Z.flat[i_flat]),
-                         f"|E*| >= |E| (ratio {absEs.flat[i_flat] / max(absE.flat[i_flat], tiny):.4g})")
+        return HBVerdict(False, complex(Z.rows[i // grid.nx] + xs[i % grid.nx]),
+                         f"|E*| >= |E| (ratio {absEs[i] / max(absE[i], tiny):.4g})")
 
     # Re(iA/B) = (|E|^2 - |E*|^2)/|E - E*|^2, infinite where B = 0
     with np.errstate(divide="ignore"):

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crystalsum import freqalg
 from crystalsum.freqalg import (
     CHUNK_POINTS,
     BasisMismatchError,
@@ -56,33 +55,30 @@ def test_eval_vectorized_matches_scalar():
         assert f.eval(complex(x)) == pytest.approx(v, rel=1e-15)
 
 
-KEPT_SUM = ExpSum(FreqBasis((1.0, math.sqrt(2))), {(1, -2): 1.0, (-3, 1): 0.5j})
+TWO_GENERATORS = ExpSum(FreqBasis((1.0, math.sqrt(2))), {(1, -2): 1.0, (-3, 1): 0.5j})
 
 
-def test_generators_are_kept_only_up_to_the_chunk_size(monkeypatch):
-    # after an evaluation of any length, the last chunk's points (as bytes)
-    # and its two generators stay held, and nothing more
+def test_an_evaluation_keeps_no_chunk_once_it_returns():
+    # no generator, power or chunk outlives the call, whatever the length;
+    # only the sum's evaluation plan, made on the first call, stays
     for size in (7, CHUNK_POINTS, CHUNK_POINTS + 1, 4 * CHUNK_POINTS + 3):
         z = np.linspace(-5.0, 5.0, size) + 0.1j
-        last = size // -(-size // CHUNK_POINTS)   # the smallest, last chunk
-        monkeypatch.setattr(freqalg, "_kept", (None, {}))
         tracemalloc.start()
         try:
-            KEPT_SUM.eval(z)
+            TWO_GENERATORS.eval(z)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 3 * z.itemsize * last <= held <= 3 * z.itemsize * CHUNK_POINTS + 2**14
+        assert held <= 2**14
 
 
-def test_one_evaluation_holds_as_much_at_16_chunks_as_at_4(monkeypatch):
+def test_one_evaluation_holds_as_much_at_16_chunks_as_at_4():
     held = []
     for chunks in (4, 16):
         z = np.linspace(-5.0, 5.0, chunks * CHUNK_POINTS) + 0.1j
-        monkeypatch.setattr(freqalg, "_kept", (None, {}))
         tracemalloc.start()
         try:
-            out = KEPT_SUM.eval(z)
+            out = TWO_GENERATORS.eval(z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -93,14 +89,13 @@ def test_one_evaluation_holds_as_much_at_16_chunks_as_at_4(monkeypatch):
     assert held[1] <= held[0] + z.itemsize * CHUNK_POINTS and held[1] < 6 * 2**20
 
 
-def test_grid_evaluation_holds_only_its_output_and_small_tables(monkeypatch):
+def test_grid_evaluation_holds_only_its_output_and_small_tables():
     # one contraction of a (rows x terms) by a (terms x cols) table: no
     # generator, power, accumulator or down factor of the grid's size
     s = ExpSum(FreqBasis((1.0, math.sqrt(2)), 2),
                {(1, 1): 2j, (-1, 1): 1.0, (1, -1): -1.0, (-1, -1): 0.5})
     grid = Grid(0.3j + 2.0 * np.arange(64), np.linspace(0.0, 2.0, 512, endpoint=False),
                 CHUNK_POINTS)
-    monkeypatch.setattr(freqalg, "_kept", (None, {}))
     tracemalloc.start()
     try:
         out = s.eval(grid)
@@ -116,13 +111,20 @@ def test_grid_refuses_an_empty_column_table():
         Grid([1j], [], 0)
 
 
+@pytest.mark.parametrize("n", [-1, 3])
+def test_grid_refuses_a_point_count_past_its_tables(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        Grid([1j], [0.0, 1.0], n)
+
+
 def test_grid_keeps_partial_products_of_powers_in_range():
     # at rank 4 the first three powers of (8, 8, 8, -8) reach e^950 at Im z = -3,
-    # past double range, while the term (e^603) and each power stay inside it
+    # past double range, while the term (e^603) and each power stay inside it;
+    # the array route multiplies its lo factors in the same order
     s = ExpSum(FreqBasis((2.0, 2.1, 2.2, 2.3)), {(8, 8, 8, -8): 1.0})
-    grid = Grid([0.5 - 3j], [0.0, 0.25], 2)
-    want = np.exp(2j * np.pi * 32 * np.asarray(grid))
-    assert np.allclose(s.eval(grid), want, rtol=1e-12, atol=0)
+    for z in (Grid([0.5 - 3j], [0.0, 0.25], 2), np.array([0.5 - 3j])):
+        want = np.exp(2j * np.pi * 32 * np.asarray(z))
+        assert np.allclose(s.eval(z), want, rtol=1e-12, atol=0)
 
 
 def test_eval_overflow_is_an_error():

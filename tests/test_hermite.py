@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import ExpSum, FreqBasis, sine
+from crystalsum.freqalg import ExpSum, FreqBasis, Grid, sine
 from crystalsum.hermite import (
     GridSpec,
     HermiteBiehler,
@@ -189,8 +189,27 @@ def test_nan_samples_reject(monkeypatch):
     # sample would accept; only a margin known to be positive may
     E, original = poisson_E().E, ExpSum.eval
     monkeypatch.setattr(ExpSum, "eval", lambda self, z: original(self, z)
-                        if np.ndim(z) < 2 else np.full(np.shape(z), complex(math.nan)))
+                        if not isinstance(z, Grid) else np.full(z.shape, complex(math.nan)))
     assert not is_hermite_biehler(E).accepted
+
+
+def test_validation_exponentiates_the_axes_not_the_rectangle(monkeypatch):
+    # the rectangle is one product grid, whose tables E and E* share: per
+    # generator the real-axis preflight (nx points) and the grid's ny row
+    # heads and nx column offsets, never one exponential per grid point
+    E = poisson_E().E
+    exp, calls = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    grid = default_grid(E)
+    assert (grid.nx, grid.ny) == (400, 50)
+    assert is_hermite_biehler(E).accepted
+    assert max(calls) <= 400
+    assert sum(calls) <= len(E.basis.base) * (400 + 50 + 400)
 
 
 def test_real_roots_sine():

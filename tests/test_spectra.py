@@ -299,7 +299,6 @@ def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
         calls.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(freqalg, "_kept", (None, {}))
     monkeypatch.setattr(np, "exp", counting_exp)
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     # one chunk: 2T / (1/4) panels of 8 nodes
