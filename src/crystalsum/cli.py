@@ -217,7 +217,7 @@ def cmd_spectrum(args):
     # the spectrum is nonnegative, so a negative lambda needs no atoms
     cutoff = args.cutoff if args.cutoff is not None else max([*args.lambdas, 0.0]) + 1.0
     spec = exact_spectrum(H, cutoff)
-    exact = DiscreteMeasure([(val, c) for _, val, c in spec.sorted_atoms()],
+    exact = DiscreteMeasure(*spec.sorted_arrays(),
                             (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     numeric = mean_value_batch(f, args.lambdas, args.y, args.T) \
@@ -283,7 +283,7 @@ def cmd_kernel(args):
                             "tail_estimate": tail,
                             "within_tail": within})
     prov = _provenance("kernel", vars(args), args.seed)
-    report = {"provenance": prov, "R": args.R, "n_roots": len(ctx.points),
+    report = {"provenance": prov, "R": args.R, "n_roots": len(ctx.gammas),
               "entries": entries, "all_within_tail": ok}
     _write_outputs(args.out, {"kernel_report.json": _dump_json(report)})
     return 0 if ok else 1

@@ -16,7 +16,9 @@ together with the interpolation series
 
     F(z) = sum_{B(gamma)=0} F(gamma) B(z) / (B'(gamma) (z - gamma)).
 
-The atom forms are truncated at a window radius R.  `kernel_series`
+The atom forms are truncated at a window radius R: a KernelContext holds
+the roots of B inside it and their weights 1/phi' = A/B' as two arrays,
+straight from `measures.phase_points`.  `kernel_series`
 reports, next to its value, the one-signed 1/R truncation tail estimated
 from the stored root data.  `sampling_eval` returns the bare truncated
 series: sampling F = K(w, .) sums the same terms as the atom expansion, so
@@ -26,50 +28,55 @@ that tail applies to it; for a general F no tail is reported.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hermite import HermiteBiehler, PhasePoint
+from .hermite import HermiteBiehler
 # bound here too so that perfbench/check_bench.py's
 # test_wrappers_reach_every_binding_site_and_come_off finds it
 from .hermite import real_root_scan  # noqa: F401
 from .measures import phase_points
 
+_Root = namedtuple("_Root", "gamma weight")
+
 
 @dataclass
 class KernelContext:
-    """Root/weight data for kernel sums inside a window of radius R."""
+    """Roots gamma of B inside a window of radius R, with weights A/B'(gamma).
+
+    `gammas` and `weights` are matching float arrays: the roots strictly
+    increasing and inside [-R, R], the weights positive.  `points` lists
+    them as (gamma, weight) named tuples, one per root, built on first use.
+    """
 
     H: HermiteBiehler
-    points: list
+    gammas: np.ndarray
+    weights: np.ndarray
     R: float
 
     def __post_init__(self):
-        gs = [p.gamma for p in self.points]
-        if any(b <= a for a, b in zip(gs, gs[1:])):
-            raise ValueError("phase points must be strictly increasing")
-        if any(p.weight <= 0 for p in self.points):
-            raise ValueError("phase-point weights must be positive")
-        if gs and max(abs(gs[0]), abs(gs[-1])) > self.R:
+        g, wt = self.gammas, self.weights
+        if g.ndim != 1 or wt.shape != g.shape:
+            raise ValueError(f"roots {g.shape} and weights {wt.shape} must match")
+        if np.any(np.diff(g) <= 0):
+            raise ValueError("roots must be strictly increasing")
+        if np.any(wt <= 0):
+            raise ValueError("root weights must be positive")
+        if g.size and max(-g[0], g[-1]) > self.R:
             raise ValueError("window radius does not cover the stored roots")
-        self._gamma = np.array(gs)
-        self._weight = np.array([p.weight for p in self.points])
 
-    @property
-    def gammas(self):
-        return self._gamma
-
-    @property
-    def weights(self):
-        return self._weight
+    @cached_property
+    def points(self):
+        return tuple(map(_Root, self.gammas.tolist(), self.weights.tolist()))
 
 
 def kernel_context(H: HermiteBiehler, R: float) -> KernelContext:
     """Roots of B on [-R, R] with residue weights A/B'."""
     roots, av, bpv = phase_points(H, 0.0, (-R, R))
-    pts = [PhasePoint(float(g), float(wi)) for g, wi in zip(roots, av / bpv)]
-    return KernelContext(H, pts, float(R))
+    return KernelContext(H, roots, av / bpv, float(R))
 
 
 def kernel_closed(ctx: KernelContext, w: complex, z: complex) -> complex:
@@ -148,7 +155,7 @@ def sampling_eval(ctx: KernelContext, samples: dict, z: complex) -> complex:
     z = complex(z)
     g = ctx.gammas
     try:
-        F = np.array([samples[p.gamma] for p in ctx.points], dtype=complex)
+        F = np.array([samples[x] for x in g.tolist()], dtype=complex)
     except KeyError as e:
         raise KeyError(f"missing sample at root {e.args[0]}") from None
     if g.size == 0:

@@ -221,9 +221,6 @@ class ExpSum:
             return 0.0
         return self._values[-1] - self._values[0]
 
-    def coefficient(self, vec):
-        return self._terms.get(tuple(vec), 0j)
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, z):

@@ -238,14 +238,6 @@ class HermiteBiehler:
         return cls.validate(E, grid)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Root gamma of B with its residue weight 1/phi'(gamma) = A/B' > 0."""
-
-    gamma: float
-    weight: float
-
-
 def ks_from_Q(Q: ExpSum, grid: GridSpec | None = None) -> HermiteBiehler:
     """Lift a real-rooted, real trigonometric polynomial Q to E = Q' - iQ.
 
@@ -324,9 +316,10 @@ MAX_SCAN_POINTS = 50_000_000  # most points of the root scan's first grid
 
 @dataclass(frozen=True)
 class RootScan:
-    """Result of a real-axis root scan: the roots, each certified simple."""
+    """Result of a real-axis root scan: the sorted float array of the
+    roots, each certified simple."""
 
-    roots: list
+    roots: np.ndarray
 
 
 def scan_step(B: ExpSum) -> float:
@@ -364,7 +357,7 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
             f"scan interval must be finite and nonempty, got [{x0}, {x1}]")
     step = scan_step(B)
     if step == math.inf:
-        return RootScan([])  # nonzero monomial never vanishes on R
+        return RootScan(np.empty(0))  # nonzero monomial never vanishes on R
     steps = (x1 - x0) / step
     if not steps <= MAX_SCAN_POINTS:
         raise RootFindingError(
@@ -438,4 +431,4 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
         ok = (np.abs(cand - x) < 2 * step) & (np.abs(B.eval(cand).real) <= np.abs(f))
         x = np.where(ok, cand, x)
     found.append(x)
-    return RootScan(np.sort(np.concatenate(found)).tolist())
+    return RootScan(np.sort(np.concatenate(found)))

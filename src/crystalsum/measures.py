@@ -1,10 +1,11 @@
 """Discrete measures, summation pairs, and the Herglotz kernel residual.
 
 A DiscreteMeasure is a finite, window-truncated set of weighted atoms on
-the real line, stored as sorted position and weight arrays.  Positions are
-doubles, optionally tagged with an exact symbolic radicand
-(sqrt(n/(b*sqrt(N)))) so that irrational positions merge by provenance
-instead of by floating comparison.  A tail model
+the real line, built from position and weight arrays and stored sorted.
+Atoms closer than MERGE_TOL are one atom: the measures of the paper's
+application have uniformly discrete support, so position alone decides.
+Positions may carry an exact symbolic tag (sqrt(n/(b*sqrt(N)))) that is
+written out with them but never compared.  A tail model
 |w| <= C (1+|x|)^p with an atom density is fitted from the populated
 window.  `window_tail` integrates it against a test function's envelope
 past the window edges; that is the truncation error bar of every
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,26 +46,11 @@ class SqrtProvenance:
                 and self.n >= 0 and self.b >= 1 and self.N >= 1):
             raise ValueError(f"{self} needs integers n >= 0, b >= 1 and N >= 1")
 
-    def radicand_key(self):
-        """(n/(b s), N') for N = s^2 N' with N' squarefree: equal positions, equal keys."""
-        s, rest = 1, self.N
-        for p in range(2, math.isqrt(rest) + 1):
-            while rest % (p * p) == 0:
-                s, rest = s * p, rest // (p * p)
-        return (Fraction(self.n, self.b * s), rest)
-
     def value(self) -> float:
         return math.sqrt(self.n / (self.b * math.sqrt(self.N)))
 
     def to_json_dict(self):
         return {"form": "sqrt", "n": self.n, "b": self.b, "N": self.N}
-
-
-@dataclass(frozen=True)
-class Atom:
-    x: float
-    w: complex
-    prov: SqrtProvenance | None = None
 
 
 @dataclass(frozen=True)
@@ -141,55 +126,49 @@ def window_tail(measure: DiscreteMeasure, env) -> float:
     return total
 
 
-def _frozen(values, dtype):
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 class DiscreteMeasure:
     """Atoms on a window, stored as sorted arrays, with duplicate merging.
 
-    `x` (float) and `w` (complex) are read-only arrays sorted by position,
-    and `prov` is the matching tuple of SqrtProvenance or None.  Input
-    atoms are Atom records or (x, w[, prov]) tuples.  Duplicates merge by
-    exact provenance when both atoms carry it, else by a 1e-10 position
-    tolerance (symbolic radicands like sqrt(n + 1/9) collide only
-    symbolically); atoms whose merged weight is zero are dropped.
+    `x` (float) and `w` (complex) are matching arrays of positions and
+    weights, and `prov` an optional matching sequence of SqrtProvenance or
+    None.  One stable sort orders the atoms; an atom at most MERGE_TOL
+    above its left neighbour joins the neighbour's group, whose weights are
+    summed onto its first weight in position order.  A group keeps its
+    first position and its first non-null tag (tags are carried, never
+    compared), and a lone atom keeps its weight bit for bit.  Groups whose
+    summed weight is zero are dropped.  The stored `x`, `w` are read-only
+    and `prov` is a tuple.
     """
 
-    def __init__(self, atoms, window, nonneg=False, dual_sign=None):
-        norm = []
-        for a in atoms:
-            if isinstance(a, Atom):
-                norm.append((a.x, a.w, a.prov))
-            else:
-                norm.append((float(a[0]), complex(a[1]),
-                             a[2] if len(a) > 2 else None))
-        norm.sort(key=lambda a: a[0])
-        merged: list[list] = []
-        for x, w, prov in norm:
-            if merged:
-                px, pw, pprov = merged[-1]
-                if prov is not None and pprov is not None:
-                    same = (prov.radicand_key() == pprov.radicand_key()
-                            and (x >= 0) == (px >= 0))
-                else:
-                    same = abs(x - px) <= MERGE_TOL
-                if same:
-                    merged[-1] = [px, pw + w, pprov or prov]
-                    continue
-            merged.append([x, w, prov])
-        merged = [a for a in merged if a[1] != 0]
-        self.x = _frozen([a[0] for a in merged], float)
-        self.w = _frozen([a[1] for a in merged], complex)
-        self.prov = tuple(a[2] for a in merged)
+    def __init__(self, x, w, window, prov=None, nonneg=False, dual_sign=None):
+        x = np.asarray(x, dtype=float)
+        w = np.asarray(w, dtype=complex)
+        tags = np.full(x.shape, None, object) if prov is None \
+            else np.array(prov, dtype=object)
+        if x.ndim != 1 or w.shape != x.shape or tags.shape != x.shape:
+            raise ValueError(f"positions {x.shape}, weights {w.shape} and tags "
+                             f"{tags.shape} must be matching 1-d arrays")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"atom position {x[~np.isfinite(x)][0]} is not finite")
+        order = np.argsort(x, kind="stable")
+        x, w, tags = x[order], w[order], tags[order]
+        head = np.ones(x.size, dtype=bool)
+        head[1:] = np.diff(x) > MERGE_TOL
+        group = np.cumsum(head) - 1
+        merged = w[head]
+        np.add.at(merged, group[~head], w[~head])
+        tagged = np.flatnonzero(tags != None)  # noqa: E711 (elementwise on objects)
+        gid, first = np.unique(group[tagged], return_index=True)
+        kept_tags = np.full(merged.size, None, object)
+        kept_tags[gid] = tags[tagged[first]]
+        keep = merged != 0
+        self.x, self.w = x[head][keep], merged[keep]
+        self.x.flags.writeable = self.w.flags.writeable = False
+        self.prov = tuple(kept_tags[keep])
         self.window = (float(window[0]), float(window[1]))
-        if merged and not (self.window[0] <= self.x[0]
-                           and self.x[-1] <= self.window[1]):
+        if self.x.size and not (self.window[0] <= self.x[0]
+                                and self.x[-1] <= self.window[1]):
             raise ValueError("window does not cover the atom support")
-        if not np.all(np.diff(self.x) > 0):
-            raise ValueError("positions failed to sort strictly")
         self.nonneg = bool(nonneg)
         if self.nonneg:
             bad = (np.abs(self.w.imag) > 1e-12 * (1 + np.abs(self.w))) \
@@ -204,10 +183,6 @@ class DiscreteMeasure:
 
     def __len__(self):
         return len(self.x)
-
-    def __iter__(self):
-        """Atom records in position order."""
-        return map(Atom, self.x.tolist(), self.w.tolist(), self.prov)
 
     def positions(self):
         return self.x
@@ -243,20 +218,22 @@ class DiscreteMeasure:
             if type(v) not in (int, float) or not math.isfinite(v):
                 raise ValueError(f"expected a finite JSON number, got {v!r}")
             return float(v)
-        atoms = []
-        for rec in d["atoms"]:
-            prov = None
-            if "prov" in rec:
-                p = rec["prov"]
-                prov = SqrtProvenance(p["n"], p["b"], p["N"])
-            atoms.append(Atom(number(rec["x"]), complex_from_json(rec["w"]), prov))
+        def tag(rec):
+            if "prov" not in rec:
+                return None
+            p = rec["prov"]
+            return SqrtProvenance(p["n"], p["b"], p["N"])
+        atoms = d["atoms"]
+        x = [number(rec["x"]) for rec in atoms]
+        w = [complex_from_json(rec["w"]) for rec in atoms]
         sign = d.get("dual_sign")
         if not (sign is None or type(sign) is int and sign in (1, -1)):
             raise ValueError(f"dual_sign must be 1, -1 or null, got {sign!r}")
         lo, hi = map(number, d["window"])
         if not lo < hi:
             raise ValueError(f"window must have lo < hi, got {[lo, hi]}")
-        return cls(atoms, (lo, hi), d.get("nonneg", False), sign)
+        return cls(x, w, (lo, hi), [tag(rec) for rec in atoms],
+                   d.get("nonneg", False), sign)
 
 
 @dataclass
@@ -307,7 +284,7 @@ def phase_points(H: HermiteBiehler, alpha: float, window):
     change the last bit of some weights).
     """
     A, B = H.rotated(alpha)
-    roots = np.array(real_root_scan(B, window).roots, dtype=float)
+    roots = real_root_scan(B, window).roots
     av = A.eval(roots).real
     bpv = B.derivative().eval(roots).real
     ratio = av / bpv
@@ -322,27 +299,22 @@ def measure_from_phase(H: HermiteBiehler, alpha: float, window) -> DiscreteMeasu
     if not 0.0 <= alpha < math.pi:
         raise ValueError("alpha must lie in [0, pi)")
     roots, av, bpv = phase_points(H, alpha, window)
-    return DiscreteMeasure(zip(roots, 2 * math.pi * av / bpv), window,
-                           nonneg=True)
+    return DiscreteMeasure(roots, 2 * math.pi * av / bpv, window, nonneg=True)
 
 
 def pair_from_hb(H: HermiteBiehler, cutoff, window) -> FSPair:
     """Real-antipodal pair: mu from phase data, a from the exact spectrum.
 
-    a(lambda) = E(iA/B)(lambda) for lambda > 0, a(0) = 2 Re E(iA/B)(0),
-    a(-lambda) = conj(a(lambda)).
+    a(lambda) = E(iA/B)(lambda) for lambda > 0, a(-lambda) = conj(a(lambda)),
+    and a(0) = 2 Re E(iA/B)(0), the merge of the atom at 0 with its
+    reflection.
     """
     mu = measure_from_phase(H, 0.0, window)
     spec = exact_spectrum(H, cutoff)
     cutoff_value = spec.meta["requested_cutoff"]
-    atoms = []
-    for _, val, c in spec.sorted_atoms():
-        if val == 0.0:
-            atoms.append((0.0, complex(2 * c.real)))
-        else:
-            atoms.append((val, c))
-            atoms.append((-val, c.conjugate()))
-    a = DiscreteMeasure(atoms, (-cutoff_value - 1e-9, cutoff_value + 1e-9))
+    lam, c = spec.sorted_arrays()
+    a = DiscreteMeasure(np.concatenate((lam, -lam)), np.concatenate((c, c.conj())),
+                        (-cutoff_value - 1e-9, cutoff_value + 1e-9))
     meta = {"source": "hermite-biehler", "cutoff": cutoff_value,
             "window": list(mu.window), "y_valid": spec.y_valid,
             "real_antipodal": True}
@@ -382,11 +354,6 @@ def herglotz_tail_bound(mu: DiscreteMeasure, w: complex, z: complex) -> float:
 
 # -- splittings ---------------------------------------------------------------
 
-def _records(mu: DiscreteMeasure, w, keep):
-    """(x, w, prov) input records of mu's atoms where keep holds, new weights w."""
-    return [(x, wi, p) for x, wi, p, k in zip(mu.x, w, mu.prov, keep) if k]
-
-
 def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
     """Split a complex pair into two real-antipodal pairs.
 
@@ -395,14 +362,13 @@ def antipodal_split(mu: DiscreteMeasure, a: DiscreteMeasure):
     Each of a1, a2 is built from the atoms of a and of its conjugate
     reflection; the measure's merge pairs them and drops zero sums.
     """
-    x = np.concatenate((a.x, -a.x)).tolist()
+    x = np.concatenate((a.x, -a.x))
     win = (min(a.window[0], -a.window[1]), max(a.window[1], -a.window[0]))
 
     def half_sum(c, c_reflected):
-        w = np.concatenate((c, c_reflected)).tolist()
-        return DiscreteMeasure(zip(x, w, a.prov * 2), win)
+        return DiscreteMeasure(x, np.concatenate((c, c_reflected)), win, a.prov * 2)
 
-    mu1 = DiscreteMeasure(_records(mu, mu.w.real, mu.w.real != 0), mu.window)
-    mu2 = DiscreteMeasure(_records(mu, -mu.w.imag, mu.w.imag != 0), mu.window)
+    mu1 = DiscreteMeasure(mu.x, mu.w.real, mu.window, mu.prov)
+    mu2 = DiscreteMeasure(mu.x, -mu.w.imag, mu.window, mu.prov)
     return ((mu1, half_sum(0.5 * a.w, 0.5 * a.w.conj())),
             (mu2, half_sum(0.5j * a.w, -0.5j * a.w.conj())))

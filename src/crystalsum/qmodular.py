@@ -163,11 +163,6 @@ class QSeries:
             body += " + ..."
         return f"QSeries({body or '0'}; order<{self.order})"
 
-    def coefficient(self, e):
-        k = (to_fraction(e) - self.lead) / self.unit
-        ok = k.denominator == 1 and 0 <= k < len(self.coeffs)
-        return self.coeffs[int(k)] if ok else _QQ_ZERO
-
     def leading(self):
         """(exponent, coefficient) of the lowest-order term."""
         if not self.coeffs:
@@ -220,12 +215,6 @@ class QSeries:
         return QSeries.on_lattice(self.lead, self.unit, [c * v for v in self.coeffs],
                                   self.order)
 
-    def shift(self, e0, c0=1):
-        """Multiply by the monomial c0 * q^{e0}."""
-        e0, c0 = to_fraction(e0), to_fraction(c0)
-        return QSeries.on_lattice(self.lead + e0, self.unit, [c0 * c for c in self.coeffs],
-                                  self.order + e0)
-
     def scale_exponents(self, s):
         """Substitute q -> q^s for an exact rational s > 0."""
         s = to_fraction(s)
@@ -253,19 +242,6 @@ class QSeries:
         return QSeries.on_lattice(lead, unit, _from_view(_lattice_mul(a, b), D, c0), order)
 
     __rmul__ = __mul__
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "order": str(self.order),
-            "terms": [{"e": str(e), "c": str(c)} for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls({Fraction(t["e"]): QQ(t["c"]) for t in d["terms"]},
-                   Fraction(d["order"]))
 
 
 MAX_TERMS = 10 ** 6  # the longest coefficient list an order may ask for
@@ -549,9 +525,6 @@ class SelfDualSeries:
         s = self.series
         n0, step = int(self.denom * s.lead), int(self.denom * s.unit)
         self.entries = [(n0 + j * step, c) for j, c in enumerate(s.coeffs) if c]
-
-    def coefficient(self, n):
-        return self.series.coefficient(Fraction(n, self.denom))
 
     def relative_coefficients(self, count=None):
         """Coefficients by lattice index j from the lead (all of them, or count), exact."""

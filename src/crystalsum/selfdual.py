@@ -18,7 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .measures import Atom, DiscreteMeasure, SqrtProvenance
+import numpy as np
+
+from .measures import DiscreteMeasure, SqrtProvenance
 from .qmodular import SelfDualSeries
 
 
@@ -38,15 +40,13 @@ def selfdual_measure(s: SelfDualSeries, window) -> DiscreteMeasure:
     x0, x1 = float(window[0]), float(window[1])
     if not (math.isfinite(x0) and math.isfinite(x1) and x0 < x1):
         raise ValueError(f"window must be a finite interval lo < hi, got ({x0}, {x1})")
-    atoms = []
-    for n, c in s.entries:
-        w = complex(float(c))
-        prov = SqrtProvenance(2 * n, s.denom, s.N)
-        x = prov.value()
-        for xx in (x, -x):
-            if x0 <= xx <= x1:
-                atoms.append(Atom(xx, w, prov))
-    return DiscreteMeasure(atoms, (x0, x1), dual_sign=s.sign)
+    tags = [SqrtProvenance(2 * n, s.denom, s.N) for n, _ in s.entries]
+    pos = np.array([t.value() for t in tags], dtype=float)
+    x = np.concatenate((pos, -pos))
+    w = np.array([float(c) for _, c in s.entries] * 2, dtype=complex)
+    keep = (x0 <= x) & (x <= x1)
+    return DiscreteMeasure(x[keep], w[keep], (x0, x1),
+                           np.array(tags * 2, dtype=object)[keep], dual_sign=s.sign)
 
 
 def functional_equation_residual(s: SelfDualSeries, z: complex,

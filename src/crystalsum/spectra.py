@@ -54,7 +54,6 @@ class SpectrumAtoms:
 
     basis: FreqBasis
     atoms: dict
-    cutoff: tuple              # largest retained frequency vector
     y_valid: float
     meta: dict = field(default_factory=dict)
 
@@ -67,14 +66,14 @@ class SpectrumAtoms:
         return sorted(((v, self.basis.value(v), c) for v, c in self.atoms.items()),
                       key=lambda t: (t[1], t[0]))
 
+    def sorted_arrays(self):
+        """Frequencies and coefficients of sorted_atoms, as two arrays."""
+        atoms = self.sorted_atoms()
+        return (np.array([val for _, val, _ in atoms], dtype=float),
+                np.array([c for _, _, c in atoms], dtype=complex))
+
     def coefficient_at_zero(self) -> complex:
         return self.atoms.get(self.basis.zero_vec(), 0j)
-
-    def to_json_dict(self):
-        d = ExpSum(self.basis, self.atoms).to_json_dict()
-        d["cutoff"] = list(self.cutoff)
-        d["yValid"] = self.y_valid
-        return d
 
 
 def _sup_bound(g: ExpSum, y: float) -> float:
@@ -186,11 +185,9 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
                 raise SpectrumError("could not certify convergence height")
         y_valid = y
 
-    cutoff_vec = max(atoms, key=lambda v: B.basis.value(v)) if atoms \
-        else B.basis.zero_vec()
     meta = {"requested_cutoff": cutoff_value, "n_powers": n_powers,
             "delta": delta if delta != math.inf else None}
-    return SpectrumAtoms(B.basis, atoms, cutoff_vec, y_valid, meta)
+    return SpectrumAtoms(B.basis, atoms, y_valid, meta)
 
 
 # panels per row of mean_value_batch's phase tables
@@ -202,9 +199,9 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
                      panel_width=0.25, eval_y=None):
     """Tapered Bohr mean values at several frequencies, sharing f-samples.
 
-    `f` is an evaluator, vectorized or scalar-only (called point by point
-    when it raises TypeError on a chunk or returns the wrong shape).  When
-    eval_y is given, the
+    `f` is a vectorized evaluator: it receives each chunk of nodes as one
+    freqalg.Grid and returns a sample array of the grid's shape, or
+    SpectrumError names both shapes.  When eval_y is given, the
     integration line is moved there; by Cauchy's theorem the mean of a
     function holomorphic and bounded between the two heights is unchanged,
     and a lower line avoids amplifying quadrature noise by e^{2 pi lambda y}
@@ -266,12 +263,10 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
         mids = -T + w_eff * (np.arange(start, start + count) + 0.5)
         X = mids[:, None] + half * xi[None, :]
         grid = Grid(mids[0] + 1j * y_line + row_starts, offsets, X.size)
-        try:
-            fv = np.asarray(f(grid), dtype=complex)
-            if fv.shape != grid.shape:
-                raise TypeError
-        except TypeError:
-            fv = np.array([f(z) for z in np.asarray(grid)], dtype=complex)
+        fv = np.asarray(f(grid), dtype=complex)
+        if fv.shape != grid.shape:
+            raise SpectrumError(f"f returned samples of shape {fv.shape} on a grid "
+                                f"of shape {grid.shape}")
         if not np.all(np.isfinite(fv)):
             raise SpectrumError("non-finite sample: a pole is too close to the line")
         wts = node_w * (1.0 - np.abs(X / T)) if taper == "fejer" else node_w

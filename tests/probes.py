@@ -6,11 +6,13 @@ besides: the Herglotz representation of iA/B by mu (criterion 11), a
 positive phase derivative (criterion 12), at most two hits of sqrt(c + n)
 on a progression for irrational c (criterion 13), quadratic decay of mu,
 the Fejer-tapered kernel identity and the invariance of the kernel under
-E -> E1.  Nothing in the library calls them.  The file name keeps pytest
-from collecting it.
+E -> E1.  The exact-series readers below (a coefficient, a monomial
+shift, JSON forms) serve the tests of `qmodular` and `spectra`.  Nothing
+in the library calls them.  The file name keeps pytest from collecting it.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from crystalsum.dbspace import KernelContext
 from crystalsum.freqalg import ExpSum, _vec_neg
 from crystalsum.hermite import HermiteBiehler
 from crystalsum.measures import DiscreteMeasure, FSPair, herglotz_tail_bound
+from crystalsum.qmodular import QSeries, to_fraction
 from crystalsum.verifier import VerificationReport, _report
 
 
@@ -117,6 +120,47 @@ def degree_probe(mu: DiscreteMeasure, n: int) -> dict:
             "exponent": n,
             "window_edges": [float(e) for e in edges],
             "partial_sums": sums}
+
+
+# -- exact series -------------------------------------------------------------
+
+def qcoefficient(s: QSeries, e) -> Fraction:
+    """Coefficient of q^e in s: zero off its lattice and outside its terms."""
+    k = (to_fraction(e) - s.lead) / s.unit
+    ok = k.denominator == 1 and 0 <= k < len(s.coeffs)
+    return s.coeffs[int(k)] if ok else Fraction(0)
+
+
+def selfdual_coefficient(s, n) -> Fraction:
+    """alpha_n of a SelfDualSeries: the coefficient of q^{n/denom}."""
+    return qcoefficient(s.series, Fraction(n, s.denom))
+
+
+def qshift(s: QSeries, e0, c0=1) -> QSeries:
+    """s times the monomial c0 * q^{e0}."""
+    e0, c0 = to_fraction(e0), to_fraction(c0)
+    return QSeries.on_lattice(s.lead + e0, s.unit, [c0 * c for c in s.coeffs],
+                              s.order + e0)
+
+
+def qseries_to_json(s: QSeries) -> dict:
+    return {"order": str(s.order),
+            "terms": [{"e": str(e), "c": str(c)} for e, c in s.sorted_terms()]}
+
+
+def qseries_from_json(d) -> QSeries:
+    return QSeries({Fraction(t["e"]): Fraction(t["c"]) for t in d["terms"]},
+                   Fraction(d["order"]))
+
+
+def spectrum_to_json(spec) -> dict:
+    """An exact spectrum as exponential-sum JSON, with its largest frequency
+    vector as `cutoff` and its convergence height as `yValid`."""
+    d = ExpSum(spec.basis, spec.atoms).to_json_dict()
+    top = max(spec.atoms, key=spec.basis.value) if spec.atoms else spec.basis.zero_vec()
+    d["cutoff"] = list(top)
+    d["yValid"] = spec.y_valid
+    return d
 
 
 # -- q-series frequencies -----------------------------------------------------

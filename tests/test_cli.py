@@ -372,7 +372,7 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files["H"].write_text(json.dumps(H.to_json_dict()))
     files["pair"].write_text(json.dumps(pair_from_hb(H, 4.0, (-4.5, 4.5))
                                         .to_json_dict()))
-    measure = DiscreteMeasure([(0.0, 1.0)], (-1.0, 1.0), dual_sign=1).to_json_dict()
+    measure = DiscreteMeasure([0.0], [1.0], (-1.0, 1.0), dual_sign=1).to_json_dict()
     files["measure"].write_text(json.dumps(measure))
     bad = {**BAD_ETA_SPECS, "guinand": json.dumps(GUINAND_SPEC),
            **bad_validation_inputs(json.loads(files["pair"].read_text()),

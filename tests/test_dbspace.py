@@ -200,10 +200,15 @@ def test_e1_family_invariance():
 
 def test_context_validation():
     H = ks_from_Q(sine(HALF, (1,)))
-    from crystalsum.hermite import PhasePoint
     with pytest.raises(ValueError):
-        KernelContext(H, [PhasePoint(0.0, 1.0), PhasePoint(0.0, 1.0)], 1.0)
+        KernelContext(H, np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        KernelContext(H, [PhasePoint(0.0, -1.0)], 1.0)
+        KernelContext(H, np.array([0.0]), np.array([-1.0]), 1.0)
     with pytest.raises(ValueError):
-        KernelContext(H, [PhasePoint(5.0, 1.0)], 1.0)
+        KernelContext(H, np.array([5.0]), np.array([1.0]), 1.0)
+    with pytest.raises(ValueError):
+        KernelContext(H, np.array([0.0]), np.array([1.0, 1.0]), 1.0)
+    # the points view pairs each root with its weight
+    ctx = KernelContext(H, np.array([-0.5, 0.5]), np.array([1.0, 2.0]), 1.0)
+    assert len(ctx.points) == 2
+    assert (ctx.points[1].gamma, ctx.points[1].weight) == (0.5, 2.0)

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
+from probes import qshift
 from crystalsum.qmodular import (EtaProductSpec, QSeries, SelfDualSeries, _lattice_power,
                                  eta_product, family_l, family_spec,
                                  fminus, lambda_invariant, qpow)
@@ -38,10 +39,10 @@ def reference_eta_product(spec, order):
         m = int(rd * s)
         if m == 0:
             continue
-        fac = ref.eta_expansion(rel + F(d, 24), scale=d).shift(F(-d, 24))
+        fac = qshift(ref.eta_expansion(rel + F(d, 24), scale=d), F(-d, 24))
         inner = ref.mul(inner, ref.qpow(fac, m))
     out = ref.qpow(inner, F(1, s)) if s > 1 else inner
-    return out.shift(lead).truncate(order)
+    return qshift(out, lead).truncate(order)
 
 
 def reference_lambda(order):
@@ -51,11 +52,11 @@ def reference_lambda(order):
     if order <= lead:
         return QSeries({}, order)
     rel = order - lead
-    f2 = ref.eta_expansion(rel + F(2, 24), scale=2).shift(F(-2, 24))
-    fh = ref.eta_expansion(rel + F(1, 48), scale=F(1, 2)).shift(F(-1, 48))
-    f1 = ref.eta_expansion(rel + F(1, 24), scale=1).shift(F(-1, 24))
+    f2 = qshift(ref.eta_expansion(rel + F(2, 24), scale=2), F(-2, 24))
+    fh = qshift(ref.eta_expansion(rel + F(1, 48), scale=F(1, 2)), F(-1, 48))
+    f1 = qshift(ref.eta_expansion(rel + F(1, 24), scale=1), F(-1, 24))
     prod = ref.mul(ref.mul(ref.qpow(f2, 16), ref.qpow(fh, 8)), ref.qpow(f1, -24))
-    return prod.shift(lead, 16).truncate(order)
+    return qshift(prod, lead, 16).truncate(order)
 
 
 def reference_fminus(spec, order):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from crystalsum.hermite import (
     leeyang_real_form,
 )
 from crystalsum.measures import (
-    Atom,
+    MERGE_TOL,
     DiscreteMeasure,
     FSPair,
     SqrtProvenance,
@@ -45,45 +44,78 @@ def leeyang_H():
 
 
 def comb(wt, n_max, spacing=1.0):
-    atoms = [(spacing * n, wt) for n in range(-n_max, n_max + 1)]
-    return DiscreteMeasure(atoms, (-spacing * n_max - 1, spacing * n_max + 1),
+    x = spacing * np.arange(-n_max, n_max + 1)
+    return DiscreteMeasure(x, np.full(x.size, wt), (x[0] - 1, x[-1] + 1),
                            nonneg=wt > 0)
 
 
 def test_merge_by_position():
-    m = DiscreteMeasure([(0.0, 1.0), (1e-12, 2.0), (1.0, 3.0)], (-1, 2))
+    m = DiscreteMeasure([0.0, 1e-12, 1.0], [1.0, 2.0, 3.0], (-1, 2))
     assert len(m) == 2
     assert m.weight_at(0.0) == 3.0
 
 
 def test_merge_by_provenance():
+    # a tag is carried, not compared: one tag no longer joins atoms 5e-10 apart
     p = SqrtProvenance(10, 9, 4)  # sqrt(10/18)
     x = p.value()
-    m = DiscreteMeasure([Atom(x, 1.0, p), Atom(x + 5e-10, 2.0, p),
-                         Atom(-x, 4.0, p)], (-1, 1))
-    assert len(m) == 2
-    assert m.weight_at(x) == 3.0 and m.weight_at(-x) == 4.0
+    m = DiscreteMeasure([x, x + 5e-10, -x], [1.0, 2.0, 4.0], (-1, 1), [p, p, p])
+    assert len(m) == 3
+    assert m.weight_at(x) == 1.0 and m.weight_at(-x) == 4.0
+    assert m.prov == (p, p, p)
 
 
 def test_provenance_merges_across_square_factors_of_N():
     # sqrt(1/(1 sqrt 1)) = sqrt(2/(1 sqrt 4)) = 1: one radicand, two tags
     p, q = SqrtProvenance(1, 1, 1), SqrtProvenance(2, 1, 4)
-    assert p.radicand_key() == q.radicand_key() == (1, 1)
-    assert SqrtProvenance(3, 2, 12).radicand_key() == (Fraction(3, 4), 3)
-    m = DiscreteMeasure([Atom(p.value(), 1.0, p), Atom(q.value(), 2.0, q)], (-2, 2))
+    m = DiscreteMeasure([p.value(), q.value()], [1.0, 2.0], (-2, 2), [p, q])
     assert len(m) == 1 and m.weight_at(1.0) == 3.0
+
+
+def test_merge_joins_neighbours_by_gap_and_keeps_the_first_tag():
+    # 0, 0.8 MERGE_TOL, 1.6 MERGE_TOL: each gap is within MERGE_TOL, so one
+    # group, at the first position, with the first non-null tag
+    p = SqrtProvenance(1, 1, 1)
+    m = DiscreteMeasure(np.array([1.6, 0.0, 0.8]) * MERGE_TOL, [1.0, 2.0, 4.0],
+                        (-1, 1), [p, None, p])
+    assert m.x.tolist() == [0.0] and m.w.tolist() == [7.0] and m.prov == (p,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_position_raises(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        DiscreteMeasure([0.0, bad], [1.0, 1.0], (-1, 1))
+
+
+def test_positions_and_weights_must_match():
+    with pytest.raises(ValueError, match="matching"):
+        DiscreteMeasure([0.0, 0.5], [1.0], (-1, 1))
+    with pytest.raises(ValueError, match="matching"):
+        DiscreteMeasure([0.0], [1.0], (-1, 1), [None, None])
+
+
+def test_lone_atom_keeps_its_weight_bit_for_bit():
+    w = np.array([complex(2.5, -0.0), complex(-0.0, -1.0), complex(-1.0, 0.0)])
+    m = DiscreteMeasure([0.5, -0.5, 0.9], w, (-1, 1))
+    assert m.w.tobytes() == w[[1, 0, 2]].tobytes()  # -0.0 parts included
+
+
+def test_empty_measure_builds():
+    m = DiscreteMeasure([], [], (-1, 1))
+    assert len(m) == 0 and m.prov == () and m.weight_at(0.0) == 0j
+    assert m.x.dtype == float and m.w.dtype == complex
 
 
 def test_nonneg_flag_enforced():
     with pytest.raises(ValueError):
-        DiscreteMeasure([(0.0, -1.0)], (-1, 1), nonneg=True)
+        DiscreteMeasure([0.0], [-1.0], (-1, 1), nonneg=True)
     with pytest.raises(ValueError):
-        DiscreteMeasure([(0.0, 1j)], (-1, 1), nonneg=True)
+        DiscreteMeasure([0.0], [1j], (-1, 1), nonneg=True)
 
 
 def test_window_must_cover():
     with pytest.raises(ValueError):
-        DiscreteMeasure([(2.0, 1.0)], (-1, 1))
+        DiscreteMeasure([2.0], [1.0], (-1, 1))
 
 
 def test_measure_from_phase_poisson():
@@ -140,13 +172,13 @@ def test_pair_cutoff_zero():
 
 
 def test_herglotz_single_atom_is_i_over_z():
-    mu = DiscreteMeasure([(0.0, 2 * math.pi)], (-1, 1), nonneg=True)
+    mu = DiscreteMeasure([0.0], [2 * math.pi], (-1, 1), nonneg=True)
     for z in (1j, 0.5 + 1j, -2 + 0.3j):
         assert herglotz_eval(mu, 0.0, z) == pytest.approx(1j / z, rel=1e-12)
 
 
 def test_herglotz_empty_measure():
-    mu = DiscreteMeasure([], (-1, 1))
+    mu = DiscreteMeasure([], [], (-1, 1))
     assert herglotz_eval(mu, 0.7, 1j) == 0.7j
 
 
@@ -168,14 +200,14 @@ def test_herglotz_positive_real_part():
 
 
 def test_kernel_residual_single_atom():
-    mu = DiscreteMeasure([(0.0, 2 * math.pi)], (-1, 1), nonneg=True)
+    mu = DiscreteMeasure([0.0], [2 * math.pi], (-1, 1), nonneg=True)
     f = lambda z: 1j / z
     for w, z in ((1j, 1j), (0.3 + 0.8j, -1 + 2j)):
         assert herglotz_kernel_residual(mu, f, w, z) < 1e-14
 
 
 def test_kernel_residual_constant():
-    mu = DiscreteMeasure([], (-1, 1))
+    mu = DiscreteMeasure([], [], (-1, 1))
     f = lambda z: 0.4j
     assert herglotz_kernel_residual(mu, f, 1j, 2j) == 0.0
 
@@ -207,8 +239,8 @@ def test_herglotz_tail_bound_without_tail_model():
 def test_window_tail_of_a_power_law():
     # weights (1+|x|)^-2 at the integers fit p = -2; against env = 1 each
     # edge then gives C density (1+X)^(p+1)/(-(p+1)) = C density/(1+X)
-    atoms = [(n, (1.0 + abs(n)) ** -2) for n in range(-50, 51)]
-    mu = DiscreteMeasure(atoms, (-50.5, 50.5))
+    x = np.arange(-50, 51)
+    mu = DiscreteMeasure(x, (1.0 + np.abs(x)) ** -2.0, (-50.5, 50.5))
     tm = mu.tail_model
     assert tm.p == pytest.approx(-2.0, abs=1e-9)
     expect = -2 * tm.C * tm.density * (1 + 50.5) ** (tm.p + 1) / (tm.p + 1)
@@ -269,32 +301,34 @@ def test_antipodal_split_quarter_shift_pair():
     # the two real-antipodal sub-pairs displayed by the classical shifted
     # lattice example.
     N = 6
-    mu = DiscreteMeasure([(n, 1j ** (n % 4)) for n in range(-N, N + 1)],
-                         (-N - 1, N + 1))
-    a = DiscreteMeasure([(n - 0.25, 1.0) for n in range(-N, N + 1)],
-                        (-N - 1.25, N + 0.75))
+    n = range(-N, N + 1)
+    mu = DiscreteMeasure(n, [1j ** (k % 4) for k in n], (-N - 1, N + 1))
+    a = DiscreteMeasure(np.array(n) - 0.25, np.ones(len(n)), (-N - 1.25, N + 0.75))
     (mu1, a1), (mu2, a2) = antipodal_split(mu, a)
+
+    def atoms(m):
+        return zip(m.x.tolist(), m.w.tolist())
     # mu1 = Re mu: (-1)^m at even integers
     assert np.allclose(mu1.positions(), np.arange(-N, N + 1, 2))
-    for at in mu1:
-        assert at.w == (-1.0) ** (at.x / 2)
+    for x, w in atoms(mu1):
+        assert w == (-1.0) ** (x / 2)
     # mu2 = -Im mu at odd integers
-    for at in mu2:
-        assert at.w == pytest.approx(-math.sin(math.pi * at.x / 2))
+    for x, w in atoms(mu2):
+        assert w == pytest.approx(-math.sin(math.pi * x / 2))
     # a1 = 1/2 on both quarter-shifted lattices
-    for at in a1:
-        assert at.w == 0.5
-        assert min(abs(at.x % 1 - 0.25), abs(at.x % 1 - 0.75)) < 1e-9
+    for x, w in atoms(a1):
+        assert w == 0.5
+        assert min(abs(x % 1 - 0.25), abs(x % 1 - 0.75)) < 1e-9
     # a2 = +-i/2, antipodally
-    for at in a2:
-        assert abs(at.w) == 0.5 and abs(at.w.real) < 1e-15
-        assert a2.weight_at(-at.x) == at.w.conjugate()
+    for x, w in atoms(a2):
+        assert abs(w) == 0.5 and abs(w.real) < 1e-15
+        assert a2.weight_at(-x) == w.conjugate()
     # both split pairs satisfy the summation identity on a gaussian
     phi = lambda t: np.exp(-np.pi * t * t)
     phihat = phi  # self-dual
     for m, aa in ((mu1, a1), (mu2, a2)):
-        lhs = sum(at.w * phi(at.x) for at in aa)
-        rhs = sum(at.w * phihat(at.x) for at in m)
+        lhs = sum(w * phi(x) for x, w in atoms(aa))
+        rhs = sum(w * phihat(x) for x, w in atoms(m))
         assert abs(lhs - rhs) < 1e-9
 
 
@@ -315,13 +349,13 @@ def test_degree_probe_poisson():
 
 
 def test_degree_probe_single_atom():
-    mu = DiscreteMeasure([(0.5, 1.0)], (-1, 1))
+    mu = DiscreteMeasure([0.5], [1.0], (-1, 1))
     assert degree_probe(mu, 0)["verdict"] == "convergent-at-window-scale"
 
 
 def test_json_round_trip():
     p = SqrtProvenance(10, 9, 4)
-    mu = DiscreteMeasure([Atom(p.value(), 1.5, p), (0.0, 2.0)], (-1, 1))
+    mu = DiscreteMeasure([p.value(), 0.0], [1.5, 2.0], (-1, 1), [p, None])
     d = mu.to_json_dict()
     back = DiscreteMeasure.from_json_dict(d)
     assert len(back) == 2

@@ -5,6 +5,7 @@ pair pipeline on random Lee-Yang unitaries, and product grids against
 their flat arrays."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from crystalsum.freqalg import EvalRangeError, ExpSum, FreqBasis, Grid
 from crystalsum.hermite import ks_from_Q, leeyang_real_form
-from crystalsum.measures import (MERGE_TOL, Atom, DiscreteMeasure, SqrtProvenance,
-                                 pair_from_hb)
+from crystalsum.measures import MERGE_TOL, DiscreteMeasure, SqrtProvenance, pair_from_hb
 from crystalsum.qmodular import QSeries, qpow
 from crystalsum.verifier import TestFunction, bump_ft, check_pair, gaussian_suite
+from probes import qcoefficient
 
 BASIS = FreqBasis((1.0, math.sqrt(2)))
 
@@ -218,29 +219,29 @@ def test_qseries_survives_its_term_map(s, probe):
     if s:
         assert s.coeffs[0] and s.coeffs[-1]
         assert s.lead + (len(s.coeffs) - 1) * s.unit < s.order
-        assert s.coefficient(s.lead + s.unit / 2) == 0  # between lattice points
+        assert qcoefficient(s, s.lead + s.unit / 2) == 0  # between lattice points
     for e, c in s.terms.items():
-        assert s.coefficient(e) == c
-    assert s.coefficient(probe) == s.terms.get(probe, 0)
+        assert qcoefficient(s, e) == c
+    assert qcoefficient(s, probe) == s.terms.get(probe, 0)
 
 
 # -- DiscreteMeasure against a list reference ---------------------------------
 
+Atom = namedtuple("Atom", "x w prov", defaults=(None,))  # one input atom
+
+
 def reference_merge(atoms):
-    """Sort, merge neighbours by provenance or position, drop zero weights."""
+    """Sort; an atom at most MERGE_TOL above its left neighbour joins the
+    neighbour's group, which keeps its first position and first non-null
+    tag and sums its weights; drop zero weights.  Tags are not compared."""
     merged = []
-    for a in sorted(atoms, key=lambda a: a.x):
-        if merged:
-            prev = merged[-1]
-            if a.prov is not None and prev.prov is not None:
-                same = (a.prov.radicand_key() == prev.prov.radicand_key()
-                        and (a.x >= 0) == (prev.x >= 0))
-            else:
-                same = abs(a.x - prev.x) <= MERGE_TOL
-            if same:
-                merged[-1] = Atom(prev.x, prev.w + a.w, prev.prov or a.prov)
-                continue
-        merged.append(a)
+    for i, a in enumerate(sorted(atoms, key=lambda a: a.x)):
+        if i and a.x - left <= MERGE_TOL:
+            g = merged[-1]
+            merged[-1] = Atom(g.x, g.w + a.w, g.prov or a.prov)
+        else:
+            merged.append(a)
+        left = a.x
     return [a for a in merged if a.w != 0]
 
 
@@ -254,7 +255,7 @@ def reference_weight_at(atoms, x, tol=MERGE_TOL):
 jitter = st.sampled_from([0.0, 4e-11, -4e-11, 9e-11, 3e-10])
 plain_atom = st.builds(lambda k, j, w: Atom(k / 4 + j, complex(w)),
                        st.integers(-12, 12), jitter, st.integers(-2, 2))
-# N with square factors too: tags of one value then share a radicand key
+# N with square factors too: tags of different N then name one value
 prov = st.builds(SqrtProvenance, st.integers(1, 6), st.integers(1, 3),
                  st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
 
@@ -276,9 +277,10 @@ def tagged_atoms(draw):
        probes=st.lists(st.floats(-4, 4), max_size=5))
 def test_measure_merging_and_weight_at_match_list_reference(plain, tagged, probes):
     atoms = plain + [a for group in tagged for a in group]
-    m = DiscreteMeasure(atoms, (-5, 5))
+    m = DiscreteMeasure([a.x for a in atoms], [a.w for a in atoms], (-5, 5),
+                        [a.prov for a in atoms])
     ref = reference_merge(atoms)
-    assert list(m) == ref
+    assert m.prov == tuple(a.prov for a in ref)
     assert np.array_equal(m.positions(), [a.x for a in ref])
     assert np.array_equal(m.weights(), np.array([a.w for a in ref], dtype=complex))
     for x in [a.x + d for a in atoms for d in (0.0, 5e-11, -1e-10, 2e-10)] + probes:

@@ -126,6 +126,6 @@ def test_gaussian_pairing_minus_family():
 
 def test_pairing_requires_sign_tag():
     from crystalsum.measures import DiscreteMeasure
-    m = DiscreteMeasure([(0.0, 1.0)], (-1, 1))
+    m = DiscreteMeasure([0.0], [1.0], (-1, 1))
     with pytest.raises(ValueError):
         _pairing_residuals(m, (1.0,))

@@ -1,4 +1,3 @@
-import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +15,7 @@ from crystalsum.spectra import (
     fejer_reconstruct,
     mean_value_batch,
 )
-from probes import monomial
+from probes import monomial, spectrum_to_json
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
@@ -140,7 +139,7 @@ def test_exact_spectrum_min_freq_mismatch():
 
 def test_spectrum_rejects_negative_frequency():
     with pytest.raises(SpectrumError):
-        SpectrumAtoms(UNIT, {(-1,): 1.0}, (0,), 1.0)
+        SpectrumAtoms(UNIT, {(-1,): 1.0}, 1.0)
 
 
 def test_mean_value_pure_exponential():
@@ -232,11 +231,6 @@ def one_shot_mean_values(f, lambdas, y, T, taper="fejer", panel_width=0.25,
             for lam in lambdas]
 
 
-def scalar_icotangent(z):
-    """i pi cot(pi z) through cmath: takes a scalar only."""
-    return 1j * math.pi * cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
-
-
 PANELS_PER_CHUNK = CHUNK_POINTS // 8
 
 
@@ -251,7 +245,6 @@ PANELS_PER_CHUNK = CHUNK_POINTS // 8
     (2560.0, 1 / 4, "fejer", 0.2, icotangent),
     # fewer panels than one chunk
     (37.0, 1 / 8, "fejer", None, icotangent),
-    (37.0, 1 / 8, "none", 0.2, scalar_icotangent),
 ])
 def test_streamed_mean_value_matches_one_shot(T, width, taper, eval_y, f):
     # lambda * y stays below 1, so e^{2 pi lambda y} amplifies the rounding
@@ -262,6 +255,13 @@ def test_streamed_mean_value_matches_one_shot(T, width, taper, eval_y, f):
     want = one_shot_mean_values(icotangent, lams, 0.3, T, taper=taper,
                                 panel_width=width, eval_y=eval_y)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+
+
+def test_mean_value_rejects_samples_of_the_wrong_shape():
+    # a scalar-only evaluator returns one value for the whole grid
+    f = lambda z: complex(np.asarray(z)[0])
+    with pytest.raises(SpectrumError, match=r"shape \(\) on a grid of shape \(4736,\)"):
+        mean_value_batch(f, [1.0], 0.3, 37.0, panel_width=1 / 8)
 
 
 def test_mean_value_pole_in_last_chunk_raises():
@@ -405,7 +405,7 @@ def test_fejer_reconstruct_degenerate_T():
 
 
 def test_fejer_reconstruct_empty():
-    empty = SpectrumAtoms(UNIT, {}, (0,), 0.0)
+    empty = SpectrumAtoms(UNIT, {}, 0.0)
     assert fejer_reconstruct(empty, 0.0, 10.0, 1j) == 0.0
 
 
@@ -423,7 +423,7 @@ def test_fejer_convergence_monotone():
 
 def test_spectrum_json():
     spec = exact_spectrum(poisson_H(), 3.0)
-    d = spec.to_json_dict()
+    d = spectrum_to_json(spec)
     assert d["yValid"] == spec.y_valid
     assert d["cutoff"] == [6]
     assert len(d["terms"]) == 4

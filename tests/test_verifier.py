@@ -6,7 +6,7 @@ import pytest
 
 from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import ks_from_Q
-from crystalsum.measures import Atom, DiscreteMeasure, FSPair, pair_from_hb
+from crystalsum.measures import DiscreteMeasure, FSPair, pair_from_hb
 from crystalsum.qmodular import EtaProductSpec, family_l, fplus
 from crystalsum.selfdual import selfdual_measure
 from crystalsum.verifier import (
@@ -99,10 +99,9 @@ def test_check_pair_poisson_suite():
 def test_check_pair_quarter_shift_literal():
     # mu = sum delta_{n - 1/4}, a(n) = i^n: the classical shifted-comb pair
     N = 16
-    mu = DiscreteMeasure([(n - 0.25, 1.0) for n in range(-N, N + 1)],
-                         (-N - 1, N + 1))
-    a = DiscreteMeasure([(n, 1j ** (n % 4)) for n in range(-N, N + 1)],
-                        (-N - 1, N + 1))
+    n = range(-N, N + 1)
+    mu = DiscreteMeasure(np.array(n) - 0.25, np.ones(len(n)), (-N - 1, N + 1))
+    a = DiscreteMeasure(n, [1j ** (k % 4) for k in n], (-N - 1, N + 1))
     pair = FSPair(mu, a, {"source": "literal"})
     rep = check_pair(pair, TestFunction("gaussian", z=1j), tol=1e-8)
     assert rep.verdict == "pass"
@@ -111,15 +110,15 @@ def test_check_pair_quarter_shift_literal():
 
 def test_check_pair_detects_corruption():
     pair = poisson_pair()
-    atoms = [Atom(a.x, a.w, a.prov) for a in pair.mu]
-    k = len(atoms) // 2           # the atom at 0
+    w = pair.mu.w.copy()
+    k = len(w) // 2               # the atom at 0
     delta = 1e-3
-    atoms[k] = Atom(atoms[k].x, atoms[k].w + delta, atoms[k].prov)
-    bad = FSPair(DiscreteMeasure(atoms, pair.mu.window), pair.a, {})
+    w[k] += delta
+    bad = FSPair(DiscreteMeasure(pair.mu.x, w, pair.mu.window), pair.a, {})
     tf = TestFunction("gaussian", z=1j)
     rep = check_pair(bad, tf, tol=1e-6)
     assert rep.verdict == "fail"
-    expect = delta * abs(gaussian_ft(tf, atoms[k].x))
+    expect = delta * abs(gaussian_ft(tf, float(pair.mu.x[k])))
     assert rep.residual == pytest.approx(expect, rel=1e-6)
 
 
@@ -127,13 +126,12 @@ def test_check_pair_linearity_triangle():
     pair = poisson_pair()
     tf = TestFunction("gaussian", z=1j, x0=0.5)
     r0 = check_pair(pair, tf).residual
-    atoms = [Atom(a.x, a.w, a.prov) for a in pair.mu]
-    atoms[0] = Atom(atoms[0].x, atoms[0].w + 1e-4, atoms[0].prov)
-    bad = FSPair(DiscreteMeasure(atoms, pair.mu.window), pair.a, {})
+    w = pair.mu.w.copy()
+    w[0] += 1e-4
+    bad = FSPair(DiscreteMeasure(pair.mu.x, w, pair.mu.window), pair.a, {})
     r1 = check_pair(bad, tf).residual
-    half = [Atom(a.x, 0.5 * (b.w + a.w), a.prov)
-            for a, b in zip(pair.mu, bad.mu)]
-    mix = FSPair(DiscreteMeasure(half, pair.mu.window), pair.a, {})
+    half = 0.5 * (bad.mu.w + pair.mu.w)
+    mix = FSPair(DiscreteMeasure(pair.mu.x, half, pair.mu.window), pair.a, {})
     rmix = check_pair(mix, tf).residual
     assert rmix <= 0.5 * r0 + 0.5 * r1 + 1e-14
     assert rmix >= 0.5 * r1 - 0.5 * r0 - 1e-14
@@ -163,7 +161,7 @@ def test_check_pair_inconclusive_when_tail_dominates():
 
 
 def test_empty_measure_is_inconclusive():
-    empty = DiscreteMeasure([], (-1, 1), dual_sign=1)
+    empty = DiscreteMeasure([], [], (-1, 1), dual_sign=1)
     tf = TestFunction("gaussian", z=1j)
     assert check_pair(FSPair(empty, empty), tf).verdict == "inconclusive"
     bump = TestFunction("bump", halfwidth=0.5)
@@ -255,7 +253,7 @@ def test_check_pair_gaussian_tail_matches_erfc():
 
 
 def test_fejer_identity_empty_measure_is_inconclusive():
-    empty = DiscreteMeasure([], (-1, 1))
+    empty = DiscreteMeasure([], [], (-1, 1))
     rep = fejer_identity_check(FSPair(empty, empty), 1j, 2j, 10.0)
     assert rep.residual == 0.0 and rep.verdict == "inconclusive"
 
