@@ -12,25 +12,19 @@ complex doubles.  Merging of like frequencies is decided by integer
 vector equality only, never by a floating tolerance, so products and
 powers of sums never accumulate spurious near-duplicate terms.
 
-Evaluation treats a sum as a Laurent polynomial in the generators
-w_j = e^{2 pi i base_j z/D}: one complex exponential per basis entry
-present, nested Horner over the coordinates (gaps bridged by powers of
-w_j from repeated squaring), then one factor prod_j w_j^{lo_j} for the
-minimum exponents.  A range guard sends heights where some intermediate
-power or product, or coefficient times power, could approach overflow or
-the subnormals back to one exponential per term; inputs where a term
-itself overflows raise EvalRangeError on either route.
-
-ExpSum.eval takes an array of more than CHUNK_POINTS points in balanced
-chunks (np.array_split), so one evaluation holds a few chunk-sized
-arrays beyond its output, whatever its length.  On a Grid (row heads r_m,
-real column offsets x_k) a sum factors, sum_t c_t w^{k_t}(r_m + x_k) =
+Evaluation has two routes, and the point set alone chooses.  On a Grid
+(row heads r_m, real column offsets x_k) a sum in the generators
+w_j = e^{2 pi i base_j z/D} factors, sum_t c_t w^{k_t}(r_m + x_k) =
 sum_t (c_t U_mt) V_tk: one einsum of tables of integer powers of e^{g r_m}
-and e^{g x_k}, with no Horner pass, and only the output grows with the
-grid.  The grid makes the two tables of each generator value
-g = 2 pi i base_j/D on first use and keeps them, so A and B of iA/B (or E
-and E*) on one grid, or sums over bases sharing an entry, exponentiate
-each table once.  An array's generators are made afresh by each evaluation.
+and e^{g x_k}, so only the output grows with the grid.  The grid makes the
+two tables of each generator value g = 2 pi i base_j/D on first use and
+keeps them, so A and B of iA/B (or E and E*) on one grid, or sums over
+bases sharing an entry, exponentiate each table once.  Every other point
+set (an array, a scalar, or a grid whose row heights could push a power
+towards overflow or the subnormals) takes one exponential per term, in
+chunks of at most CHUNK_POINTS points, so one evaluation holds a few
+chunk-sized arrays beyond its output, whatever its length.  Inputs where
+a term itself overflows raise EvalRangeError on either route.
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -41,16 +35,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 # exponent beyond which exp(x) overflows a double
 _EXP_OVERFLOW = 709.0
-# largest exponent Horner's intermediate powers may reach: half the range
-# keeps them within 1e+-154 of their coefficients, clear of the subnormals
-_HORNER_LIMIT = 0.5 * _EXP_OVERFLOW
-# most points per chunk of ExpSum.eval's generator route and mean_value_batch
+# largest exponent a power or partial product of powers on a Grid may reach:
+# half the range keeps it within 1e+-154 of 1, clear of the subnormals
+_PRODUCT_LIMIT = 0.5 * _EXP_OVERFLOW
+# most points per chunk of ExpSum.eval's per-term route and mean_value_batch
 CHUNK_POINTS = 1 << 15
 
 
@@ -157,7 +150,7 @@ class ExpSum:
     arithmetic returns new instances.
     """
 
-    __slots__ = ("basis", "_terms", "_sorted", "_values", "_horner")
+    __slots__ = ("basis", "_terms", "_sorted", "_values", "_plan")
 
     def __init__(self, basis: FreqBasis, terms=None):
         self.basis = basis
@@ -176,7 +169,7 @@ class ExpSum:
         order = sorted((basis.value(v), v) for v in self._terms)
         self._values = [val for val, _ in order]
         self._sorted = [v for _, v in order]
-        self._horner = None             # _HornerPlan, built on first eval
+        self._plan = None               # _GridPlan, built on the first grid
 
     # -- inspection ---------------------------------------------------------
 
@@ -224,18 +217,15 @@ class ExpSum:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, z):
-        """Evaluate at z (scalar or ndarray).
+        """Evaluate at z (scalar, ndarray or Grid).
 
         Raises EvalRangeError if any term's modulus exp(-2 pi lambda Im z)
         overflows, instead of silently returning inf.
 
-        Sums by nested Horner in the generators w_j (see the module
-        docstring), or on a Grid by one contraction over its tables, while
-        every power and partial product either route forms stays in range:
-        _HornerPlan.reach times max|Im z| (read from a grid's row heads)
-        below exp(_HORNER_LIMIT) and 2^970 min |c|.  Above that, one
-        exponential per term at np.asarray(z).  The Horner route takes z in
-        balanced chunks of at most CHUNK_POINTS points.
+        A Grid whose powers stay in range (_GridPlan.reach times the largest
+        |Im| of its row heads below _GridPlan.limit) is one contraction over
+        its tables; any other z sums one exponential per term, in chunks of
+        at most CHUNK_POINTS points.
         """
         grid = isinstance(z, Grid)
         z = z if grid else np.asarray(z, dtype=complex)
@@ -250,27 +240,18 @@ class ExpSum:
             if worst > _EXP_OVERFLOW:
                 raise EvalRangeError(
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
-        if self._horner is None:
-            self._horner = _HornerPlan(self)
-        if self._horner.reach * max(-im_min, im_max) < self._horner.limit:
-            if grid:
-                out = self._horner.grid_eval(z)
-            else:
-                flat = z.reshape(-1)
-                parts = -(-z.size // CHUNK_POINTS)
-                if parts <= 1:
-                    out = self._horner.eval(flat)
-                else:  # balanced: a one-point remainder can differ in the last bit
-                    out = np.empty(flat.shape, dtype=complex)
-                    for part, dst in zip(np.array_split(flat, parts),
-                                         np.array_split(out, parts)):
-                        dst[:] = self._horner.eval(part)
-                out = out.reshape(z.shape)
+        if grid and self._plan is None:
+            self._plan = _GridPlan(self)
+        if grid and self._plan.reach * max(-im_min, im_max) < self._plan.limit:
+            out = self._plan.eval(z)
         else:
-            z = np.asarray(z)
-            out = np.zeros(z.shape, dtype=complex)
-            for v, lam in zip(self._sorted, self._values):
-                out += self._terms[v] * np.exp(2j * np.pi * lam * z)
+            flat = np.asarray(z).reshape(-1)
+            out = np.zeros(flat.shape, dtype=complex)
+            for i in range(0, flat.size, CHUNK_POINTS):
+                part, acc = flat[i:i + CHUNK_POINTS], out[i:i + CHUNK_POINTS]
+                for v, lam in zip(self._sorted, self._values):
+                    acc += self._terms[v] * np.exp(2j * np.pi * lam * part)
+            out = out.reshape(z.shape)
         return out if out.shape else complex(out)
 
     def __call__(self, z):
@@ -379,67 +360,31 @@ class ExpSum:
         return cls(basis, {tuple(t["k"]): complex_from_json(t["c"]) for t in d["terms"]})
 
 
-class _HornerPlan:
-    """The z-independent half of ExpSum.eval's generator routes (Horner, grid).
+class _GridPlan:
+    """The z-independent half of ExpSum.eval's grid contraction.
 
-    `tree` nests the terms by coordinate: at each level a list of
-    (shifted exponent, subtree) in descending exponent order, with the
-    coefficient as the leaf.  Coordinates that are zero in every term are
-    left out.  `reach` times max|Im z| bounds the exponent of every power
-    and product either route forms, which must stay below `limit`.  In units
-    of 2 pi |Im z|, with hi_j and lo_j the extreme exponents of coordinate j:
-    Horner's sums times the running product of the factors w_j^{lo_j > 0}
-    reach sum_j (hi_j - min(lo_j, 0)) base_j/D, the down factor
-    prod_j w_j^{-lo_j < 0} reaches down = -sum_j min(lo_j, 0) base_j/D, and
-    each partial product of a term's powers on a grid lies between -down
-    and the former.
+    Term t has exponents k[t] in the generators w_j = e^{gen_j z} of the
+    coordinates some term uses, and coefficient coef[t].  At a row head r
+    every power and partial product of a term's powers has modulus
+    e^{-2 pi Im(r) s/D}, with s a sum over some j of k_j base_j, so
+    |s| <= sum_j |k_j| base_j: `reach`, 2 pi/D times the largest such bound,
+    times max|Im r| bounds their exponents, which must stay below `limit`.
     """
 
     def __init__(self, s: ExpSum):
         basis = s.basis
         vecs = list(s._terms)
         coords = [j for j in range(len(basis.base)) if any(v[j] for v in vecs)]
-        self.lo = [min(v[j] for v in vecs) for j in coords]
-        hi = [max(v[j] for v in vecs) for j in coords]
+        self.k = np.array([[v[j] for j in coords] for v in vecs], dtype=int)
         bases = [basis.base[j] for j in coords]
         self.gen = [2j * math.pi * b / basis.denominator for b in bases]
-        down = -sum(min(l, 0) * b for l, b in zip(self.lo, bases))
-        self.reach = 2 * math.pi / basis.denominator * (
-            down + max(sum(h * b for h, b in zip(hi, bases)), 0.0))
-        # nor may a coefficient shrink below 2^-970 = 2^-1022/eps: an underflow
-        # past that costs at most eps^2 of its term, however the lo factor grows it
-        self.limit = min(_HORNER_LIMIT,
-                         math.log(2.0**970 * min(map(abs, s._terms.values()))))
-        self.k = np.array([[v[j] for j in coords] for v in vecs], dtype=int)
+        self.reach = 2 * math.pi / basis.denominator * float(np.max(np.abs(self.k) @ bases))
         self.coef = np.array(list(s._terms.values()))
-        items = sorted(((tuple(v[j] - l for j, l in zip(coords, self.lo)), c)
-                        for v, c in s._terms.items()), reverse=True)
-        self.tree = self._nest(items, 0)
+        # nor may a coefficient shrink below 2^-970 = 2^-1022/eps, where its
+        # product with a power could lose digits to the subnormals
+        self.limit = min(_PRODUCT_LIMIT, math.log(2.0**970 * min(np.abs(self.coef))))
 
-    def _nest(self, items, depth):
-        if depth == len(self.lo):
-            return items[0][1]
-        return [(k, self._nest(list(group), depth + 1))
-                for k, group in groupby(items, key=lambda t: t[0][depth])]
-
-    def eval(self, z):
-        """Sum at the points of the 1-d array z."""
-        powers = {(j, 1): np.exp(g * z) for j, g in enumerate(self.gen)}
-        out = _horner(self.tree, 0, powers)
-        for j, lo in enumerate(self.lo):
-            if lo > 0:
-                out = _times(out, _power(powers, j, lo))
-        down = [_power(powers, j, -lo) for j, lo in enumerate(self.lo) if lo < 0]
-        if down:
-            # formed in place, as numpy's in-place complex product can differ
-            # from a*b in the last bit; every power is this evaluation's own
-            d = down[0]
-            for p in down[1:]:
-                d *= p
-            out = _times(out, np.reciprocal(d, out=d))
-        return out if isinstance(out, np.ndarray) else np.full(z.shape, out)
-
-    def grid_eval(self, grid):
+    def eval(self, grid):
         """Sum at the points of a Grid: sum_t (c_t U_mt) V_tk, U and V products
         of each term's powers of the generators' row and column tables."""
         U = np.ones((grid.rows.size, len(self.coef)), dtype=complex)
@@ -451,44 +396,6 @@ class _HornerPlan:
         U *= self.coef  # last: a coefficient may be tiny, each product is in range
         # einsum, not @: see spectra.mean_value_batch
         return np.einsum("mt,tk->mk", U, V).reshape(-1)[:grid.size]
-
-
-def _power(powers, j, n):
-    """w_j^n by repeated squaring from powers[(j, 1)] = w_j; every power
-    made is kept in `powers` for reuse."""
-    p = powers.get((j, n))
-    if p is None:
-        h = _power(powers, j, n // 2)
-        p = h * h
-        if n % 2:
-            p *= powers[(j, 1)]
-        powers[(j, n)] = p
-    return p
-
-
-def _times(acc, p):
-    """acc * p, in place when acc is an array (always one made by the
-    evaluation in progress) rather than a bare coefficient."""
-    if isinstance(acc, np.ndarray):
-        acc *= p
-        return acc
-    return acc * p
-
-
-def _horner(node, depth, powers):
-    """Nested Horner sum of a _HornerPlan tree from coordinate `depth` on."""
-    if not isinstance(node, list):
-        return node
-    acc, prev = None, 0
-    for k, child in node:
-        val = _horner(child, depth + 1, powers)
-        if acc is None:
-            acc = val
-        else:
-            acc = _times(acc, _power(powers, depth, prev - k))
-            acc += val
-        prev = k
-    return _times(acc, _power(powers, depth, prev)) if prev else acc
 
 
 # -- constructors -----------------------------------------------------------

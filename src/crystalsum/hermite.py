@@ -136,13 +136,14 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     """Sampled check that E is Hermite-Biehler on the grid rectangle.
 
     Accepts iff |E*(z)| < |E(z)| at every grid point, which is Re(iA/B) > 0
-    there.  The rectangle is sampled as one freqalg.Grid (row heads i*y,
-    column offsets x), so E and E* share its exponential tables: per
-    generator ny + nx exponentials, not one per point.  A preflight scan of
-    the real axis, where A = Re E and B = -Im E, rejects inputs whose A and
-    B nearly vanish together (real zero of E), which the downstream residue
-    weights cannot handle.  Rejections carry the worst witness point; a
-    non-finite coefficient rejects before any evaluation.
+    there.  E and E* are each evaluated once, on one freqalg.Grid with row
+    heads 0 and i*y and column offsets x, so they share its exponential
+    tables: per generator ny + 1 + nx exponentials, not one per point.  Its
+    first row is the real axis, where A = Re E and B = -Im E: a preflight
+    there rejects inputs whose A and B nearly vanish together (real zero of
+    E), which the downstream residue weights cannot handle.  Rejections
+    carry the worst witness point; a non-finite coefficient rejects before
+    any evaluation.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
@@ -151,9 +152,11 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     if grid is None:
         grid = default_grid(E)
     xs, ys = grid.mesh()
+    Z = Grid(1j * np.concatenate(([0.0], ys)), xs, (grid.ny + 1) * grid.nx)
+    Ev, Esv = E.eval(Z), E.star().eval(Z)
 
     # preflight: simultaneous near-vanishing of A and B on the real axis
-    Ex = E.eval(xs)
+    Ex, Ev, Esv = Ev[:grid.nx], Ev[grid.nx:], Esv[grid.nx:]
     joint = np.maximum(np.abs(Ex.real), np.abs(Ex.imag))
     scale_real = float(np.max(joint))
     if scale_real == 0.0:
@@ -163,9 +166,6 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
         return HBVerdict(False, complex(xs[j]),
                          "A and B nearly vanish together (real zero of E)")
 
-    Z = Grid(1j * ys, xs, grid.ny * grid.nx)
-    Ev = E.eval(Z)
-    Esv = E.star().eval(Z)
     absE = np.abs(Ev)
     absEs = np.abs(Esv)
     tiny = 1e-300
@@ -173,7 +173,7 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     i = int(np.argmin(margin_mod))
     worst_mod = float(margin_mod[i])
     if not worst_mod > 0.0:  # a NaN margin rejects too
-        return HBVerdict(False, complex(Z.rows[i // grid.nx] + xs[i % grid.nx]),
+        return HBVerdict(False, complex(Z.rows[1 + i // grid.nx] + xs[i % grid.nx]),
                          f"|E*| >= |E| (ratio {absEs[i] / max(absE[i], tiny):.4g})")
 
     # Re(iA/B) = (|E|^2 - |E*|^2)/|E - E*|^2, infinite where B = 0
@@ -310,7 +310,7 @@ def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
     return Q
 
 
-ROOT_TOL = 1e-12  # root scan: narrowest open cell, and width of its brackets
+ROOT_TOL = 1e-12  # root scan: narrowest open cell, and least |x| whose ulp ends Newton
 MAX_SCAN_POINTS = 50_000_000  # most points of the root scan's first grid
 
 
@@ -332,20 +332,22 @@ def scan_step(B: ExpSum) -> float:
 def real_root_scan(B: ExpSum, interval) -> RootScan:
     """All real roots of a star-fixed sum on [x0, x1], or RootFindingError.
 
-    The first grid has step `scan_step(B)`.  With L1 = sum |c| 2 pi |lam|
-    >= sup|B'| and L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of
-    width h holds no root when |B(a)| + |B(b)| > L1 h, and is monotone, so
-    holds one root exactly when B changes sign, when |B'(a)| + |B'(b)| >
-    L2 h; both tests
+    The first grid samples [x0, x1] at steps of at most `scan_step(B)`,
+    both ends exact: a freqalg.Grid of rows x0 + 512 h m and columns h k,
+    then x1.  With L1 = sum |c| 2 pi |lam| >= sup|B'| and
+    L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of width h holds no
+    root when |B(a)| + |B(b)| > L1 h, and is monotone, so holds one root
+    exactly when B changes sign, when |B'(a)| + |B'(b)| > L2 h; both tests
     also clear twice the rounding floor of B or B' on the window.  Any other
     cell is halved.  A sample with |B| at most its floor is a root itself
     when |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a
     double root reaches that slope); otherwise it keeps its cells open.  An
     open cell of width ROOT_TOL, an open cell with both samples in the
     noise, or more open cells than the first grid had means a multiple root
-    or roots too close to separate, and raises with the place.  Sign-change
-    cells are bisected to width ROOT_TOL, or to one ulp where that is
-    wider, then Newton polished.
+    or roots too close to separate, and raises with the place.  In each
+    monotone sign-change cell one safeguarded Newton iteration (rtsafe:
+    Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4), run on all
+    cells at once, finds the root to within an ulp or so.
     """
     if not B:
         raise RootFindingError("cannot scan an identically zero sum")
@@ -375,8 +377,16 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     min_slope = 2.0 * math.sqrt(floor_b * L2) + floor_d
     Bp = B.derivative()
 
-    xs = np.linspace(x0, x1, n + 1)
-    fx = B.eval(xs).real.copy()  # the copy lets the complex values go
+    # the first grid: x0 + h j for j < n as a Grid, then x1 itself
+    h = (x1 - x0) / n
+    cols = h * np.arange(min(n, 512))
+    heads = x0 + cols.size * h * np.arange(-(-n // cols.size))
+    buf = np.empty(heads.size * cols.size + 1)
+    np.add(heads[:, None], cols, out=buf[:-1].reshape(heads.size, cols.size))
+    xs, fx = buf[:n + 1], np.empty(n + 1)
+    xs[n] = x1
+    fx[:n] = B.eval(Grid(heads, cols, n)).real
+    fx[n] = B.eval(x1).real
     absf = np.abs(fx)
     # the no-root test on the first grid comes before any B' is evaluated
     i = np.nonzero(absf[:-1] + absf[1:] <= L1 * np.diff(xs) + 2 * floor_b)[0]
@@ -386,14 +396,15 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     dx[need] = Bp.eval(xs[need]).real
     found = [xs[(absf <= floor_b) & (np.abs(dx) > min_slope)]]
     cells = [xs[i], xs[i + 1], fx[i], fx[i + 1], dx[i], dx[i + 1]]
-    brackets = [(xs[:0], xs[:0], fx[:0])]
+    del buf, xs, fx, absf, need, dx  # the open cells keep what they need
+    brackets = [(np.empty(0),) * 6]
     while cells[0].size:
         a, b, fa, fb, da, db = cells
         h = b - a
         za, zb = np.abs(fa) <= floor_b, np.abs(fb) <= floor_b
         mono = np.abs(da) + np.abs(db) > L2 * h + 2 * floor_d
         cross = mono & ~za & ~zb & (fa * fb < 0)
-        brackets.append((a[cross], b[cross], fa[cross]))
+        brackets.append(tuple(v[cross] for v in cells))
         settled = (np.abs(fa) + np.abs(fb) > L1 * h + 2 * floor_b) | (mono & ~(za & zb))
         weak = (za & (np.abs(da) <= min_slope)) | (zb & (np.abs(db) <= min_slope))
         keep = weak | ~settled
@@ -404,31 +415,47 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
                 "multiple root or roots too close to separate "
                 f"near x = {float(0.5 * (a[j] + b[j]))!r}")
         a, b, fa, fb, da, db = (v[keep] for v in cells)
+        if not a.size:
+            break
         m = 0.5 * (a + b)
         fm, dm = B.eval(m).real, Bp.eval(m).real
         found.append(m[(np.abs(fm) <= floor_b) & (np.abs(dm) > min_slope)])
         cells = [np.concatenate(p) for p in
                  ((a, m), (m, b), (fa, fm), (fm, fb), (da, dm), (dm, db))]
 
-    lo, hi, flo = (np.concatenate(p) for p in zip(*brackets))
-    # a bracket is done at width ROOT_TOL or once its midpoint rounds onto
-    # an endpoint (beyond |x| = 8192 one ulp is wider than ROOT_TOL)
+    # rtsafe in every bracket: Newton steps from the endpoint with the
+    # smaller |B|, halving where a step leaves the bracket.  Once a step's
+    # error bound L2 dx^2/(2|B'|) is within an ulp, the root is within an ulp
+    # of its target: of the iterate there, evaluated last, or of the endpoint
+    # the target passed, already evaluated.  The smallest |B| wins.
+    lo, hi, flo, fhi, dlo, dhi = (np.concatenate(p) for p in zip(*brackets))
+    sign_lo = np.sign(flo)
+    near = np.abs(flo) <= np.abs(fhi)
+    f, d, x = np.where(near, flo, fhi), np.where(near, dlo, dhi), np.where(near, lo, hi)
+    best_x, best_f = x.copy(), np.abs(f)
+    todo = np.arange(x.size)
     while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((hi - lo > ROOT_TOL) & (lo < mid) & (mid < hi)):
+        dx = f / d
+        xn = x - dx
+        ulp = np.spacing(np.maximum(np.abs(xn), ROOT_TOL))
+        close = L2 * dx**2 <= 2 * np.abs(d) * ulp
+        inside = (lo[todo] < xn) & (xn < hi[todo])
+        mid = 0.5 * (lo[todo] + hi[todo])
+        x = np.where(inside, xn, mid)
+        # a bracket whose midpoint rounds onto an endpoint cannot shrink
+        moving = inside | (~close & (lo[todo] < mid) & (mid < hi[todo]))
+        todo, x, last = todo[moving], x[moving], close[moving]
+        if not todo.size:
             break
-        fmid = B.eval(mid).real
-        left = flo * fmid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fmid)
-    x = 0.5 * (lo + hi)
-    # Newton polish to machine precision (weights feed quadratic forms); B'
-    # clears its rounding floor in a monotone cell
-    for _ in range(3):
         f = B.eval(x).real
-        cand = x - f / Bp.eval(x).real
-        ok = (np.abs(cand - x) < 2 * step) & (np.abs(B.eval(cand).real) <= np.abs(f))
-        x = np.where(ok, cand, x)
-    found.append(x)
+        better = np.abs(f) < best_f[todo]
+        best_x[todo[better]], best_f[todo[better]] = x[better], np.abs(f[better])
+        go = ~last & (f != 0)
+        todo, x, f = todo[go], x[go], f[go]
+        if not todo.size:
+            break
+        d = Bp.eval(x).real
+        up = np.sign(f) == sign_lo[todo]
+        lo[todo[up]], hi[todo[~up]] = x[up], x[~up]
+    found.append(best_x)
     return RootScan(np.sort(np.concatenate(found)))

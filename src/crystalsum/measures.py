@@ -226,6 +226,7 @@ class DiscreteMeasure:
         atoms = d["atoms"]
         x = [number(rec["x"]) for rec in atoms]
         w = [complex_from_json(rec["w"]) for rec in atoms]
+        w = [complex(number(c.real), number(c.imag)) for c in w]
         sign = d.get("dual_sign")
         if not (sign is None or type(sign) is int and sign in (1, -1)):
             raise ValueError(f"dual_sign must be 1, -1 or null, got {sign!r}")

@@ -418,8 +418,13 @@ def _from_view(W: list, scale: int, c0) -> list:
 
 # -- eta-products -----------------------------------------------------------
 
+MAX_LEVEL = 10 ** 12  # the largest eta-product level: trial division to 10^6
+
+
 def _divisors(N):
-    return sorted(d for d in range(1, N + 1) if N % d == 0)
+    """Divisors of N in increasing order, by trial division to sqrt(N)."""
+    small = [d for d in range(1, math.isqrt(N) + 1) if N % d == 0]
+    return sorted({*small, *(N // d for d in small)})
 
 
 @dataclass(frozen=True)
@@ -437,8 +442,9 @@ class EtaProductSpec:
     k: int = field(init=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("level N must be a positive integer")
+        if not 1 <= self.N <= MAX_LEVEL:
+            raise ValueError(f"level N must be an integer from 1 to {MAX_LEVEL:,}, "
+                             f"got {self.N}")
         divs = _divisors(self.N)
         r = {int(d): to_fraction(v) for d, v in self.r.items()}
         bad = [d for d in r if d not in divs]

@@ -206,9 +206,10 @@ class VerificationReport:
 
 
 def _report(lhs, rhs, tails, atoms, tol, params) -> VerificationReport:
-    """Report with verdict "inconclusive" when a tail exceeds tol or atoms is 0."""
+    """Report with verdict "inconclusive" when a tail exceeds tol or is not
+    finite, the residual is not finite, or atoms is 0."""
     residual = abs(lhs - rhs)
-    if max(tails) > tol or not atoms:
+    if not all(t <= tol for t in tails) or not np.isfinite(residual) or not atoms:
         verdict = "inconclusive"
     else:
         verdict = "pass" if residual <= tol else "fail"

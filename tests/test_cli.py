@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -269,13 +270,45 @@ def test_pair_check_command(tmp_path):
     assert rep["all_pass"] and len(rep["reports"]) == 6
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # window_tail overflows past 1e308
+def test_pair_check_never_passes_a_non_finite_tail(tmp_path):
+    qfile = write_sin_pi_z(tmp_path / "q.json")
+    pair_out = tmp_path / "p"
+    assert main(["--out", str(pair_out), "ks", qfile, "--cutoff", "16",
+                 "--window", "-16.5", "16.5"]) == 0
+    pair = json.loads((pair_out / "pair.json").read_text())
+    pair["mu"]["window"] = [-16.5, 1e308]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(pair))
+    out = tmp_path / "pc"
+    rc = main(["--out", str(out), "pair-check", str(wide), "--count", "2"])
+    rep = json.loads((out / "pair_check_report.json").read_text())
+    assert rc == (0 if rep["all_pass"] else 1)
+    for r in rep["reports"]:
+        finite = all(map(math.isfinite, [r["residual"], *r["tails"]]))
+        assert finite or r["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("N, codes", [(2**70, {2}), (999_999_999_989, {0, 1})],
+                         ids=["2^70", "prime-below-the-bound"])
+def test_eta_level_is_bounded_and_its_divisors_are_quick(tmp_path, N, codes):
+    # trial division to sqrt(N) finds the divisors; a level past
+    # qmodular.MAX_LEVEL is refused before the search
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": N, "r": {"1": "1/2", str(N): "1/2"}}))
+    t = time.perf_counter()
+    rc = main(["--out", str(tmp_path / "run"), "eta", "--spec-json", str(spec)])
+    assert rc in codes and time.perf_counter() - t < 1.0
+
+
 # raw JSON text: 1e400 parses to an infinite float
 BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
                  "r_zero_den": '{"N": 4, "r": {"1": "1/0", "2": "1", "4": "1/0"}}',
                  "r_null": '{"N": 4, "r": {"1": null, "2": "1", "4": null}}',
                  "N_inf": '{"N": 1e400, "r": {"1": "1"}}',
                  "N_true": '{"N": true, "r": {"1": "1"}}',
-                 "N_str": '{"N": "4", "r": {"1": "2/3", "2": "-1/3", "4": "2/3"}}'}
+                 "N_str": '{"N": "4", "r": {"1": "2/3", "2": "-1/3", "4": "2/3"}}',
+                 "N_huge": '{"N": 1180591620717411303424, "r": {"1": "1"}}'}
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,6 +392,11 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     # the eta spec's level and a measure's positions and window are JSON numbers
     ["eta", "--spec-json", "{N_true}"],
     ["eta", "--spec-json", "{N_str}"],
+    ["eta", "--spec-json", "{N_huge}"],
+    # weights are finite numbers, as positions and windows are
+    ["pair-check", "{pair_w_inf}"],
+    ["pair-check", "{pair_w_nan}"],
+    ["selfdual", "{measure_w_inf}"],
     ["selfdual", "{measure_x_str}"],
     ["selfdual", "{measure_x_true}"],
     ["selfdual", "{measure_window_str}"],
@@ -441,6 +479,9 @@ def bad_validation_inputs(pair, H, q, measure):
             "q_c_short": edited(q, lambda d: d["terms"][0].update(c=[0.0])),
             "q_den_float": edited(q, lambda d: d.update(denominator=1.5)),
             "pair_w_short": edited(pair, lambda d: d["mu"]["atoms"][0].update(w=[1.0])),
+            "pair_w_inf": edited(pair, lambda d: d["mu"]["atoms"][5].update(w=[math.inf, 0.0])),
+            "pair_w_nan": edited(pair, lambda d: d["a"]["atoms"][0].update(w=[1.0, math.nan])),
+            "measure_w_inf": edited(measure, lambda d: d["atoms"][0].update(w=[1.0, -math.inf])),
             "pair_meta_str": edited(pair, lambda d: d.update(meta="x")),
             "pair_antipodal_str": edited(pair, lambda d: d["meta"].update(real_antipodal="no")),
             "pair_E_c_short": pair_with(lambda h: h["E"]["terms"][0].update(c=[1.0])),

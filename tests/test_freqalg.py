@@ -120,7 +120,7 @@ def test_grid_refuses_a_point_count_past_its_tables(n):
 def test_grid_keeps_partial_products_of_powers_in_range():
     # at rank 4 the first three powers of (8, 8, 8, -8) reach e^950 at Im z = -3,
     # past double range, while the term (e^603) and each power stay inside it;
-    # the array route multiplies its lo factors in the same order
+    # the grid's range guard sends it per term, as every array goes
     s = ExpSum(FreqBasis((2.0, 2.1, 2.2, 2.3)), {(8, 8, 8, -8): 1.0})
     for z in (Grid([0.5 - 3j], [0.0, 0.25], 2), np.array([0.5 - 3j])):
         want = np.exp(2j * np.pi * 32 * np.asarray(z))

@@ -120,7 +120,8 @@ def test_validation_evaluates_E_on_the_axis_and_E_and_Estar_on_the_grid(
     E = Q.derivative() - 1j * Q
     calls = count_evals(monkeypatch)
     HermiteBiehler.validate(E)
-    assert calls[0] == 3
+    # the axis is the grid's first row: E and E* are evaluated once each
+    assert calls[0] == 2
 
 
 @pytest.mark.parametrize("Q", [sine(HALF, (1,)), leeyang_Q()]
@@ -444,6 +445,24 @@ def test_root_scan_bisection_stops_where_no_bracket_can_shrink(monkeypatch):
         counts.append(calls[0])
     assert counts[1] <= counts[0]
     assert len(roots[0]) == len(roots[1])
+
+
+def test_leeyang_roots_are_within_2_ulp_of_their_40_digit_polish():
+    import mpmath as mp
+    B = ks_from_Q(leeyang_Q()).B
+    # the same sum in 40 digits: its frequencies from the float basis exactly
+    terms = [(sum(mp.mpf(k) * b for k, b in zip(v, B.basis.base)) / B.basis.denominator,
+              mp.mpc(c.real, c.imag)) for v, _, c in B.sorted_terms()]
+    count = 0
+    with mp.workdps(40):
+        def f(x):
+            return mp.re(mp.fsum(c * mp.expjpi(2 * lam * x) for lam, c in terms))
+        for window in ((-30, 30), (4900, 5000), (19950, 20000)):
+            for r in real_root_scan(B, window).roots:
+                exact = mp.findroot(f, mp.mpf(float(r)))
+                assert abs(mp.mpf(float(r)) - exact) <= 2 * np.spacing(abs(r)), (window, r)
+                count += 1
+    assert count == 505
 
 
 def test_scan_cap_refuses_before_any_grid_exists():

@@ -118,12 +118,12 @@ WIDE_GAP = ExpSum(FreqBasis((1.0,)), {(-8,): 1.0, (8,): 0.5j})
 
 @settings(max_examples=300, deadline=None)
 @given(sums_and_points())
-@example((WIDE_GAP, np.array([4j, 1.0 - 4j])))      # past the guard: per term
+@example((WIDE_GAP, np.array([4j, 1.0 - 4j])))      # an array: per term
 @example((WIDE_GAP, np.array([15j])))                # the check raises
 @example((ExpSum(FreqBasis((math.sqrt(2), math.sqrt(3))),   # one subnormal step
                  {(1, 1): 2.2250847434e-313j}), 1 + 0j))
 @example((ExpSum(FreqBasis((1.0,)), {(0,): 1e-200, (-8,): 1e-320}),
-          6j))                    # Horner would amplify an underflow
+          6j))                    # a subnormal coefficient times e^301
 def test_expsum_eval_matches_per_term_reference(case):
     s, z = case
     ref = per_term_reference(s, z)
@@ -158,8 +158,9 @@ def sums_and_grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sums_and_grids())
-@example((WIDE_GAP, Grid([0.5 + 1j, -3 + 2j], [0.0, 0.25, 7.5], 5)))  # Horner
-@example((WIDE_GAP, Grid([1 + 4j, -2 - 4j], [0.1, -0.3], 3)))         # per term
+@example((WIDE_GAP, Grid([0.5 + 1j, -3 + 2j], [0.0, 0.25, 7.5], 5)))  # contraction
+@example((WIDE_GAP, Grid([1 + 4j, -2 - 4j], [0.1, -0.3], 3)))         # contraction
+@example((WIDE_GAP, Grid([1 + 8j, -2 - 8j], [0.1, -0.3], 3)))         # per term
 @example((WIDE_GAP, Grid([15j, 0j], [0.0, 1.0], 3)))                  # raises
 @example((ExpSum(FreqBasis((1.0, math.sqrt(2), math.sqrt(3)), 2),       # rank 3,
                  {(3, -2, 1): 0.5, (-4, 1, 0): 1j, (0, 5, -3): -0.25}),  # last row

@@ -182,6 +182,17 @@ def test_spec_validation():
         EtaProductSpec(6, {1: 1, 2: 0, 3: 0, 6: 0})   # symmetry r_1 != r_6
 
 
+@pytest.mark.parametrize("N", [1, 2, 12, 36, 97, 360, 1001, 2**10])
+def test_spec_fills_every_divisor_of_the_level(N):
+    spec = EtaProductSpec(N, {1: F(1, 2), N: F(1, 2)} if N > 1 else {1: 1})
+    assert sorted(spec.r) == [d for d in range(1, N + 1) if N % d == 0]
+
+
+def test_spec_refuses_a_level_past_the_bound():
+    with pytest.raises(ValueError, match="1,000,000,000,000"):
+        EtaProductSpec(10**12 + 1, {1: F(1, 2), 10**12 + 1: F(1, 2)})
+
+
 def test_spec_derives_b_and_k():
     guinand = EtaProductSpec(4, {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)})
     assert (guinand.b, guinand.k) == (9, 1)           # 24k/b = 8/3

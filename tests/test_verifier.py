@@ -17,6 +17,7 @@ from crystalsum.verifier import (
     check_selfdual,
     gaussian_ft,
     gaussian_suite,
+    _report,
     transform,
 )
 from probes import fejer_identity_check
@@ -263,6 +264,18 @@ def test_report_json_shape():
     d = rep.to_json_dict()
     assert d["lhs"] == [1.0, 2.0] and d["verdict"] == "pass"
     assert d["tails"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("residual, tails", [
+    (0.0, (0.0, math.nan)),      # max() would keep the first tail over the NaN
+    (0.0, (math.nan, 0.0)),
+    (0.0, (math.inf, 0.0)),
+    (math.nan, (0.0, 0.0)),
+    (math.inf, (0.0, 0.0)),
+], ids=["nan-second-tail", "nan-first-tail", "inf-tail", "nan-residual", "inf-residual"])
+def test_a_non_finite_tail_or_residual_is_inconclusive(residual, tails):
+    rep = _report(residual, 0.0, tails, 5, 1e-6, {})
+    assert rep.verdict == "inconclusive"
 
 
 def test_gaussian_suite_deterministic():
