@@ -108,11 +108,6 @@ def _check_scan(option, B, x0, x1):
                          f"than the {MAX_SCAN_GRID_POINTS:,} allowed")
 
 
-def _worst_exit(reports):
-    verdicts = {r.verdict for r in reports}
-    return 0 if verdicts <= {"pass"} else 1
-
-
 # -- commands -----------------------------------------------------------------
 
 def cmd_ks(args):
@@ -133,7 +128,7 @@ def cmd_ks(args):
               "all_pass": all(r.verdict == "pass" for r in reports)}
     _write_outputs(args.out, {"pair.json": _dump_json(pair_json),
                               "report.json": _dump_json(report)})
-    return _worst_exit(reports)
+    return 0 if report["all_pass"] else 1
 
 
 def _load_eta_spec(path) -> EtaProductSpec:
@@ -199,7 +194,7 @@ def cmd_eta(args):
     _write_outputs(args.out, {"series.csv": csv_text,
                               "measure.json": _dump_json(mjson),
                               "selfdual_report.json": _dump_json(report)})
-    return _worst_exit(reports)
+    return 0 if report["all_pass"] else 1
 
 
 def cmd_spectrum(args):
@@ -301,7 +296,7 @@ def cmd_selfdual(args):
            "reports": [r.to_json_dict() for r in reports],
            "all_pass": all(r.verdict == "pass" for r in reports)}
     _write_outputs(args.out, {"selfdual_report.json": _dump_json(out)})
-    return _worst_exit(reports)
+    return 0 if out["all_pass"] else 1
 
 
 def cmd_pair_check(args):
@@ -314,7 +309,7 @@ def cmd_pair_check(args):
            "reports": [r.to_json_dict() for r in reports],
            "all_pass": all(r.verdict == "pass" for r in reports)}
     _write_outputs(args.out, {"pair_check_report.json": _dump_json(out)})
-    return _worst_exit(reports)
+    return 0 if out["all_pass"] else 1
 
 
 # -- parser -------------------------------------------------------------------

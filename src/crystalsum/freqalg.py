@@ -86,12 +86,6 @@ class FreqBasis:
     def zero_vec(self):
         return (0,) * len(self.base)
 
-    def unit(self, j, mult=1):
-        """Vector for mult*base[j]/denominator."""
-        v = [0] * len(self.base)
-        v[j] = mult
-        return tuple(v)
-
 
 class Grid(np.lib.mixins.NDArrayOperatorsMixin):
     """The first n (0 <= n <= rows x cols) points rows[m] + cols[k], row-major,
@@ -192,9 +186,6 @@ class ExpSum:
         return (isinstance(other, ExpSum) and self.basis == other.basis
                 and self._terms == other._terms)
 
-    def __hash__(self):
-        return hash((self.basis, tuple(sorted(self._terms.items()))))
-
     def __repr__(self):
         parts = [f"{c:.6g}*e(2pi i {val:.6g} z)" for _, val, c in self.sorted_terms()[:4]]
         if len(self) > 4:
@@ -254,9 +245,6 @@ class ExpSum:
             out = out.reshape(z.shape)
         return out if out.shape else complex(out)
 
-    def __call__(self, z):
-        return self.eval(z)
-
     # -- algebra ------------------------------------------------------------
 
     def _require_same_basis(self, other):
@@ -298,9 +286,6 @@ class ExpSum:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return self * (1.0 / complex(scalar))
-
     def shift(self, vec):
         """Multiply by the unit monomial e^{2 pi i freq(vec) z}."""
         vec = tuple(int(k) for k in vec)
@@ -334,10 +319,10 @@ class ExpSum:
         """(f + f*)/2: exactly star-fixed symmetrization."""
         return (self + self.star()) * 0.5
 
-    def truncate(self, cutoff_value, tol=1e-12):
-        """Drop terms with numeric frequency above cutoff_value (+tol)."""
+    def truncate(self, cutoff_value):
+        """Drop terms with numeric frequency above cutoff_value (+1e-12)."""
         # term order is kept: it fixes the summation order of later products
-        kept = set(self._sorted[:bisect.bisect_right(self._values, cutoff_value + tol)])
+        kept = set(self._sorted[:bisect.bisect_right(self._values, cutoff_value + 1e-12)])
         return ExpSum(self.basis, {v: c for v, c in self._terms.items() if v in kept})
 
     # -- serialization ------------------------------------------------------
@@ -404,7 +389,7 @@ def constant(basis, c):
     return ExpSum(basis, {basis.zero_vec(): c})
 
 
-def sine(basis, vec, amplitude=1.0):
-    """amplitude * sin(2 pi freq(vec) x) as an exponential sum."""
-    a = amplitude / 2j
+def sine(basis, vec):
+    """sin(2 pi freq(vec) x) as an exponential sum."""
+    a = 1 / 2j
     return ExpSum(basis, {tuple(vec): a, _vec_neg(tuple(vec)): -a})

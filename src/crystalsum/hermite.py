@@ -238,7 +238,7 @@ class HermiteBiehler:
         return cls.validate(E, grid)
 
 
-def ks_from_Q(Q: ExpSum, grid: GridSpec | None = None) -> HermiteBiehler:
+def ks_from_Q(Q: ExpSum) -> HermiteBiehler:
     """Lift a real-rooted, real trigonometric polynomial Q to E = Q' - iQ.
 
     Validation is a posteriori: if the sampled Hermite-Biehler check
@@ -248,7 +248,7 @@ def ks_from_Q(Q: ExpSum, grid: GridSpec | None = None) -> HermiteBiehler:
     if not Q.is_star_fixed(tol=1e-12):
         raise HermiteBiehlerError("Q must be real on the real axis")
     E = Q.derivative() - 1j * Q
-    return HermiteBiehler.validate(E, grid)
+    return HermiteBiehler.validate(E)
 
 
 def leeyang_trigpoly(U, length_vecs, basis: FreqBasis) -> ExpSum:

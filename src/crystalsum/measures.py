@@ -98,9 +98,11 @@ def window_tail(measure: DiscreteMeasure, env) -> float:
     """Bound sum |w| env(x) over the atoms beyond the window from the tail model.
 
     Integrates C (1+|t|)^p density env(t) past each window edge, on the
-    grid X + [0, geomspace(1e-6, 1e12 (1+X))] geometric in the distance
-    from the edge, so a steep envelope is resolved at the edge and a slow
-    one is followed far out.  The product is formed in log space: a steep
+    grid X + [0, geomspace(1e-6, D)] geometric in the distance from the
+    edge, so a steep envelope is resolved at the edge and a slow one is
+    followed far out.  D is 1e12 (1+X), or half the way from X to the
+    largest double if that is nearer, so that an edge near 1e308 keeps
+    every grid point finite.  The product is formed in log space: a steep
     fitted exponent would overflow (1+t)^p long before the envelope wins.
     A measure too small to fit a model gets the flat one: C = max |w|,
     p = 0, and its atoms per unit of window as the density.
@@ -112,11 +114,14 @@ def window_tail(measure: DiscreteMeasure, env) -> float:
     total = 0.0
     for edge, sign in ((measure.window[0], -1.0), (measure.window[1], 1.0)):
         X = abs(edge)
+        far = max(min(1e12 * (1 + X), 0.5 * (np.finfo(float).max - X)), 1e-6)
         # exp of a linspace, not np.geomspace: the same grid, but geomspace's
         # first call costs the CLI a third of a megabyte of peak RSS
         ts = X + np.concatenate(([0.0], np.exp(np.linspace(
-            math.log(1e-6), math.log(1e12 * (1 + X)), _TAIL_POINTS - 1))))
-        with np.errstate(divide="ignore"):
+            math.log(1e-6), math.log(far), _TAIL_POINTS - 1))))
+        # an envelope that squares t past the double range gets exp(-inf) = 0,
+        # its limit
+        with np.errstate(divide="ignore", over="ignore"):
             log_env = np.log(np.maximum(env(sign * ts), 0.0))
             log_int = (math.log(max(tm.C, 1e-300)) + tm.p * np.log1p(ts)
                        + math.log(max(tm.density, 1e-300)) + log_env)

@@ -58,19 +58,18 @@ class SpectrumAtoms:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for v in self.atoms:
-            if self.basis.value(v) < -1e-12:
-                raise SpectrumError("negative frequency in spectrum")
+        # every atom is valued once, here: (value, vector) in ascending order
+        self._by_value = sorted((self.basis.value(v), v) for v in self.atoms)
+        if self._by_value and self._by_value[0][0] < -1e-12:
+            raise SpectrumError("negative frequency in spectrum")
 
     def sorted_atoms(self):
-        return sorted(((v, self.basis.value(v), c) for v, c in self.atoms.items()),
-                      key=lambda t: (t[1], t[0]))
+        return [(v, val, self.atoms[v]) for val, v in self._by_value]
 
     def sorted_arrays(self):
         """Frequencies and coefficients of sorted_atoms, as two arrays."""
-        atoms = self.sorted_atoms()
-        return (np.array([val for _, val, _ in atoms], dtype=float),
-                np.array([c for _, _, c in atoms], dtype=complex))
+        return (np.array([val for val, _ in self._by_value], dtype=float),
+                np.array([self.atoms[v] for _, v in self._by_value], dtype=complex))
 
     def coefficient_at_zero(self) -> complex:
         return self.atoms.get(self.basis.zero_vec(), 0j)
@@ -195,17 +194,16 @@ _PHASE_ROW = 64
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
 
 
-def mean_value_batch(f, lambdas, y, T, taper="fejer",
-                     panel_width=0.25, eval_y=None):
+def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     """Tapered Bohr mean values at several frequencies, sharing f-samples.
 
     `f` is a vectorized evaluator: it receives each chunk of nodes as one
     freqalg.Grid and returns a sample array of the grid's shape, or
-    SpectrumError names both shapes.  When eval_y is given, the
-    integration line is moved there; by Cauchy's theorem the mean of a
-    function holomorphic and bounded between the two heights is unchanged,
-    and a lower line avoids amplifying quadrature noise by e^{2 pi lambda y}
-    at large lambda.
+    SpectrumError names both shapes.  The integration line is Im z = y.
+    By Cauchy's theorem the mean of a function holomorphic and bounded
+    between two heights is the same on both lines (for iA/B, on every line
+    above y_valid), and a lower line avoids amplifying quadrature noise by
+    e^{2 pi lambda y} at large lambda.
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
@@ -235,11 +233,9 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
     if not 0 < panel_width < math.inf:
         raise SpectrumError(
             f"panel width must be finite and positive, got {panel_width}")
-    for name, v in (("y", y), ("eval_y", eval_y)):
-        if v is not None and not math.isfinite(v):
-            raise SpectrumError(f"{name} must be finite, got {v}")
+    if not math.isfinite(y):
+        raise SpectrumError(f"y must be finite, got {y}")
     T = float(T)
-    y_line = y if eval_y is None else eval_y
     lam = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise SpectrumError(
@@ -262,7 +258,7 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
         count = min(step, n_panels - start)
         mids = -T + w_eff * (np.arange(start, start + count) + 0.5)
         X = mids[:, None] + half * xi[None, :]
-        grid = Grid(mids[0] + 1j * y_line + row_starts, offsets, X.size)
+        grid = Grid(mids[0] + 1j * y + row_starts, offsets, X.size)
         fv = np.asarray(f(grid), dtype=complex)
         if fv.shape != grid.shape:
             raise SpectrumError(f"f returned samples of shape {fv.shape} on a grid "
@@ -279,7 +275,7 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer",
         per_row = np.einsum("mk,lk->ml", weighted, node_phase)
         acc += np.exp(-2j * np.pi * lam * mids[0]) \
             * np.einsum("ml,ml->l", per_row, row_phase[:grid.rows.size])
-    scale = np.exp(2 * np.pi * lam * y_line) / norm
+    scale = np.exp(2 * np.pi * lam * y) / norm
     return [complex(v) for v in acc * scale]
 
 
@@ -291,11 +287,7 @@ def fejer_reconstruct(a: SpectrumAtoms, a0: float, T: float, z) -> complex:
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    base = np.array(a.basis.base)
-    vecs = np.array(list(a.atoms), dtype=float).reshape(len(a.atoms), base.size)
-    # the same products and left-to-right sum as FreqBasis.value
-    vals = np.sum(vecs * base, axis=1) / a.basis.denominator
-    coef = np.fromiter(a.atoms.values(), dtype=complex, count=len(a.atoms))
+    vals, coef = a.sorted_arrays()
     keep = (vals > 0.0) & (vals < T)
     vals = vals[keep]
     terms = coef[keep] * (1.0 - vals / T) * np.exp(2j * np.pi * vals * complex(z))

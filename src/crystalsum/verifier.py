@@ -176,14 +176,15 @@ def bump_ft(tf: TestFunction, xi, tol: float = 1e-10):
     return value.reshape(freqs.shape), error.reshape(freqs.shape)
 
 
-def transform(tf: TestFunction, xi, tol: float = 1e-10):
+def transform(tf: TestFunction, xi):
     """(phihat(xi), error bound): closed form for gaussians, quadrature for bumps.
 
-    The bound is 0.0 for gaussians; for bumps it has the shape of xi.
+    The bound is 0.0 for gaussians; for bumps it has the shape of xi and
+    bump_ft's default tolerance.
     """
     if tf.kind == "gaussian":
         return gaussian_ft(tf, xi), 0.0
-    return bump_ft(tf, xi, tol)
+    return bump_ft(tf, xi)
 
 
 @dataclass
@@ -216,21 +217,19 @@ def _report(lhs, rhs, tails, atoms, tol, params) -> VerificationReport:
     return VerificationReport(lhs, rhs, residual, *tails, verdict, params)
 
 
-def _sides(phi_m: DiscreteMeasure, hat_m: DiscreteMeasure, tf: TestFunction,
-           quad_tol: float):
+def _sides(phi_m: DiscreteMeasure, hat_m: DiscreteMeasure, tf: TestFunction):
     """(sum w phi over phi_m, sum w phihat over hat_m, and their window tails).
 
     A bump's quadrature error bound is folded into the phihat tail.
     """
-    hat, quad_err = transform(tf, hat_m.x, quad_tol)
+    hat, quad_err = transform(tf, hat_m.x)
     return (complex(np.sum(phi_m.w * tf.eval(phi_m.x))),
             complex(np.sum(hat_m.w * hat)),
             window_tail(phi_m, tf.envelope),
             window_tail(hat_m, tf.transform_envelope) + float(np.sum(quad_err)))
 
 
-def check_pair(pair: FSPair, tf: TestFunction, tol: float = 1e-6,
-               quad_tol: float = 1e-10) -> VerificationReport:
+def check_pair(pair: FSPair, tf: TestFunction, tol: float = 1e-6) -> VerificationReport:
     """Both sides of the summation identity for one test function.
 
     lhs = sum over coefficient atoms a(lambda) phi(lambda); rhs = sum over
@@ -239,14 +238,13 @@ def check_pair(pair: FSPair, tf: TestFunction, tol: float = 1e-6,
     error bound is folded into the rhs tail.  A pair whose measure has no
     atoms is "inconclusive".
     """
-    phi, hat, tail_phi, tail_hat = _sides(pair.a, pair.mu, tf, quad_tol)
+    phi, hat, tail_phi, tail_hat = _sides(pair.a, pair.mu, tf)
     return _report(phi, hat, (tail_phi, tail_hat), len(pair.mu), tol,
                    {"check": "pair", "tol": tol,
                     "test_function": _tf_params(tf)})
 
 
-def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6,
-                   quad_tol: float = 1e-10):
+def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6):
     """sum w phihat(x) = sign sum w phi(x) for each test function.
 
     Every report on a measure with no atoms is "inconclusive".
@@ -255,7 +253,7 @@ def check_selfdual(m: DiscreteMeasure, suite, tol: float = 1e-6,
         raise ValueError("measure carries no duality sign tag")
     reports = []
     for tf in suite:
-        phi, hat, tail_phi, tail_hat = _sides(m, m, tf, quad_tol)
+        phi, hat, tail_phi, tail_hat = _sides(m, m, tf)
         reports.append(_report(
             hat, m.dual_sign * phi, (tail_hat, tail_phi), len(m), tol,
             {"check": "selfdual", "sign": m.dual_sign, "tol": tol,

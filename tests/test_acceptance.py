@@ -16,9 +16,9 @@ program still fails:
  *  criterion 9: on the line y = 1 the mean value of frequency lambda needs
     cancellation of terms of size pi e^{2 pi lambda}, beyond double
     precision for lambda >= 4.  The mean value does not depend on the
-    height above y_valid (Cauchy), so the test keeps y = 1, T = 1e4 and
-    1e-3 but evaluates on the line 0.3 via `eval_y`, for the Poisson input
-    and for the Lee-Yang input;
+    height above y_valid (Cauchy), so the test keeps T = 1e4 and 1e-3 but
+    passes the line 0.3 as `y`, for the Poisson input and for the Lee-Yang
+    input;
  *  criterion 10: the sampling series truncated at R = 1e3 has a one-signed
     tail of about 2|B(-i)||B(z)|/(pi R), 1.7e-2 to 0.22 at the five points,
     so the stated 1e-4 would need R between 1.7e5 and 2.2e6.  The test
@@ -245,14 +245,14 @@ def test_criterion_08_irrational_pipeline_faithful():
                          f"<= 1e-5, {dt:.1f}s")
 
 
-def _oracle_gaps(H, cutoff, eval_y, panel_width):
+def _oracle_gaps(H, cutoff, y, panel_width):
     """|mean value - exact atom| for the ten lowest exact frequencies, at
-    y = 1 and T = 1e4, integrated on the line eval_y; and spec.y_valid."""
+    T = 1e4 on the line y; and spec.y_valid."""
     spec = exact_spectrum(H, cutoff)
     atoms = spec.sorted_atoms()[:10]
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
-    got = mean_value_batch(f, [val for _, val, _ in atoms], 1.0, 10_000.0,
-                           panel_width=panel_width, eval_y=eval_y)
+    got = mean_value_batch(f, [val for _, val, _ in atoms], y, 1e4,
+                           panel_width=panel_width)
     return [abs(g - c) for (_, _, c), g in zip(atoms, got)], spec.y_valid
 
 
@@ -263,9 +263,10 @@ def test_criterion_09_oracle_equivalence_as_stated():
     On the line y = 1 itself the integrand needs cancellation of terms of
     size pi e^{2 pi lambda}, beyond double precision from lambda = 4 on.
     The tapered mean value is independent of the height above the
-    spectrum's y_valid, so it is integrated on the line 0.3 (`eval_y`);
-    the test asserts that this line is at or above both y_valid.  Poisson's
-    poles lie 0.3 below that line and need panels of width 1/16.
+    spectrum's y_valid, so it is integrated on the line 0.3, passed as the
+    `y` argument; the test asserts that this line is at or above both
+    y_valid.  Poisson's poles lie 0.3 below that line and need panels of
+    width 1/16.
     """
     EVAL_Y = 0.3
     gaps_p, yv_p = _oracle_gaps(poisson_H(), 10.0, EVAL_Y, 1 / 16)

@@ -10,7 +10,10 @@ with `ast` (nothing there is imported or run) and resolves each reference:
 
 The same references bound the library from the other side: every public
 name of `src/crystalsum` must be named by other code in `src/` or reached
-by one of them, so code that only tests call lives with the tests.
+by one of them, so code that only tests call lives with the tests.  A
+public method or property of a class must have its name read as an
+attribute in `src/` outside its own body, or read anywhere in the
+benchmark, where instances of library classes are not traced to a module.
 """
 
 import ast
@@ -162,4 +165,50 @@ def test_every_public_name_is_reached_from_src_or_the_benchmark():
     assert sum(1 for p in SRC.glob("*.py")
                for _ in _public_definitions(ast.parse(p.read_text()))) >= 60
     unreached = unreached_names()
+    assert not unreached, f"only tests reach {unreached}: move them to a test helper"
+
+
+def _public_methods(tree):
+    """(class, name, def) for each public method and property of a module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    yield cls.name, stmt.name, stmt
+
+
+def _benchmark_names():
+    """Every attribute the benchmark sources read, on any object, and every
+    name in a reference (its wrapper tables name methods as strings)."""
+    out = {name for ref in REFS for name in ref.split(".")}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+    return out
+
+
+def unreached_methods():
+    """'module.Class.name' for each public method or property of src/crystalsum
+    whose name src/ reads as an attribute only inside its own body, or not
+    at all, and the benchmark does not read."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    reads = [(node.attr, id(node)) for t in trees.values() for node in ast.walk(t)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    bench = _benchmark_names()
+    out = []
+    for module, tree in trees.items():
+        for cls, name, stmt in _public_methods(tree):
+            own = {id(n) for n in ast.walk(stmt)}
+            if name in bench or any(a == name and i not in own for a, i in reads):
+                continue
+            out.append(f"{module}.{cls}.{name}")
+    return out
+
+
+def test_every_public_method_is_reached_from_src_or_the_benchmark():
+    # a parser that finds nothing would pass vacuously
+    assert sum(1 for p in SRC.glob("*.py")
+               for _ in _public_methods(ast.parse(p.read_text()))) >= 40
+    unreached = unreached_methods()
     assert not unreached, f"only tests reach {unreached}: move them to a test helper"

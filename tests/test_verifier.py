@@ -78,7 +78,8 @@ def test_bump_transform_basics():
         v, err = bump_ft(tf, xi, tol=1e-10)
         assert abs(v.imag) <= 1e-10
         assert abs(v) <= v0.real + 1e-12
-    assert transform(tf, 0.3, 1e-8)[1] <= 1e-8
+    assert bump_ft(tf, 0.3, tol=1e-8)[1] <= 1e-8
+    assert transform(tf, 0.3) == bump_ft(tf, 0.3)
 
 
 def test_check_pair_poisson_gaussian():
@@ -145,11 +146,11 @@ def test_check_pair_bump():
     # window and a 'pass' at the tail-supported tolerance on a wide one
     tf = TestFunction("bump", center=0.3, halfwidth=2.5, exponent=1.5)
     narrow = poisson_pair(8.0, 30.5)
-    rep = check_pair(narrow, tf, tol=1e-4, quad_tol=1e-9)
+    rep = check_pair(narrow, tf, tol=1e-4)
     assert rep.verdict == "inconclusive"
     assert rep.residual <= 1e-6
     wide = poisson_pair(8.0, 150.5)
-    rep = check_pair(wide, tf, tol=5e-3, quad_tol=1e-9)
+    rep = check_pair(wide, tf, tol=5e-3)
     assert rep.verdict == "pass"
     assert rep.residual <= 1e-6
 
