@@ -15,11 +15,12 @@ powers of sums never accumulate spurious near-duplicate terms.
 Evaluation has two routes, and the point set alone chooses.  On a Grid
 (row heads r_m, real column offsets x_k) a sum in the generators
 w_j = e^{2 pi i base_j z/D} factors, sum_t c_t w^{k_t}(r_m + x_k) =
-sum_t (c_t U_mt) V_tk: one einsum of tables of integer powers of e^{g r_m}
-and e^{g x_k}, so only the output grows with the grid.  The grid makes the
-two tables of each generator value g = 2 pi i base_j/D on first use and
-keeps them, so A and B of iA/B (or E and E*) on one grid, or sums over
-bases sharing an entry, exponentiate each table once.  Every other point
+sum_t (c_t U_mt) V_tk: a contraction of tables of integer powers of
+e^{g r_m} and e^{g x_k}, done as a real einsum over blocks of at most
+GRID_BLOCK columns, so only the output grows with the grid.  The grid
+makes the two tables of each generator value g = 2 pi i base_j/D on first
+use and keeps them, so A and B of iA/B (or E and E*) on one grid, or sums
+over bases sharing an entry, exponentiate each table once.  Every other point
 set (an array, a scalar, or a grid whose row heights could push a power
 towards overflow or the subnormals) takes one exponential per term, in
 chunks of at most CHUNK_POINTS points, so one evaluation holds a few
@@ -45,6 +46,9 @@ _EXP_OVERFLOW = 709.0
 _PRODUCT_LIMIT = 0.5 * _EXP_OVERFLOW
 # most points per chunk of ExpSum.eval's per-term route and mean_value_batch
 CHUNK_POINTS = 1 << 15
+# most columns per block of the grid contraction, and the width of
+# mean_value_batch's grids: one block per chunk
+GRID_BLOCK = 64
 
 
 class BasisMismatchError(ValueError):
@@ -214,9 +218,9 @@ class ExpSum:
         overflows, instead of silently returning inf.
 
         A Grid whose powers stay in range (_GridPlan.reach times the largest
-        |Im| of its row heads below _GridPlan.limit) is one contraction over
-        its tables; any other z sums one exponential per term, in chunks of
-        at most CHUNK_POINTS points.
+        |Im| of its row heads below _GridPlan.limit) is a real contraction over
+        its tables, GRID_BLOCK columns at a time; any other z sums one
+        exponential per term, in chunks of at most CHUNK_POINTS points.
         """
         grid = isinstance(z, Grid)
         z = z if grid else np.asarray(z, dtype=complex)
@@ -302,16 +306,12 @@ class ExpSum:
         return ExpSum(self.basis, {v: 2j * math.pi * lam[v] * c
                                    for v, c in self._terms.items()})
 
-    def is_star_fixed(self, tol=0.0):
-        """Exact (tol=0) or tolerant check that f* = f, i.e. f is real on R."""
+    def is_star_fixed(self, tol):
+        """Whether f* = f, i.e. f is real on R, each coefficient within tol
+        relative to max(|c|, 1) (tol=0: exactly); a NaN coefficient never is."""
         for v, c in self._terms.items():
             cc = self._terms.get(_vec_neg(v))
-            if cc is None:
-                return False
-            if tol == 0.0:
-                if cc != c.conjugate():
-                    return False
-            elif abs(cc - c.conjugate()) > tol * max(abs(c), 1.0):
+            if cc is None or not abs(cc - c.conjugate()) <= tol * max(abs(c), 1.0):
                 return False
         return True
 
@@ -346,7 +346,8 @@ class ExpSum:
 
 
 class _GridPlan:
-    """The z-independent half of ExpSum.eval's grid contraction.
+    """The z-independent half of ExpSum.eval's grid contraction, which `eval`
+    does in real arithmetic, one block of at most GRID_BLOCK columns at a time.
 
     Term t has exponents k[t] in the generators w_j = e^{gen_j z} of the
     coordinates some term uses, and coefficient coef[t].  At a row head r
@@ -371,16 +372,28 @@ class _GridPlan:
 
     def eval(self, grid):
         """Sum at the points of a Grid: sum_t (c_t U_mt) V_tk, U and V products
-        of each term's powers of the generators' row and column tables."""
-        U = np.ones((grid.rows.size, len(self.coef)), dtype=complex)
-        V = np.ones((len(self.coef), grid.cols.size), dtype=complex)
+        of each term's powers of the generators' row and column tables, in
+        real arithmetic: (Re U, Im U) per term times [[Re V, Im V], [-Im V, Re V]]
+        per term and column, one block of at most GRID_BLOCK columns at a time
+        written straight into the output, so no table outgrows the block."""
+        terms = len(self.coef)
+        U = np.ones((grid.rows.size, terms), dtype=complex)
         for k, g in zip(self.k.T, self.gen):
-            u, v = grid.tables(g)
-            U *= np.power(u[:, None], k)
-            V *= np.power(v, k[:, None])
+            U *= np.power(grid.tables(g)[0][:, None], k)
         U *= self.coef  # last: a coefficient may be tiny, each product is in range
-        # einsum, not @: see spectra.mean_value_batch
-        return np.einsum("mt,tk->mk", U, V).reshape(-1)[:grid.size]
+        out = np.empty((grid.rows.size, grid.cols.size), dtype=complex)
+        for lo in range(0, grid.cols.size, GRID_BLOCK):
+            hi = min(lo + GRID_BLOCK, grid.cols.size)
+            V = np.ones((terms, hi - lo), dtype=complex)
+            for k, g in zip(self.k.T, self.gen):
+                V *= np.power(grid.tables(g)[1][lo:hi], k[:, None])
+            table = np.empty((terms, 2, hi - lo, 2))
+            table[:, 0] = V.view(float).reshape(terms, hi - lo, 2)
+            table[:, 1, :, 0] = -V.imag
+            table[:, 1, :, 1] = V.real
+            np.einsum("mt,tk->mk", U.view(float), table.reshape(2 * terms, -1),
+                      out=out[:, lo:hi].view(float))
+        return out.reshape(-1)[:grid.size]
 
 
 # -- constructors -----------------------------------------------------------

@@ -19,8 +19,11 @@ along a horizontal line, with the Fejer taper w(u) = 1-|u| (rescaled by
 its integral) as default: the taper improves the truncation error of an
 isolated atom from O(1/T) to O(1/T^2).  The quadrature is composite
 Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
-that f receives as product grids (freqalg.Grid, one contraction for an
-ExpSum), the phase factored over the same grid: memory does not grow with T.
+that f receives as product grids (freqalg.Grid, one block of the real grid
+contraction for an ExpSum).  The taper and the tapered samples go into
+two buffers made once per call, and the phase factors over rows of those
+samples, each row projected by one dot product per frequency: memory does
+not grow with T.
 
 The two routes share no code and serve as oracles for each other.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freqalg import CHUNK_POINTS, ExpSum, FreqBasis, Grid
+from .freqalg import CHUNK_POINTS, GRID_BLOCK, ExpSum, FreqBasis, Grid
 from .hermite import HermiteBiehler
 
 
@@ -189,9 +192,9 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     return SpectrumAtoms(B.basis, atoms, y_valid, meta)
 
 
-# panels per row of mean_value_batch's phase tables
-_PHASE_ROW = 64
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
+# panels per row of mean_value_batch's projection (512 nodes per row)
+_PHASE_ROW = 64
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
@@ -207,24 +210,26 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
-    chunks of at most freqalg.CHUNK_POINTS nodes, grouped in rows of
-    R = _PHASE_ROW panels, so the node j of panel r in row m sits at
+    chunks of at most freqalg.CHUNK_POINTS nodes.  f receives a chunk's
+    nodes X + iy, a partial last row included, as one freqalg.Grid of
+    GRID_BLOCK column offsets (GRID_BLOCK/_NODES panels) per row head: its
+    flat array under numpy, on which A and B of an f = iA/B are each one
+    block of freqalg's grid contraction, over generator tables made once
+    per chunk for both.  The same samples, read in rows of R = _PHASE_ROW
+    panels, have node j of panel r in row m at
     X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
-    midpoint and w the panel width.  f receives the chunk's nodes X + iy,
-    a partial last row included, as one freqalg.Grid of row heads
-    mid_0 + w R m + iy and offsets w r + h xi_j: their flat array under
-    numpy, on which A and B of an f = iA/B are each one contraction over
-    generator tables made once per chunk for both.  The phase factors exactly:
+    midpoint and w the panel width, so the phase factors exactly:
 
         e^{-2 pi i lam (X + iy)} = e^{2 pi lam y} e^{-2 pi i lam mid_0}
             e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.
 
     The last two factors do not depend on the chunk and are tabulated
-    once per call.  Per chunk, f is evaluated once on the grid, the sum
-    within the rows is one (rows x row nodes) by (row nodes x lambdas)
-    contraction, the sum over rows a second one, and the only exponential
-    is one lambda vector at mid_0.  Memory stays bounded by the chunk (a
-    few complex arrays of its length are live at once), not by T.
+    once per call, the Gauss weights folded into the node table.  Per
+    chunk, f is evaluated once on the grid, the taper and the tapered
+    samples go into two buffers made once per call, each row holding
+    samples is one dot product per lambda with the node table, the sum over
+    rows one contraction, and the only exponential is one lambda vector at
+    mid_0.  Memory stays bounded by the chunk, not by T.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
@@ -244,37 +249,42 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     w_eff = 2 * T / n_panels
     half = 0.5 * w_eff
     xi, wi = np.polynomial.legendre.leggauss(_NODES)
-    node_w = half * wi
     norm = T if taper == "fejer" else 2.0 * T
     step = max(CHUNK_POINTS // _NODES, 1)
     n_rows = -(-step // _PHASE_ROW)
-    # lambdas x row nodes, contiguous along the nodes for the contraction
     offsets = ((w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]).ravel()
-    node_phase = np.exp(-2j * np.pi * np.outer(lam, offsets))
+    # lambdas x row nodes, weighted and conjugated (np.vecdot conjugates it)
+    node_phase = np.exp(2j * np.pi * np.outer(lam, offsets)) * np.tile(half * wi, _PHASE_ROW)
     row_starts = w_eff * _PHASE_ROW * np.arange(n_rows)
     row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
+    grid_heads = w_eff * (GRID_BLOCK // _NODES) * np.arange(-(-step * _NODES // GRID_BLOCK))
+    taper_w = np.ones((n_rows, offsets.size))
+    samples = np.empty((n_rows, offsets.size), dtype=complex)
+    flat = samples.reshape(-1)
     acc = np.zeros(lam.shape, dtype=complex)
     for start in range(0, n_panels, step):
-        count = min(step, n_panels - start)
-        mids = -T + w_eff * (np.arange(start, start + count) + 0.5)
-        X = mids[:, None] + half * xi[None, :]
-        grid = Grid(mids[0] + 1j * y + row_starts, offsets, X.size)
+        n = min(step, n_panels - start) * _NODES
+        mid0 = -T + w_eff * (start + 0.5)
+        grid = Grid(mid0 + 1j * y + grid_heads, offsets[:GRID_BLOCK], n)
         fv = np.asarray(f(grid), dtype=complex)
         if fv.shape != grid.shape:
             raise SpectrumError(f"f returned samples of shape {fv.shape} on a grid "
                                 f"of shape {grid.shape}")
         if not np.all(np.isfinite(fv)):
             raise SpectrumError("non-finite sample: a pole is too close to the line")
-        wts = node_w * (1.0 - np.abs(X / T)) if taper == "fejer" else node_w
-        # the last row of the last chunk is padded with zero samples
-        weighted = np.zeros((grid.rows.size, node_phase.shape[1]), dtype=complex)
-        np.multiply(wts, fv.reshape(X.shape),
-                    out=weighted.reshape(-1)[:X.size].reshape(X.shape))
-        # einsum, not @: a BLAS product wakes worker threads that then spin
-        # through the rest of the run and double its CPU time
-        per_row = np.einsum("mk,lk->ml", weighted, node_phase)
-        acc += np.exp(-2j * np.pi * lam * mids[0]) \
-            * np.einsum("ml,ml->l", per_row, row_phase[:grid.rows.size])
+        used = -(-n // offsets.size)  # rows holding samples
+        if taper == "fejer":
+            X = np.add((mid0 + row_starts[:used])[:, None], offsets, out=taper_w[:used])
+            np.subtract(1.0, np.abs(np.divide(X, T, out=X), out=X), out=X)
+        np.multiply(fv, taper_w.reshape(-1)[:n], out=flat[:n])
+        flat[n:used * offsets.size] = 0  # the rest of a partial last row
+        # every product here and in freqalg's grid contraction stays off
+        # level-2/3 BLAS: at these sizes @ and np.matvec wake a second
+        # OpenBLAS thread, which then spins and doubles the run's CPU time;
+        # np.vecdot is one level-1 dot per row and lambda, single-threaded
+        per_row = np.vecdot(node_phase, samples[:used, None, :])
+        acc += np.exp(-2j * np.pi * lam * mid0) \
+            * np.einsum("ml,ml->l", per_row, row_phase[:used])
     scale = np.exp(2 * np.pi * lam * y) / norm
     return [complex(v) for v in acc * scale]
 

@@ -49,7 +49,7 @@ def test_split_AB_poisson():
     assert B.terms == Q.terms                      # B = Q exactly
     for v, c in (math.pi * cosine(HALF, (1,))).terms.items():
         assert A.terms[v] == pytest.approx(c, rel=1e-15)
-    assert A.is_star_fixed() and B.is_star_fixed()
+    assert A.is_star_fixed(tol=0.0) and B.is_star_fixed(tol=0.0)
 
 
 def test_split_AB_star_fixed_input():
@@ -368,7 +368,7 @@ def test_leeyang_rotation_is_real_rooted():
     U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     basis = FreqBasis((1.0, math.sqrt(2)))
     Q = leeyang_real_form(U, [(1, 0), (0, 1)], basis)
-    assert Q.is_star_fixed()
+    assert Q.is_star_fixed(tol=0.0)
     H = ks_from_Q(Q)  # sampled Hermite-Biehler acceptance
     rng = np.random.default_rng(11)
     assert np.all(phase_derivative(H, rng.uniform(-30, 30, 500)) > 0)

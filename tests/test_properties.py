@@ -167,6 +167,12 @@ def sums_and_grids(draw):
           Grid([0.5 + 0.4j, -7 - 0.3j, 11 + 0.2j], [0.0, 0.3, -1.7, 4.0], 10)))  # partial
 @example((ExpSum(BASIS, {(2, -1): 1.0, (-3, 2): 0.5j, (0, 1): -2.0}),  # more than
           Grid(np.linspace(-40, 40, 100) + 0.3j, np.linspace(0, 0.8, 512), 51193)))  # a chunk
+@example((ExpSum(BASIS, {(2, -1): 1.0, (-3, 2): 0.5j, (0, 1): -2.0}),  # column blocks
+          Grid([0.5 + 0.3j, -4 + 0.2j, 9 - 0.1j], np.linspace(-3, 3, 130), 300)))  # 64, 64, 2
+@example((WIDE_GAP, Grid([0.5 + 0.1j, -2 - 0.2j, 3 + 0.05j], [0.25], 3)))  # one column
+@example((ExpSum(FreqBasis((1.0, math.sqrt(2), math.sqrt(3)), 2),       # rank 3 on
+                 {(3, -2, 1): 0.5, (-4, 1, 0): 1j, (0, 5, -3): -0.25}),  # one full block
+          Grid([0.5 + 0.4j, -7 - 0.3j], np.linspace(-2, 2, 64, endpoint=False), 128)))
 def test_grid_eval_matches_eval_at_its_points(case):
     s, grid = case
     z = np.asarray(grid)

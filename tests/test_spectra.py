@@ -287,10 +287,26 @@ def test_mean_value_memory_stays_bounded():
     assert peak < 10e6
 
 
+def test_mean_value_holds_only_its_two_chunk_buffers():
+    # 20480 panels, five full chunks, an f that allocates nothing: beside a
+    # float taper and a complex sample buffer of one chunk (768 KiB), made
+    # once per call, only small tables; new weight and zero-padded sample
+    # arrays in every chunk peak at 1.70 MiB
+    samples = np.ones(CHUNK_POINTS, dtype=complex)
+    mean_value_batch(lambda z: samples[:z.size], [1.0], 0.3, 1.0)  # first-call imports
+    tracemalloc.start()
+    try:
+        mean_value_batch(lambda z: samples, np.arange(10.0), 0.3, 2560.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20
+
+
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
 def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
     # no exponential of chunk size: each generator of f = iA/B comes from
-    # one exponential of each table of the chunk's grid (64 row heads, 512
+    # one exponential of each table of the chunk's grid (512 row heads, 64
     # column offsets), shared by A and B
     exp, calls = np.exp, []
 
