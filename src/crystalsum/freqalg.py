@@ -16,7 +16,7 @@ Evaluation has two routes, and the point set alone chooses.  On a Grid
 (row heads r_m, real column offsets x_k) a sum in the generators
 w_j = e^{2 pi i base_j z/D} factors, sum_t c_t w^{k_t}(r_m + x_k) =
 sum_t (c_t U_mt) V_tk: a contraction of tables of integer powers of
-e^{g r_m} and e^{g x_k}, done as a real einsum over blocks of at most
+e^{g r_m} and e^{g x_k}, done by real_matmul over blocks of at most
 GRID_BLOCK columns, so only the output grows with the grid.  The grid
 makes the two tables of each generator value g = 2 pi i base_j/D on first
 use and keeps them, so A and B of iA/B (or E and E*) on one grid, or sums
@@ -49,6 +49,9 @@ CHUNK_POINTS = 1 << 15
 # most columns per block of the grid contraction, and the width of
 # mean_value_batch's grids: one block per chunk
 GRID_BLOCK = 64
+# most multiply-adds per np.matmul call: OpenBLAS runs a dgemm of at most
+# SMP_THRESHOLD_MIN (65536) x GEMM_MULTITHREAD_THRESHOLD (4) on one thread
+_GEMM_BUDGET = 1 << 18
 
 
 class BasisMismatchError(ValueError):
@@ -123,6 +126,30 @@ class Grid(np.lib.mixins.NDArrayOperatorsMixin):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         inputs = [np.asarray(x) if isinstance(x, Grid) else x for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def real_table(c):
+    """The (2k x 2n) table [[Re c, Im c], [-Im c, Re c]] per entry of a complex
+    (k x n) table c: x @ c is x.view(float) @ real_table(c) viewed as complex.
+    A complex zgemm wakes a second OpenBLAS thread far below real_matmul's budget."""
+    k, n = c.shape
+    table = np.empty((k, 2, n, 2))
+    table[:, 0] = c.view(float).reshape(k, n, 2)
+    table[:, 1, :, 0] = -c.imag
+    table[:, 1, :, 1] = c.real
+    return table.reshape(2 * k, 2 * n)
+
+
+def real_matmul(a, b, out):
+    """Write a @ b into out, for real 2-d arrays, by np.matmul calls of at most
+    _GEMM_BUDGET multiply-adds (row blocks, and column blocks where one row is
+    over it): single-threaded dgemms, as a second thread would only spin."""
+    (m, k), n = a.shape, b.shape[1]
+    cols = max(min(n, _GEMM_BUDGET // max(k, 1)), 1)
+    rows = max(_GEMM_BUDGET // max(k * cols, 1), 1)
+    for j in range(0, n, cols):
+        for i in range(0, m, rows):
+            np.matmul(a[i:i + rows], b[:, j:j + cols], out=out[i:i + rows, j:j + cols])
 
 
 def complex_from_json(v) -> complex:
@@ -218,8 +245,8 @@ class ExpSum:
         overflows, instead of silently returning inf.
 
         A Grid whose powers stay in range (_GridPlan.reach times the largest
-        |Im| of its row heads below _GridPlan.limit) is a real contraction over
-        its tables, GRID_BLOCK columns at a time; any other z sums one
+        |Im| of its row heads below _GridPlan.limit) is a real_matmul over its
+        tables, GRID_BLOCK columns at a time; any other z sums one
         exponential per term, in chunks of at most CHUNK_POINTS points.
         """
         grid = isinstance(z, Grid)
@@ -347,7 +374,7 @@ class ExpSum:
 
 class _GridPlan:
     """The z-independent half of ExpSum.eval's grid contraction, which `eval`
-    does in real arithmetic, one block of at most GRID_BLOCK columns at a time.
+    does by real_matmul, one block of at most GRID_BLOCK columns at a time.
 
     Term t has exponents k[t] in the generators w_j = e^{gen_j z} of the
     coordinates some term uses, and coefficient coef[t].  At a row head r
@@ -373,9 +400,9 @@ class _GridPlan:
     def eval(self, grid):
         """Sum at the points of a Grid: sum_t (c_t U_mt) V_tk, U and V products
         of each term's powers of the generators' row and column tables, in
-        real arithmetic: (Re U, Im U) per term times [[Re V, Im V], [-Im V, Re V]]
-        per term and column, one block of at most GRID_BLOCK columns at a time
-        written straight into the output, so no table outgrows the block."""
+        real arithmetic: U.view(float) times real_table(V), by real_matmul, one
+        block of at most GRID_BLOCK columns at a time written straight into the
+        output, so no table outgrows the block."""
         terms = len(self.coef)
         U = np.ones((grid.rows.size, terms), dtype=complex)
         for k, g in zip(self.k.T, self.gen):
@@ -387,12 +414,7 @@ class _GridPlan:
             V = np.ones((terms, hi - lo), dtype=complex)
             for k, g in zip(self.k.T, self.gen):
                 V *= np.power(grid.tables(g)[1][lo:hi], k[:, None])
-            table = np.empty((terms, 2, hi - lo, 2))
-            table[:, 0] = V.view(float).reshape(terms, hi - lo, 2)
-            table[:, 1, :, 0] = -V.imag
-            table[:, 1, :, 1] = V.real
-            np.einsum("mt,tk->mk", U.view(float), table.reshape(2 * terms, -1),
-                      out=out[:, lo:hi].view(float))
+            real_matmul(U.view(float), real_table(V), out[:, lo:hi].view(float))
         return out.reshape(-1)[:grid.size]
 
 

@@ -266,7 +266,7 @@ def leeyang_trigpoly(U, length_vecs, basis: FreqBasis) -> ExpSum:
         raise ValueError("U must be square")
     if n != len(length_vecs):
         raise ValueError("need one length per matrix dimension")
-    err = np.max(np.abs(U.conj().T @ U - np.eye(n)))
+    err = np.max(np.abs(np.einsum("ki,kj->ij", U.conj(), U) - np.eye(n)))
     if err > 1e-10:
         raise ValueError(f"U is not unitary (defect {err:.3g})")
     vecs = [tuple(int(k) for k in v) for v in length_vecs]

@@ -22,8 +22,8 @@ Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
 that f receives as product grids (freqalg.Grid, one block of the real grid
 contraction for an ExpSum).  The taper and the tapered samples go into
 two buffers made once per call, and the phase factors over rows of those
-samples, each row projected by one dot product per frequency: memory does
-not grow with T.
+samples, all rows projected on all frequencies by one real matrix product
+(freqalg.real_matmul): memory does not grow with T.
 
 The two routes share no code and serve as oracles for each other.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freqalg import CHUNK_POINTS, GRID_BLOCK, ExpSum, FreqBasis, Grid
+from .freqalg import CHUNK_POINTS, GRID_BLOCK, ExpSum, FreqBasis, Grid, real_matmul, real_table
 from .hermite import HermiteBiehler
 
 
@@ -224,12 +224,13 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
             e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.
 
     The last two factors do not depend on the chunk and are tabulated
-    once per call, the Gauss weights folded into the node table.  Per
-    chunk, f is evaluated once on the grid, the taper and the tapered
-    samples go into two buffers made once per call, each row holding
-    samples is one dot product per lambda with the node table, the sum over
-    rows one contraction, and the only exponential is one lambda vector at
-    mid_0.  Memory stays bounded by the chunk, not by T.
+    once per call, the Gauss weights folded into the node table (in the
+    real form of freqalg.real_table).  Per chunk, f is evaluated once on the
+    grid, the taper and the tapered samples go into two buffers made once
+    per call, the rows holding samples are projected on every lambda by one
+    freqalg.real_matmul into a third, the sum over rows is one contraction,
+    and the only exponential is one lambda vector at mid_0.  Memory stays
+    bounded by the chunk, not by T.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
@@ -253,14 +254,20 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     step = max(CHUNK_POINTS // _NODES, 1)
     n_rows = -(-step // _PHASE_ROW)
     offsets = ((w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]).ravel()
-    # lambdas x row nodes, weighted and conjugated (np.vecdot conjugates it)
-    node_phase = np.exp(2j * np.pi * np.outer(lam, offsets)) * np.tile(half * wi, _PHASE_ROW)
+    # BLAS gets two products, freqalg's grid contraction and this row
+    # projection, both real (a zgemm threads far sooner) and cut by
+    # real_matmul below OpenBLAS's threading floor, so no second thread spins.
+    # node_table: the Gauss-weighted conjugate phases, row nodes x lambdas
+    node_table = real_table(np.exp(-2j * np.pi * np.outer(offsets, lam))
+                            * np.tile(half * wi, _PHASE_ROW)[:, None])
     row_starts = w_eff * _PHASE_ROW * np.arange(n_rows)
     row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
     grid_heads = w_eff * (GRID_BLOCK // _NODES) * np.arange(-(-step * _NODES // GRID_BLOCK))
+    rows_T, offsets_T = row_starts / T, offsets / T
     taper_w = np.ones((n_rows, offsets.size))
     samples = np.empty((n_rows, offsets.size), dtype=complex)
     flat = samples.reshape(-1)
+    per_row = np.empty((n_rows, lam.size), dtype=complex)
     acc = np.zeros(lam.shape, dtype=complex)
     for start in range(0, n_panels, step):
         n = min(step, n_panels - start) * _NODES
@@ -270,21 +277,17 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
         if fv.shape != grid.shape:
             raise SpectrumError(f"f returned samples of shape {fv.shape} on a grid "
                                 f"of shape {grid.shape}")
-        if not np.all(np.isfinite(fv)):
+        if not np.isfinite(np.ascontiguousarray(fv).view(float)).all():
             raise SpectrumError("non-finite sample: a pole is too close to the line")
         used = -(-n // offsets.size)  # rows holding samples
         if taper == "fejer":
-            X = np.add((mid0 + row_starts[:used])[:, None], offsets, out=taper_w[:used])
-            np.subtract(1.0, np.abs(np.divide(X, T, out=X), out=X), out=X)
+            X = np.add((mid0 / T + rows_T[:used])[:, None], offsets_T, out=taper_w[:used])
+            np.subtract(1.0, np.abs(X, out=X), out=X)
         np.multiply(fv, taper_w.reshape(-1)[:n], out=flat[:n])
         flat[n:used * offsets.size] = 0  # the rest of a partial last row
-        # every product here and in freqalg's grid contraction stays off
-        # level-2/3 BLAS: at these sizes @ and np.matvec wake a second
-        # OpenBLAS thread, which then spins and doubles the run's CPU time;
-        # np.vecdot is one level-1 dot per row and lambda, single-threaded
-        per_row = np.vecdot(node_phase, samples[:used, None, :])
+        real_matmul(samples[:used].view(float), node_table, per_row[:used].view(float))
         acc += np.exp(-2j * np.pi * lam * mid0) \
-            * np.einsum("ml,ml->l", per_row, row_phase[:used])
+            * np.einsum("ml,ml->l", per_row[:used], row_phase[:used])
     scale = np.exp(2 * np.pi * lam * y) / norm
     return [complex(v) for v in acc * scale]
 

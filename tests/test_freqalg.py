@@ -13,6 +13,7 @@ from crystalsum.freqalg import (
     FreqBasis,
     Grid,
     constant,
+    real_matmul,
     sine,
 )
 from probes import cosine, monomial
@@ -104,6 +105,28 @@ def test_grid_evaluation_holds_only_its_output_and_small_tables():
         tracemalloc.stop()
     assert out.shape == (CHUNK_POINTS,)
     assert peak <= out.nbytes + 2**16
+
+
+@pytest.mark.parametrize("m, k, n", [
+    (700, 8, 128),   # 716800 multiply-adds: rows split
+    (3, 1024, 400),  # 409600 in one row: columns split too
+    (0, 3, 4), (5, 0, 4), (5, 3, 0),
+])
+def test_real_matmul_is_a_at_b_in_calls_under_the_threading_floor(monkeypatch, m, k, n):
+    rng = np.random.default_rng(m + k + n)
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    want = a @ b
+    matmul, sizes = np.matmul, []
+
+    def recording(x, y, *args, **kwargs):
+        sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    out = np.full((m, n), np.nan)
+    real_matmul(a, b, out)
+    assert np.allclose(out, want, rtol=1e-13, atol=1e-13)
+    assert max(sizes, default=0) <= 2**18
 
 
 def test_grid_refuses_an_empty_column_table():

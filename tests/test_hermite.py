@@ -434,8 +434,10 @@ def test_leeyang_root_count_equals_phase_count(theta):
 
 
 def test_root_scan_bisection_stops_where_no_bracket_can_shrink(monkeypatch):
-    # beyond |x| = 8192 one ulp is wider than ROOT_TOL, so a bracket stops
-    # once its midpoint rounds onto an endpoint, not after a fixed cap
+    # the safeguarded Newton ends a bracket once a step's error bound is
+    # within an ulp of the iterate, or once a halving midpoint rounds onto an
+    # endpoint, not after a fixed cap: beyond |x| = 8192 that ulp is wider
+    # than ROOT_TOL, so the far window costs no more evaluations
     B = ks_from_Q(leeyang_Q()).B
     calls = count_evals(monkeypatch)
     counts, roots = [], []

@@ -303,6 +303,40 @@ def test_mean_value_holds_only_its_two_chunk_buffers():
     assert peak <= 1.25 * 2**20
 
 
+def recorded_matmul(monkeypatch):
+    """Patch np.matmul as freqalg sees it: (m*k*n, dtypes) of every call."""
+    matmul, calls = np.matmul, []
+
+    def recording(a, b, *args, **kwargs):
+        calls.append((a.shape[0] * a.shape[1] * b.shape[1], a.dtype, b.dtype))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(freqalg.np, "matmul", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n_lams", [10, 200])
+def test_every_matmul_is_a_real_product_under_the_threading_floor(monkeypatch, n_lams):
+    # OpenBLAS runs a dgemm of at most 2^18 multiply-adds on one thread; with
+    # 200 lambdas one projection row (1024 x 400) is 409600, so its columns split
+    calls = recorded_matmul(monkeypatch)
+    if n_lams == 10:
+        H = leeyang_H()
+        f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+        mean_value_batch(f, 0.5 * np.arange(n_lams), 0.3, CHUNK_POINTS / 64)
+    else:
+        lams = np.linspace(0.0, 3.0, n_lams)
+        got = mean_value_batch(icotangent, lams, 0.3, 37.0, panel_width=1 / 8)
+        want = one_shot_mean_values(icotangent, lams, 0.3, 37.0, panel_width=1 / 8)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+    assert calls
+    assert all(size <= 2**18 and a == b == float for size, a, b in calls)
+
+
+def test_mean_value_of_no_frequencies_is_empty():
+    assert mean_value_batch(icotangent, [], 0.3, 10.0) == []
+
+
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
 def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
     # no exponential of chunk size: each generator of f = iA/B comes from
