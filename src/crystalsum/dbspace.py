@@ -132,10 +132,8 @@ def kernel_series(ctx: KernelContext, w: complex, z: complex):
     bb = complex(B.eval(z)) * complex(B.eval(wb))
     if g.size == 0:
         return 0j, math.inf
-    # two quotients where the product (g - z)(g - wb) could overflow
-    q = ctx.weights / (g - z) / (g - wb) if max(abs(z), abs(w)) > 1e150 \
-        else ctx.weights / ((g - z) * (g - wb))
-    val = bb * np.sum(q) / math.pi
+    # two quotients, as the product (g - z)(g - wb) could overflow
+    val = bb * np.sum(ctx.weights / (g - z) / (g - wb)) / math.pi
     span = g[-1] - g[0]
     density = g.size / span if span > 0 else 1.0
     wbar = float(np.mean(ctx.weights))

@@ -18,11 +18,12 @@ The numeric route estimates the same coefficients as tapered mean values
 along a horizontal line, with the Fejer taper w(u) = 1-|u| (rescaled by
 its integral) as default: the taper improves the truncation error of an
 isolated atom from O(1/T) to O(1/T^2).  The quadrature is composite
-Gauss-Legendre with fixed-width panels, streamed in fixed-size chunks
-that f receives as product grids (freqalg.Grid, one block of the real grid
-contraction for an ExpSum).  The taper and the tapered samples go into
-two buffers made once per call, and the phase factors over rows of those
-samples, all rows projected on all frequencies by one real matrix product
+Gauss-Legendre with fixed-width panels, at most MAX_QUADRATURE_POINTS
+nodes, streamed in fixed-size chunks that f receives as product grids
+(freqalg.Grid, one block of the real grid contraction for an ExpSum).
+The taper and the tapered samples go into two buffers made once per call,
+laid out in the grid's rows, and the phase factors over those rows, all
+rows projected on all frequencies by one real matrix product
 (freqalg.real_matmul): memory does not grow with T.
 
 The two routes share no code and serve as oracles for each other.
@@ -44,6 +45,7 @@ class SpectrumError(ValueError):
 
 
 MAX_SPECTRUM_ATOMS = 10 ** 5  # the most frequencies an exact spectrum may hold
+MAX_QUADRATURE_POINTS = 10 ** 8  # the most nodes a mean value may take (T = 1e4: 640000)
 
 
 @dataclass
@@ -193,8 +195,6 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
 
 
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
-# panels per row of mean_value_batch's projection (512 nodes per row)
-_PHASE_ROW = 64
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
@@ -209,16 +209,16 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     e^{2 pi lambda y} at large lambda.
 
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
-    width h, _NODES Gauss-Legendre nodes xi_j).  The panels are streamed in
-    chunks of at most freqalg.CHUNK_POINTS nodes.  f receives a chunk's
-    nodes X + iy, a partial last row included, as one freqalg.Grid of
-    GRID_BLOCK column offsets (GRID_BLOCK/_NODES panels) per row head: its
-    flat array under numpy, on which A and B of an f = iA/B are each one
-    block of freqalg's grid contraction, over generator tables made once
-    per chunk for both.  The same samples, read in rows of R = _PHASE_ROW
-    panels, have node j of panel r in row m at
-    X = mid_0 + w R m + (w r + h xi_j), with mid_0 the chunk's first
-    midpoint and w the panel width, so the phase factors exactly:
+    width h, _NODES Gauss-Legendre nodes xi_j), at most
+    MAX_QUADRATURE_POINTS of them, or SpectrumError before f is called.
+    They are streamed in chunks of at most freqalg.CHUNK_POINTS nodes, in
+    rows of R = GRID_BLOCK/_NODES panels: with mid_0 the chunk's first
+    midpoint and w the panel width, node j of panel r in row m is
+    X = mid_0 + w R m + (w r + h xi_j).  f receives a chunk, a partial last
+    row included, as one freqalg.Grid of these row heads (plus iy) and
+    GRID_BLOCK column offsets: its flat array under numpy, on which A and B
+    of an f = iA/B are each one block of freqalg's grid contraction, over
+    generator tables made once per chunk for both.  The phase factors alike:
 
         e^{-2 pi i lam (X + iy)} = e^{2 pi lam y} e^{-2 pi i lam mid_0}
             e^{-2 pi i lam w R m} e^{-2 pi i lam (w r + h xi_j)}.
@@ -227,10 +227,10 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     once per call, the Gauss weights folded into the node table (in the
     real form of freqalg.real_table).  Per chunk, f is evaluated once on the
     grid, the taper and the tapered samples go into two buffers made once
-    per call, the rows holding samples are projected on every lambda by one
+    per call, their rows are projected on every lambda by one
     freqalg.real_matmul into a third, the sum over rows is one contraction,
-    and the only exponential is one lambda vector at mid_0.  Memory stays
-    bounded by the chunk, not by T.
+    and the only exponential is one lambda vector at mid_0: memory stays
+    bounded by the chunk, not by T.  No frequencies take no samples.
     """
     if taper not in ("none", "fejer"):
         raise ValueError("taper must be 'none' or 'fejer'")
@@ -246,40 +246,44 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     if not np.all(np.isfinite(lam)):
         raise SpectrumError(
             f"frequencies must be finite, got {lam[~np.isfinite(lam)][0]}")
+    max_panels = MAX_QUADRATURE_POINTS // _NODES  # ceil(2T/width) > it iff 2T/width is
+    if 2 * T / panel_width > max_panels:
+        raise SpectrumError(f"T = {T:g} needs more than the {MAX_QUADRATURE_POINTS} quadrature "
+                            f"points allowed (T up to {max_panels * panel_width / 2:g})")
+    if not lam.size:
+        return []
     n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
     w_eff = 2 * T / n_panels
     half = 0.5 * w_eff
     xi, wi = np.polynomial.legendre.leggauss(_NODES)
     norm = T if taper == "fejer" else 2.0 * T
     step = max(CHUNK_POINTS // _NODES, 1)
-    n_rows = -(-step // _PHASE_ROW)
-    offsets = ((w_eff * np.arange(_PHASE_ROW))[:, None] + half * xi[None, :]).ravel()
-    # BLAS gets two products, freqalg's grid contraction and this row
-    # projection, both real (a zgemm threads far sooner) and cut by
-    # real_matmul below OpenBLAS's threading floor, so no second thread spins.
-    # node_table: the Gauss-weighted conjugate phases, row nodes x lambdas
+    row_panels = GRID_BLOCK // _NODES
+    offsets = ((w_eff * np.arange(row_panels))[:, None] + half * xi[None, :]).ravel()
+    row_starts = w_eff * row_panels * np.arange(-(-step // row_panels))
+    # BLAS gets two products, freqalg's grid contraction and this row projection,
+    # both real (a zgemm threads far sooner) and cut by real_matmul below
+    # OpenBLAS's threading floor.  node_table: Gauss-weighted conjugate phases
     node_table = real_table(np.exp(-2j * np.pi * np.outer(offsets, lam))
-                            * np.tile(half * wi, _PHASE_ROW)[:, None])
-    row_starts = w_eff * _PHASE_ROW * np.arange(n_rows)
+                            * np.tile(half * wi, row_panels)[:, None])
     row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
-    grid_heads = w_eff * (GRID_BLOCK // _NODES) * np.arange(-(-step * _NODES // GRID_BLOCK))
     rows_T, offsets_T = row_starts / T, offsets / T
-    taper_w = np.ones((n_rows, offsets.size))
-    samples = np.empty((n_rows, offsets.size), dtype=complex)
+    taper_w = np.ones((row_starts.size, offsets.size))
+    samples = np.empty(taper_w.shape, dtype=complex)
     flat = samples.reshape(-1)
-    per_row = np.empty((n_rows, lam.size), dtype=complex)
+    per_row = np.empty((row_starts.size, lam.size), dtype=complex)
     acc = np.zeros(lam.shape, dtype=complex)
     for start in range(0, n_panels, step):
         n = min(step, n_panels - start) * _NODES
         mid0 = -T + w_eff * (start + 0.5)
-        grid = Grid(mid0 + 1j * y + grid_heads, offsets[:GRID_BLOCK], n)
+        grid = Grid(mid0 + 1j * y + row_starts, offsets, n)
         fv = np.asarray(f(grid), dtype=complex)
         if fv.shape != grid.shape:
             raise SpectrumError(f"f returned samples of shape {fv.shape} on a grid "
                                 f"of shape {grid.shape}")
         if not np.isfinite(np.ascontiguousarray(fv).view(float)).all():
             raise SpectrumError("non-finite sample: a pole is too close to the line")
-        used = -(-n // offsets.size)  # rows holding samples
+        used = grid.rows.size  # rows holding samples
         if taper == "fejer":
             X = np.add((mid0 / T + rows_T[:used])[:, None], offsets_T, out=taper_w[:used])
             np.subtract(1.0, np.abs(X, out=X), out=X)

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
+import re
+import shlex
 import sys
 import time
 import warnings
@@ -151,6 +154,39 @@ def test_readme_eta_csv_bytes_are_pinned(tmp_path, argv, digest):
     assert main(["--out", str(out), "eta", *(a.format(spec=spec) for a in argv)]) == 0
     body = (out / "series.csv").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the files each command writes into its --out directory
+OUTPUT_FILES = {"ks": {"pair.json", "report.json"},
+                "eta": {"series.csv", "measure.json", "selfdual_report.json"},
+                "spectrum": {"spectrum.csv"}, "kernel": {"kernel_report.json"},
+                "selfdual": {"selfdual_report.json"},
+                "pair-check": {"pair_check_report.json"}}
+
+
+def test_readme_cli_commands_exit_0_and_write_their_files(tmp_path, monkeypatch):
+    # the sh block under the README's "## CLI", run as written: each heredoc
+    # becomes its file and each crystalsum line one call of main
+    block = README.read_text().split("\n## CLI\n", 1)[1]
+    lines = iter(block.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines())
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in lines:
+        if line.startswith("cat > "):
+            name, end = re.fullmatch(r"cat > (\S+) <<'(\w+)'", line).groups()
+            body = itertools.takewhile(lambda text: text != end, lines)
+            Path(name).write_text("".join(text + "\n" for text in body))
+        elif line.startswith("crystalsum "):
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, line
+            command = next(a for a in argv if a in OUTPUT_FILES)
+            out = Path(argv[argv.index("--out") + 1])
+            assert {p.name for p in out.iterdir()} == OUTPUT_FILES[command], line
+            ran.append(command)
+        else:
+            assert not line or line.startswith("#"), line
+    assert len(ran) == 7
 
 
 def test_eta_csv_rows_follow_the_declared_unit(tmp_path):

@@ -315,10 +315,11 @@ def recorded_matmul(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n_lams", [10, 200])
+@pytest.mark.parametrize("n_lams", [10, 200, 1100])
 def test_every_matmul_is_a_real_product_under_the_threading_floor(monkeypatch, n_lams):
-    # OpenBLAS runs a dgemm of at most 2^18 multiply-adds on one thread; with
-    # 200 lambdas one projection row (1024 x 400) is 409600, so its columns split
+    # OpenBLAS runs a dgemm of at most 2^18 multiply-adds on one thread; one
+    # projection row (128 x 2L) fits it up to L = 1024, so with 1100 lambdas
+    # its columns split (2048 + 152)
     calls = recorded_matmul(monkeypatch)
     if n_lams == 10:
         H = leeyang_H()
@@ -333,8 +334,38 @@ def test_every_matmul_is_a_real_product_under_the_threading_floor(monkeypatch, n
     assert all(size <= 2**18 and a == b == float for size, a, b in calls)
 
 
+class Sampled(Exception):
+    pass
+
+
+def refusing_integrand():
+    """An f that records its grid and raises Sampled, and the record."""
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        raise Sampled
+    return f, calls
+
+
 def test_mean_value_of_no_frequencies_is_empty():
-    assert mean_value_batch(icotangent, [], 0.3, 10.0) == []
+    f, calls = refusing_integrand()
+    assert mean_value_batch(f, [], 0.3, 10.0) == []
+    assert calls == []
+
+
+def test_quadrature_bound_refuses_before_any_sample():
+    # T = 1.5625e6 takes exactly 10^8 nodes at width 1/4: allowed, so the
+    # first chunk is sampled; just above it nothing is, with or without lambdas
+    f, calls = refusing_integrand()
+    with pytest.raises(Sampled):
+        mean_value_batch(f, [1.0], 0.3, 1.5625e6)
+    assert calls == [CHUNK_POINTS]
+    for lams in ([1.0], []):
+        f, calls = refusing_integrand()
+        with pytest.raises(SpectrumError, match="the 100000000 quadrature points"):
+            mean_value_batch(f, lams, 0.3, math.nextafter(1.5625e6, math.inf))
+        assert calls == []
 
 
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
@@ -353,7 +384,8 @@ def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
     # one chunk: 2T / (1/4) panels of 8 nodes
     mean_value_batch(f, [1.0], 0.3, CHUNK_POINTS / 64)
     assert max(calls) < CHUNK_POINTS
-    # the mean value's own phase tables for one lambda, and its final scale
+    # the mean value's own phase tables for one lambda (64 node phases, 512
+    # row phases), its mid_0 phase and its final scale
     own = 64 + 512 + 1 + 1
     assert sum(calls) <= own + len(H.B.basis.base) * (64 + 512 + 1)
 
