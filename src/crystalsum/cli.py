@@ -1,9 +1,13 @@
 """Command-line surface: reproducible runs emitting JSON/CSV artifacts.
 
-Commands: ks, eta, spectrum, kernel, selfdual, pair-check.  Every output
-file embeds a provenance block (version, command, config echo, seed);
-identical config and seed produce byte-identical output.  Exit codes:
-0 pass, 1 verification failure, 2 input/validation error.
+Commands: ks, eta, spectrum, kernel, selfdual, pair-check.  Each
+`cmd_<command>(args, prov, tol)` checks its input, does its work and returns
+`(files, ok)`: each output file's text by name, and whether its checks hold.
+`main` does the rest once for all: it builds the provenance block (version,
+command, config echo, seed) every file embeds, resolves the tolerance,
+writes the files into `--out` and exits 0 on pass, 1 on a failed check (the
+files written), 2 on invalid input or an unwritable `--out` (one `error:`
+line).  Identical config and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -40,32 +44,31 @@ class InputError(Exception):
 # 800009 grid points), and far below runs of minutes
 MAX_COUNT = 10 ** 4
 MAX_SCAN_GRID_POINTS = 4 * 10 ** 6
+# heights Im z of the gaussians eta checks its measure with, and selfdual's default --ys
+SUITE_HEIGHTS = (0.5, 1.0, 2.0)
 
 
-def _provenance(command, config, seed):
-    cfg = {k: v for k, v in sorted(config.items())
-           if k not in ("out", "func", "command")}
+def _provenance(args):
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("out", "func", "command")}
     return {"tool": "crystalsum", "version": __version__,
-            "command": command, "seed": seed, "config": cfg}
+            "command": args.command, "seed": args.seed, "config": cfg}
 
 
 def _dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(outdir, files):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (outdir / name).write_text(text)
+def _checks(prov, reports, key="reports", **extra):
+    """The text of a report file listing `reports` under `key`, and whether
+    every one of them passed."""
+    ok = all(r.verdict == "pass" for r in reports)
+    return _dump_json({"provenance": prov, key: [r.to_json_dict() for r in reports],
+                       "all_pass": ok, **extra}), ok
 
 
 def _csv_text(provenance, header, rows):
-    lines = ["# provenance: " + json.dumps(provenance, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    lines = ["# provenance: " + json.dumps(provenance, sort_keys=True), ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -108,25 +111,16 @@ def _check_scan(option, B, x0, x1):
 
 # -- commands -----------------------------------------------------------------
 
-def cmd_ks(args):
-    Q = _read(ExpSum.from_json_dict, _load_json(args.q_json), "Q")
-    H = ks_from_Q(Q)
+def cmd_ks(args, prov, tol):
+    H = ks_from_Q(_read(ExpSum.from_json_dict, _load_json(args.q_json), "Q"))
     window = tuple(args.window)
     _check_scan("--window", H.B, *window)
     pair = pair_from_hb(H, args.cutoff, window)
     pair.meta["H"] = H.to_json_dict()
-    suite = gaussian_suite(args.count, seed=args.seed)
-    tol = args.tol if args.tol is not None else 1e-6
-    reports = [check_pair(pair, tf, tol) for tf in suite]
-    prov = _provenance("ks", vars(args), args.seed)
-    pair_json = pair.to_json_dict()
-    pair_json["provenance"] = prov
-    report = {"provenance": prov,
-              "reports": [r.to_json_dict() for r in reports],
-              "all_pass": all(r.verdict == "pass" for r in reports)}
-    _write_outputs(args.out, {"pair.json": _dump_json(pair_json),
-                              "report.json": _dump_json(report)})
-    return 0 if report["all_pass"] else 1
+    report, ok = _checks(prov, [check_pair(pair, tf, tol) for tf in
+                                gaussian_suite(args.count, seed=args.seed)])
+    return {"pair.json": _dump_json({**pair.to_json_dict(), "provenance": prov}),
+            "report.json": report}, ok
 
 
 def _load_eta_spec(path) -> EtaProductSpec:
@@ -142,8 +136,7 @@ def _load_eta_spec(path) -> EtaProductSpec:
         raise InputError(f"invalid eta-product spec: {e}") from None
 
 
-def _eta_series(args):
-    """The requested series only: the plus one, or with --minus the minus one."""
+def cmd_eta(args, prov, tol):
     order = to_fraction(args.order)
     if args.family_l is not None:
         spec = family_spec(args.family_l)
@@ -151,14 +144,10 @@ def _eta_series(args):
         spec = _load_eta_spec(args.spec_json)
     else:
         raise InputError("eta needs --spec-json or --family-l")
-    return spec, (fminus if args.minus else fplus)(spec, order)
-
-
-def cmd_eta(args):
-    spec, series = _eta_series(args)
-    prov = _provenance("eta", vars(args), args.seed)
-    rel = series.relative_coefficients()
-    rows = [(j, c.numerator, c.denominator) for j, c in enumerate(rel)]
+    # the requested series only: the plus one, or with --minus the minus one
+    series = (fminus if args.minus else fplus)(spec, order)
+    rows = [(j, c.numerator, c.denominator)
+            for j, c in enumerate(series.relative_coefficients())]
     # the exact coefficients are results, not input: Python's digit limit on
     # int -> str (3.10.7 on) is lifted while they are written, and only then
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -169,55 +158,39 @@ def cmd_eta(args):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    window = tuple(args.window)
-    m = selfdual_measure(series, window)
-    mjson = m.to_json_dict()
-    mjson["provenance"] = prov
-    suite = [TestFunction("gaussian", z=1j * y) for y in (0.5, 1.0, 2.0)]
-    tol = args.tol if args.tol is not None else 1e-6
-    reports = check_selfdual(m, suite, tol)
+    m = selfdual_measure(series, tuple(args.window))
+    suite = [TestFunction("gaussian", z=1j * y) for y in SUITE_HEIGHTS]
     fe = {}
     for y in (1.0, 1.25):
         try:
-            fe[str(y)] = functional_equation_residual(series, 1j * y,
-                                                      tail_cap=tol)
+            fe[str(y)] = functional_equation_residual(series, 1j * y, tail_cap=tol)
         except ValueError as e:
             fe[str(y)] = f"inconclusive: {e}"
-    report = {"provenance": prov,
-              "spec": spec.to_json_dict(),
-              "sign": series.sign,
-              "functional_equation_residuals": fe,
-              "gaussian_reports": [r.to_json_dict() for r in reports],
-              "all_pass": all(r.verdict == "pass" for r in reports)}
-    _write_outputs(args.out, {"series.csv": csv_text,
-                              "measure.json": _dump_json(mjson),
-                              "selfdual_report.json": _dump_json(report)})
-    return 0 if report["all_pass"] else 1
+    report, ok = _checks(prov, check_selfdual(m, suite, tol), "gaussian_reports",
+                         spec=spec.to_json_dict(), sign=series.sign,
+                         functional_equation_residuals=fe)
+    return {"series.csv": csv_text,
+            "measure.json": _dump_json({**m.to_json_dict(), "provenance": prov}),
+            "selfdual_report.json": report}, ok
 
 
-def cmd_spectrum(args):
+def cmd_spectrum(args, prov, tol):
     for name, v in (("--T", args.T), ("--y", args.y)):
         if not (math.isfinite(v) and v > 0):
             raise InputError(f"{name} must be finite and positive, got {v}")
-    d = _load_json(args.input)
-    H = _load_hb(d)
-    # the spectrum is nonnegative, so a negative lambda needs no atoms
-    cutoff = args.cutoff if args.cutoff is not None else max([*args.lambdas, 0.0]) + 1.0
-    spec = exact_spectrum(H, cutoff)
+    H = _load_hb(_load_json(args.input))
+    # each atom of the triangular recurrence depends only on lower ones, so
+    # the atoms up to the largest lambda are all a row reads; the spectrum is
+    # nonnegative, so a negative lambda needs none
+    spec = exact_spectrum(H, max([*args.lambdas, 0.0]) + 1.0)
     exact = DiscreteMeasure(*spec.sorted_arrays(),
                             (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
     numeric = mean_value_batch(f, args.lambdas, args.y, args.T)
-    rows = []
-    for lam, nv in zip(args.lambdas, numeric):
-        ev = exact.weight_at(lam)
-        rows.append((float(lam), ev.real, ev.imag, nv.real, nv.imag,
-                     abs(ev - nv)))
-    prov = _provenance("spectrum", vars(args), args.seed)
-    text = _csv_text(prov, ("lambda", "exact_re", "exact_im",
-                            "numeric_re", "numeric_im", "absdiff"), rows)
-    _write_outputs(args.out, {"spectrum.csv": text})
-    return 0
+    rows = [(float(lam), ev.real, ev.imag, nv.real, nv.imag, abs(ev - nv)) for lam, ev, nv
+            in zip(args.lambdas, map(exact.weight_at, args.lambdas), numeric)]
+    header = ("lambda", "exact_re", "exact_im", "numeric_re", "numeric_im", "absdiff")
+    return {"spectrum.csv": _csv_text(prov, header, rows)}, True
 
 
 def _parse_points(raw):
@@ -235,9 +208,8 @@ def _parse_points(raw):
     return pts
 
 
-def cmd_kernel(args):
-    d = _load_json(args.input)
-    H = _load_hb(d)
+def cmd_kernel(args, prov, tol):
+    H = _load_hb(_load_json(args.input))
     points = _parse_points(args.points) or [1j, 1 + 2j]
     # each (w, z) entry costs about 0.4 ms: at most MAX_COUNT entries
     if len(points) > math.isqrt(MAX_COUNT):
@@ -251,8 +223,7 @@ def cmd_kernel(args):
             raise InputError(f"point {p} lies at or beyond the window radius --R {args.R:g}")
     _check_scan("--R", H.B, -args.R, args.R)
     ctx = kernel_context(H, args.R)
-    entries = []
-    ok = True
+    entries, ok = [], True
     for w in points:
         for z in points:
             closed = kernel_closed(ctx, w, z)
@@ -264,43 +235,27 @@ def cmd_kernel(args):
                 abs(eform - closed) <= 1e-10 * (1 + abs(closed))
             entries.append({"w": [w.real, w.imag], "z": [z.real, z.imag],
                             "closed": [closed.real, closed.imag],
-                            "eform_diff": abs(eform - closed),
-                            "series_residual": res,
-                            "tail_estimate": tail,
-                            "within_tail": within})
-    prov = _provenance("kernel", vars(args), args.seed)
+                            "eform_diff": abs(eform - closed), "series_residual": res,
+                            "tail_estimate": tail, "within_tail": within})
     report = {"provenance": prov, "R": args.R, "n_roots": len(ctx.gammas),
               "entries": entries, "all_within_tail": ok}
-    _write_outputs(args.out, {"kernel_report.json": _dump_json(report)})
-    return 0 if ok else 1
+    return {"kernel_report.json": _dump_json(report)}, ok
 
 
-def cmd_selfdual(args):
+def cmd_selfdual(args, prov, tol):
     m = _read(DiscreteMeasure.from_json_dict, _load_json(args.input), "measure")
     if m.dual_sign is None:
         raise InputError("measure JSON carries no dual_sign tag")
-    tol = args.tol if args.tol is not None else 1e-6
     suite = [TestFunction("gaussian", z=1j * y) for y in args.ys]
-    reports = check_selfdual(m, suite, tol)
-    prov = _provenance("selfdual", vars(args), args.seed)
-    out = {"provenance": prov,
-           "reports": [r.to_json_dict() for r in reports],
-           "all_pass": all(r.verdict == "pass" for r in reports)}
-    _write_outputs(args.out, {"selfdual_report.json": _dump_json(out)})
-    return 0 if out["all_pass"] else 1
+    report, ok = _checks(prov, check_selfdual(m, suite, tol))
+    return {"selfdual_report.json": report}, ok
 
 
-def cmd_pair_check(args):
+def cmd_pair_check(args, prov, tol):
     pair = _read(FSPair.from_json_dict, _load_json(args.input), "pair")
-    tol = args.tol if args.tol is not None else 1e-6
-    suite = gaussian_suite(args.count, seed=args.seed)
-    reports = [check_pair(pair, tf, tol) for tf in suite]
-    prov = _provenance("pair-check", vars(args), args.seed)
-    out = {"provenance": prov,
-           "reports": [r.to_json_dict() for r in reports],
-           "all_pass": all(r.verdict == "pass" for r in reports)}
-    _write_outputs(args.out, {"pair_check_report.json": _dump_json(out)})
-    return 0 if out["all_pass"] else 1
+    report, ok = _checks(prov, [check_pair(pair, tf, tol) for tf in
+                                gaussian_suite(args.count, seed=args.seed)])
+    return {"pair_check_report.json": report}, ok
 
 
 # -- parser -------------------------------------------------------------------
@@ -337,7 +292,6 @@ def build_parser():
     spec.add_argument("--lambdas", nargs="*", type=float, default=[])
     spec.add_argument("--y", type=float, default=1.0)
     spec.add_argument("--T", type=float, default=10_000.0)
-    spec.add_argument("--cutoff", type=float, default=None)
     spec.set_defaults(func=cmd_spectrum)
 
     ker = sub.add_parser("kernel", help="reproducing-kernel identity checks")
@@ -349,7 +303,7 @@ def build_parser():
 
     sd = sub.add_parser("selfdual", help="gaussian self-duality checks")
     sd.add_argument("input", help="measure JSON with dual_sign")
-    sd.add_argument("--ys", nargs="*", type=float, default=[0.5, 1.0, 2.0])
+    sd.add_argument("--ys", nargs="*", type=float, default=list(SUITE_HEIGHTS))
     sd.set_defaults(func=cmd_selfdual)
 
     pc = sub.add_parser("pair-check", help="summation identity on a pair JSON")
@@ -363,8 +317,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be finite and positive, got {args.tol}")
@@ -373,13 +326,20 @@ def main(argv=None) -> int:
             raise InputError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
         if getattr(args, "ys", None) == []:
             raise InputError("--ys needs at least one height")
-        return args.func(args)
-    # domain errors from the library (SpectrumError and HermiteBiehlerError
-    # are ValueErrors, EvalRangeError an OverflowError) mean the input was
-    # invalid, not that a check failed
+        files, ok = args.func(args, _provenance(args),
+                              1e-6 if args.tol is None else args.tol)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (Path(args.out) / name).write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write to --out {args.out}: {e}") from None
+    # the library's domain errors (SpectrumError and HermiteBiehlerError are
+    # ValueErrors, EvalRangeError an OverflowError) mean invalid input, not a failed check
     except (InputError, RootFindingError, OverflowError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

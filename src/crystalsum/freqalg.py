@@ -395,7 +395,7 @@ class _GridPlan:
         self.coef = np.array(list(s._terms.values()))
         # nor may a coefficient shrink below 2^-970 = 2^-1022/eps, where its
         # product with a power could lose digits to the subnormals
-        self.limit = min(_PRODUCT_LIMIT, math.log(2.0**970 * min(np.abs(self.coef))))
+        self.limit = min(_PRODUCT_LIMIT, 970 * math.log(2.0) + math.log(min(np.abs(self.coef))))
 
     def eval(self, grid):
         """Sum at the points of a Grid: sum_t (c_t U_mt) V_tk, U and V products

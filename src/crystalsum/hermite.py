@@ -51,6 +51,7 @@ class RootFindingError(RuntimeError):
 
 
 MAX_GRID_POINTS = 10 ** 6  # the most samples a validation grid may ask for
+MAX_GRID_MODULUS = 1e150  # bound on |E| over a validation grid: |E|^2 stays finite
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,9 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     first row is the real axis, where A = Re E and B = -Im E: a preflight
     there rejects inputs whose A and B nearly vanish together (real zero of
     E), which the downstream residue weights cannot handle.  Rejections
-    carry the worst witness point; a non-finite coefficient rejects before
-    any evaluation.
+    carry the worst witness point.  A non-finite coefficient rejects before
+    any evaluation, and so does a grid where |E| may pass MAX_GRID_MODULUS
+    or a phase 2 pi lambda x pass 2^53, where a sample has no correct digit.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
@@ -151,6 +153,14 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
         return HBVerdict(False, None, "non-finite coefficient")
     if grid is None:
         grid = default_grid(E)
+    # on the grid |E| <= sum_t |c_t| max(1, e^{-2 pi lambda_t y_max})
+    terms = [(val, abs(c)) for _, val, c in E.sorted_terms()]
+    log_bound = math.log(len(terms)) + max(
+        math.log(a) - 2 * math.pi * min(val, 0.0) * grid.y_max for val, a in terms)
+    phase = 2 * math.pi * max(abs(val) for val, _ in terms) * max(-grid.x_min, grid.x_max)
+    if log_bound > math.log(MAX_GRID_MODULUS) or phase > 2.0 ** 53:
+        return HBVerdict(False, None, f"|E| may reach e^{log_bound:.4g} and a phase {phase:.4g} "
+                                      f"on the grid (at most {MAX_GRID_MODULUS:g}, 2^53)")
     xs, ys = grid.mesh()
     Z = Grid(1j * np.concatenate(([0.0], ys)), xs, (grid.ny + 1) * grid.nx)
     Ev, Esv = E.eval(Z), E.star().eval(Z)

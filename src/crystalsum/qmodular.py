@@ -419,6 +419,7 @@ def _from_view(W: list, scale: int, c0) -> list:
 # -- eta-products -----------------------------------------------------------
 
 MAX_LEVEL = 10 ** 12  # the largest eta-product level: trial division to 10^6
+MAX_EXPONENT_DENOMINATOR = 10 ** 6  # s of the r_d: the integers grow by s^2 per term
 
 
 def _divisors(N):
@@ -453,6 +454,9 @@ class EtaProductSpec:
         for d in divs:
             r.setdefault(d, Fraction(0))
         object.__setattr__(self, "r", r)
+        s = math.lcm(*(v.denominator for v in r.values()))
+        if s > MAX_EXPONENT_DENOMINATOR:
+            raise ValueError(f"exponent denominator {s:.4g} exceeds {MAX_EXPONENT_DENOMINATOR:,}")
         for d in divs:
             if r[d] != r[self.N // d]:
                 raise ValueError(f"symmetry violated: r_{d} != r_{self.N // d}")

@@ -52,6 +52,8 @@ class TestFunction:
             raise ValueError("test function parameters must be finite")
         if self.kind == "gaussian" and complex(self.z).imag <= 0:
             raise ValueError("gaussian parameter needs Im z > 0")
+        if self.kind == "gaussian" and not np.isfinite([np.pi * self.z, np.pi / self.z]).all():
+            raise ValueError(f"gaussian z = {self.z} puts pi z or pi/z out of double range")
         if self.kind == "bump" and (self.halfwidth <= 0 or self.exponent <= 0):
             raise ValueError("bump needs positive halfwidth and exponent")
 

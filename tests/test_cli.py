@@ -1,16 +1,24 @@
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crystalsum import cli, qmodular
 from crystalsum.cli import main
@@ -228,8 +236,7 @@ def test_spectrum_csv(tmp_path):
                  "--window", "-6.5", "6.5"]) == 0
     out = tmp_path / "spec_run"
     rc = main(["--out", str(out), "spectrum", str(pair_out / "pair.json"),
-               "--lambdas", "0", "1", "2", "-1", "--y", "0.3",
-               "--T", "2000", "--cutoff", "4"])
+               "--lambdas", "0", "1", "2", "-1", "--y", "0.3", "--T", "2000"])
     assert rc == 0
     lines = (out / "spectrum.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[2:]]
@@ -377,10 +384,9 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["--tol", "0", "selfdual", "{measure}"],
     # non-finite values, each rejected where it enters the library
     ["ks", "{q}", "--cutoff", "inf"],
-    ["spectrum", "{H}", "--cutoff", "inf"],
     ["spectrum", "{H}", "--lambdas", "inf"],
     ["spectrum", "{H}", "--lambdas", "nan"],
-    ["spectrum", "{H}", "--cutoff", "4", "--lambdas", "1", "nan"],
+    ["spectrum", "{H}", "--lambdas", "1", "nan"],
     ["kernel", "{H}", "--R", "inf"],
     ["kernel", "{H}", "--points", "0,nan"],
     ["eta", "--family-l", "1", "--order", "1e400"],
@@ -389,6 +395,9 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["selfdual", "{measure}", "--ys", "nan"],
     ["selfdual", "{measure}", "--ys", "inf"],
     ["selfdual", "{measure}", "--ys"],
+    # gaussian heights whose scale pi y or transform scale pi/y is no double
+    ["selfdual", "{measure}", "--ys", "1e-308"],
+    ["selfdual", "{measure}", "--ys", "1e308"],
     # work bounds: just above each limit, so a build without the check
     # spends seconds, not memory
     ["spectrum", "{H}", "--lambdas", "1", "--T", "2e6"],
@@ -402,7 +411,18 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["kernel", "{pair_nan_E}"],
     ["ks", "{q_nan}"],
     # the exact spectrum's atom bound, just above it
-    ["spectrum", "{H}", "--cutoff", "1e5", "--lambdas", "1"],
+    ["spectrum", "{H}", "--lambdas", "1e5"],
+    # mean values whose scale e^(2 pi lambda y)/T or phases leave double range
+    ["spectrum", "{H}", "--lambdas", "400", "--y", "0.3"],
+    ["spectrum", "{H}", "--lambdas", "3", "--T", "1e-308"],
+    ["spectrum", "{H}", "--lambdas", "-1e308"],
+    # exponents whose common denominator, 10^7, is just above its bound
+    ["eta", "--family-l", "1e-7", "--minus"],
+    # |E| or the phases on the stored validation grid beyond double range
+    ["kernel", "{pair_E_huge}"],
+    ["spectrum", "{pair_grid_huge}"],
+    # an --out that is a file
+    ["--out", "{q}", "ks", "{q}"],
     ["ks", "{q}", "--cutoff", "1e5"],
     # the root scan's grid bound
     ["kernel", "{H}", "--R", "1e8"],
@@ -523,6 +543,8 @@ def bad_validation_inputs(pair, H, q, measure):
             "pair_meta_str": edited(pair, lambda d: d.update(meta="x")),
             "pair_antipodal_str": edited(pair, lambda d: d["meta"].update(real_antipodal="no")),
             "pair_E_c_short": pair_with(lambda h: h["E"]["terms"][0].update(c=[1.0])),
+            "pair_E_huge": pair_with(lambda h: h["E"]["terms"][0].update(c=[1e308, 0.0])),
+            "pair_grid_huge": pair_with(grid(x=[-1e308, 8.0])),
             "measure_sign_str": edited(measure, lambda d: d.update(dual_sign="1")),
             "measure_sign_list": edited(measure, lambda d: d.update(dual_sign=[1])),
             "measure_sign_2": edited(measure, lambda d: d.update(dual_sign=2)),
@@ -554,7 +576,7 @@ def test_spectrum_matches_irrational_atoms_within_the_merge_tolerance(tmp_path, 
              if val == math.sqrt(2))
     out = tmp_path / "run"
     assert main(["--out", str(out), "spectrum", str(hfile), "--lambdas", lam,
-                 "--cutoff", "2", "--T", "20"]) == 0
+                 "--T", "20"]) == 0
     row = (out / "spectrum.csv").read_text().splitlines()[2].split(",")
     assert complex(float(row[1]), float(row[2])) == atom
     assert atom.real == pytest.approx(-2 * math.pi, rel=1e-4)
@@ -574,6 +596,41 @@ def test_eta_builds_only_the_requested_series(tmp_path, monkeypatch, argv, unuse
     spec.write_text(json.dumps({"N": 4, "r": {"1": "1", "2": "-1", "4": "1"}}))
     argv = [a.format(spec=spec) for a in argv]
     assert main(["--out", str(tmp_path / "run"), *argv]) == 0
+
+
+def test_failed_checks_exit_1_and_still_write_every_file(tmp_path):
+    qfile = write_sin_pi_z(tmp_path / "q.json")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--tol", "1e-300", "ks", qfile, "--cutoff", "8",
+                 "--window", "-8.5", "8.5", "--count", "2"]) == 1
+    assert {p.name for p in out.iterdir()} == OUTPUT_FILES["ks"]
+    assert json.loads((out / "pair.json").read_text())["mu"]["atoms"]
+    assert json.loads((out / "report.json").read_text())["all_pass"] is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pair-check", "{pair}", "--count", "2"], 0),
+    (["--tol", "1e-300", "pair-check", "{pair}", "--count", "2"], 1),
+    (["--tol", "0", "pair-check", "{pair}"], 2),
+    (["pair-check", "{missing}"], 2),
+])
+def test_exit_codes_carry_through_the_module_entry_point(tmp_path, argv, code):
+    pair = pair_from_hb(ks_from_Q(sine(FreqBasis((0.5,)), (1,))), 16.0, (-16.5, 16.5))
+    files = {"pair": tmp_path / "pair.json", "missing": tmp_path / "missing.json"}
+    files["pair"].write_text(json.dumps(pair.to_json_dict()))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "crystalsum.cli", "--out", str(tmp_path / "run"),
+                           *(a.format(**files) for a in argv)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert not proc.stdout and proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+    else:
+        assert not proc.stderr
+        assert (tmp_path / "run" / "pair_check_report.json").exists()
 
 
 def test_eta_empty_measure_does_not_pass(tmp_path):
@@ -610,7 +667,7 @@ def test_negative_numbers_in_any_spelling_are_values(tmp_path, argv, same_as):
 
 
 def test_spectrum_negative_lambda_without_cutoff(tmp_path):
-    # with no --cutoff, the default stays nonnegative below a negative lambda
+    # the exact spectrum's cutoff stays nonnegative below a negative lambda
     H = ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
     hfile = tmp_path / "H.json"
     hfile.write_text(json.dumps(H.to_json_dict()))
@@ -619,3 +676,120 @@ def test_spectrum_negative_lambda_without_cutoff(tmp_path):
                  "--T", "50"]) == 0
     row = (out / "spectrum.csv").read_text().splitlines()[2].split(",")
     assert float(row[0]) == -5 and float(row[1]) == float(row[2]) == 0.0
+
+
+# -- mutation fuzz of the README command lines ----------------------------------
+
+# each README command line after --out, its input file named {source}
+FUZZ_RUNS = {
+    "ks": ["--tol", "1e-9", "ks", "{q}", "--cutoff", "16", "--window", "-16.5", "16.5"],
+    "eta": ["eta", "--spec-json", "{guinand}", "--order", "300"],
+    "eta-minus": ["eta", "--family-l", "1", "--order", "200", "--minus"],
+    "spectrum": ["spectrum", "{pair}", "--lambdas", "0", "1", "2", "3", "--y", "0.3",
+                 "--T", "2000"],
+    "kernel": ["kernel", "{pair}", "--points", "0,1", "1,2", "--R", "200"],
+    "selfdual": ["selfdual", "{measure}", "--ys", "0.5", "1", "2"],
+    "pair-check": ["--seed", "0", "pair-check", "{pair}", "--count", "10"],
+}
+# what replaces a JSON leaf, and an option value
+LEAF_VALUES = [None, True, "x", [1.0], 0, -1, 2 ** 70, 1e-308, 1e308, -1e308,
+               math.inf, -math.inf, math.nan]
+OPTION_VALUES = ["0", "-1", "1e-308", "1e308", "-1e308", str(2 ** 70), "inf", "nan",
+                 "x", "0,1e308", "0,-1", "1e308,1"]
+
+
+@functools.cache
+def readme_inputs():
+    """The README's input files, by name: q.json and the Guinand spec as
+    written there, and the pair and measure its ks and eta commands write."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        files = {"q": write_sin_pi_z(d / "q.json"), "guinand": d / "guinand.json"}
+        files["guinand"].write_text(json.dumps(GUINAND_SPEC))
+        for name, out in (("ks", "run"), ("eta", "eta")):
+            assert main(["--out", str(d / out),
+                         *(a.format(**files) for a in FUZZ_RUNS[name])]) == 0
+        return {"q": json.loads(Path(files["q"]).read_text()), "guinand": GUINAND_SPEC,
+                "pair": json.loads((d / "run" / "pair.json").read_text()),
+                "measure": json.loads((d / "eta" / "measure.json").read_text())}
+
+
+def fuzz_source(argv):
+    """The name of the input file a command line reads, or None."""
+    return next((a[1:-1] for a in argv if a.startswith("{")), None)
+
+
+def json_leaves(d, path=()):
+    items = d.items() if isinstance(d, dict) else enumerate(d) if isinstance(d, list) else ()
+    return [leaf for k, v in items for leaf in json_leaves(v, (*path, k))] or [path]
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(command, JSON leaf edits, option value edits): one or two of either."""
+    name = draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    argv = FUZZ_RUNS[name]
+    n = draw(st.integers(1, 2))
+    source = fuzz_source(argv)
+    if source is not None and draw(st.booleans()):
+        leaves = draw(st.lists(st.sampled_from(json_leaves(readme_inputs()[source])),
+                               min_size=n, max_size=n, unique=True))
+        return name, tuple((leaf, draw(st.sampled_from(LEAF_VALUES))) for leaf in leaves), ()
+    slots = [i for i, a in enumerate(argv)
+             if not a.startswith(("--", "{")) and a not in OUTPUT_FILES]
+    picked = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=n, unique=True))
+    return name, (), tuple((i, draw(st.sampled_from(OPTION_VALUES))) for i in picked)
+
+
+def run_mutated(case, root: Path):
+    """Write the mutated input, run main on the mutated line in process, and
+    return (exit code, stdout, stderr, seconds); argparse's exit is a code too."""
+    name, leaf_edits, option_edits = case
+    argv = list(FUZZ_RUNS[name])
+    for i, value in option_edits:
+        argv[i] = value
+    files = {}
+    source = fuzz_source(argv)
+    if source is not None:
+        d = json.loads(json.dumps(readme_inputs()[source]))
+        for path, value in leaf_edits:
+            *head, last = path
+            functools.reduce(lambda node, key: node[key], head, d)[last] = value
+        files[source] = root / f"{source}.json"
+        files[source].write_text(json.dumps(d))
+    out, err = io.StringIO(), io.StringIO()
+    t = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--out", str(root / "run"), *(a.format(**files) for a in argv)])
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=fuzz_cases())
+# found by this fuzz: each once overflowed, or ran for minutes
+@example(case=("kernel", ((("meta", "H", "E", "terms", 0, "c", 0), 1e308),), ()))
+@example(case=("spectrum", ((("meta", "H", "certificate", "grid", "x", 0), -1e308),), ()))
+@example(case=("spectrum", ((("meta", "H", "E", "terms", 0, "c", 0), 2 ** 70),), ()))
+@example(case=("spectrum", (), ((6, "-1e308"),)))
+@example(case=("spectrum", (), ((10, "1e-308"),)))
+@example(case=("selfdual", (), ((3, "1e-308"),)))
+@example(case=("eta-minus", (), ((2, "1e-308"),)))
+def test_mutated_readme_lines_keep_the_exit_contract(case):
+    with tempfile.TemporaryDirectory() as root:
+        code, out, err, seconds = run_mutated(case, Path(root))
+        assert code in (0, 1, 2) and "Traceback" not in err and seconds < 5.0, (code, err)
+        if code == 2:
+            assert not out and sum("error:" in line for line in err.splitlines()) == 1, err
+            return
+        assert not err, err
+        for path in (Path(root) / "run").glob("*report.json"):
+            report = json.loads(path.read_text())
+            for r in report.get("reports", []) + report.get("gaussian_reports", []):
+                if r["verdict"] == "pass":
+                    assert all(map(math.isfinite, [r["residual"], *r["tails"]])), r
+            for e in report.get("entries", []):
+                if e["within_tail"]:
+                    assert all(map(math.isfinite, [e["series_residual"], e["tail_estimate"]])), e
