@@ -31,7 +31,7 @@ from .dbspace import kernel_closed, kernel_closed_eform, kernel_context, kernel_
 from .measures import DiscreteMeasure, FSPair, pair_from_hb
 from .qmodular import EtaProductSpec, family_spec, fminus, fplus, to_fraction
 from .selfdual import functional_equation_residual, selfdual_measure
-from .spectra import exact_spectrum, mean_value_batch
+from .spectra import MAX_SPECTRUM_ATOMS, AtomBoundError, exact_spectrum, mean_value_batch
 from .verifier import TestFunction, check_pair, check_selfdual, gaussian_suite
 
 
@@ -179,10 +179,17 @@ def cmd_spectrum(args, prov, tol):
         if not (math.isfinite(v) and v > 0):
             raise InputError(f"{name} must be finite and positive, got {v}")
     H = _load_hb(_load_json(args.input))
+    if not all(map(math.isfinite, args.lambdas)):
+        raise InputError(f"--lambdas must all be finite, got {args.lambdas}")
     # each atom of the triangular recurrence depends only on lower ones, so
     # the atoms up to the largest lambda are all a row reads; the spectrum is
     # nonnegative, so a negative lambda needs none
-    spec = exact_spectrum(H, max([*args.lambdas, 0.0]) + 1.0)
+    top = max([*args.lambdas, 0.0])
+    try:
+        spec = exact_spectrum(H, top + 1.0)
+    except AtomBoundError:
+        raise InputError(f"--lambdas {top:g} needs more than the {MAX_SPECTRUM_ATOMS} "
+                         "spectrum atoms allowed") from None
     exact = DiscreteMeasure(*spec.sorted_arrays(),
                             (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
     f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
@@ -230,7 +237,7 @@ def cmd_kernel(args, prov, tol):
             eform = kernel_closed_eform(ctx, w, z)
             series, tail = kernel_series(ctx, w, z)
             res = abs(series - closed)
-            within = res <= 3 * tail + 1e-6 * (1 + abs(closed))
+            within = res <= 3 * tail + tol * (1 + abs(closed))
             ok = ok and within and \
                 abs(eform - closed) <= 1e-10 * (1 + abs(closed))
             entries.append({"w": [w.real, w.imag], "z": [z.real, z.imag],
@@ -310,9 +317,11 @@ def build_parser():
     pc.add_argument("input", help="pair JSON")
     pc.add_argument("--count", type=int, default=10)
     pc.set_defaults(func=cmd_pair_check)
-    # no option starts with '-' and a digit or '.', so -1e3 and -0.5,1 are values
+    # no option starts with '-' and a digit or '.', so -1e3 and -0.5,1 are values;
+    # a usage error is one `error:` line and exit 2, as any invalid input
     for q in (p, *sub.choices.values()):
         q._negative_number_matcher = re.compile(r"^-\.?\d")
+        q.error = lambda message, q=q: q.exit(2, f"error: {message}\n")
     return p
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import add, mul
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class FreqBasis:
 
     def value(self, vec):
         """Numeric frequency of an integer vector (double precision)."""
-        return sum(k * b for k, b in zip(vec, self.base)) / self.denominator
+        return sum(map(mul, vec, self.base)) / self.denominator
 
     def zero_vec(self):
         return (0,) * len(self.base)
@@ -158,10 +159,6 @@ def complex_from_json(v) -> complex:
             and all(type(x) in (int, float) for x in v)):
         raise ValueError(f"expected a pair [re, im] of numbers, got {v!r}")
     return complex(v[0], v[1])
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _vec_neg(a):
@@ -311,7 +308,7 @@ class ExpSum:
         t = {}
         for va, ca in self._terms.items():
             for vb, cb in other._terms.items():
-                v = _vec_add(va, vb)
+                v = tuple(map(add, va, vb))
                 t[v] = t.get(v, 0j) + ca * cb
         return ExpSum(self.basis, t)
 
@@ -320,7 +317,7 @@ class ExpSum:
     def shift(self, vec):
         """Multiply by the unit monomial e^{2 pi i freq(vec) z}."""
         vec = tuple(int(k) for k in vec)
-        return ExpSum(self.basis, {_vec_add(v, vec): c for v, c in self._terms.items()})
+        return ExpSum(self.basis, {tuple(map(add, v, vec)): c for v, c in self._terms.items()})
 
     def star(self):
         """Conjugate reflection f*(z) = conj(f(conj z)): (lam, c) -> (-lam, conj c)."""

@@ -7,9 +7,9 @@ is a triangular system in ascending frequency and one recurrence
 out(v) = p(v) + sum_u g(u) out(v-u) solves it up to a declared cutoff,
 with no magnitude-based dropping: the output frequencies are exact
 integer vectors and each coefficient is a short sum over earlier ones.
-(Summing the truncated geometric series sum g^n power by power, as this
-module once did, is not floating-exact: at rank 2 the powers cancel and
-the error grows exponentially with the frequency.)
+The support grows on integer keys with key(v+u) = key(v) + key(u), so
+each frequency vector is built, valued and sorted once and every lookup
+is an integer sum.
 
 The numeric route estimates the same coefficients as tapered mean values
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mul
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class SpectrumError(ValueError):
     pass
 
 
+class AtomBoundError(SpectrumError):
+    """An exact spectrum would hold more than MAX_SPECTRUM_ATOMS atoms."""
+
+
 MAX_SPECTRUM_ATOMS = 10 ** 5  # the most frequencies an exact spectrum may hold
 MAX_QUADRATURE_POINTS = 10 ** 8  # the most nodes a mean value may take (T = 1e4: 640000)
 
@@ -55,27 +60,33 @@ class SpectrumAtoms:
 
     atoms maps frequency vectors to complex coefficients; y_valid is a
     height above which the defining expansion p/(1-g) was certified to
-    converge (sup-norm bound of g below 1/2).
+    converge (sup-norm bound of g below 1/2).  values are the frequencies
+    of atoms in key order, ascending by (value, vector), or made here.
     """
 
     basis: FreqBasis
     atoms: dict
     y_valid: float
     meta: dict = field(default_factory=dict)
+    values: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # every atom is valued once, here: (value, vector) in ascending order
-        self._by_value = sorted((self.basis.value(v), v) for v in self.atoms)
-        if self._by_value and self._by_value[0][0] < -1e-12:
+        if self.values is None:
+            order = sorted((self.basis.value(v), v) for v in self.atoms)
+            self.atoms = {v: self.atoms[v] for _, v in order}
+            self.values = [val for val, _ in order]
+        if self.values and self.values[0] < -1e-12:
             raise SpectrumError("negative frequency in spectrum")
+        self._arrays = (np.array(self.values, dtype=float),
+                        np.array(list(self.atoms.values()), dtype=complex))
+        self._arrays[0].flags.writeable = self._arrays[1].flags.writeable = False
 
     def sorted_atoms(self):
-        return [(v, val, self.atoms[v]) for val, v in self._by_value]
+        return list(zip(self.atoms, self.values, self.atoms.values()))
 
     def sorted_arrays(self):
-        """Frequencies and coefficients of sorted_atoms, as two arrays."""
-        return (np.array([val for val, _ in self._by_value], dtype=float),
-                np.array([self.atoms[v] for _, v in self._by_value], dtype=complex))
+        """Frequencies and coefficients of sorted_atoms, as two read-only arrays."""
+        return self._arrays
 
     def coefficient_at_zero(self) -> complex:
         return self.atoms.get(self.basis.zero_vec(), 0j)
@@ -87,46 +98,54 @@ def _sup_bound(g: ExpSum, y: float) -> float:
                for _, val, c in g.sorted_terms())
 
 
-def _divide(p: ExpSum, g: ExpSum, cutoff_value: float) -> dict:
-    """Terms of p/(1-g) with frequency at most cutoff_value, as a plain dict.
+def _divide(p: ExpSum, g: ExpSum, cutoff_value: float):
+    """Terms of p/(1-g) with frequency at most cutoff_value, as a dict in
+    ascending (value, vector) order, and the list of their values.
 
     Every frequency of g is positive, so the equation (1-g)·out = p is
     triangular in ascending frequency: out(v) = p(v) + sum_u g(u) out(v-u)
-    over u in supp g, where each v-u precedes v.  The support is the
-    closure of supp p under +supp g, kept at or below the cutoff with the
-    tolerance `ExpSum.truncate` uses; a closure of more than
-    MAX_SPECTRUM_ATOMS frequencies raises before any coefficient is formed.
+    over u in supp g, in its order, where each v-u precedes v.  The support
+    is supp p and all it reaches by steps u through frequencies at or below
+    the cutoff (the tolerance of `ExpSum.truncate`): each member takes each
+    step once, and only a vector that is no member is built and valued.  As
+    more than MAX_SPECTRUM_ATOMS members raise, each is p + n_1 u_1 + ...
+    with n_1 + ... below that bound, so the keys sum_j v_j R^(r-1-j) of all
+    members, v+u and v-u are additive and in tuple order.
     """
     basis = p.basis
     limit = cutoff_value + 1e-12
-    steps = [(u, c) for u, _, c in g.sorted_terms()]
-    value = {v: val for v, val, _ in p.sorted_terms()}
-    frontier = list(value)
-    while frontier:
-        reached = []
-        for v in frontier:
-            for u, _ in steps:
-                w = tuple(a + b for a, b in zip(v, u))
-                if w not in value:
-                    val = basis.value(w)
-                    if val <= limit:
-                        value[w] = val
-                        reached.append(w)
-                        if len(value) > MAX_SPECTRUM_ATOMS:
-                            raise SpectrumError(
-                                f"cutoff {cutoff_value:g} needs more than the "
-                                f"{MAX_SPECTRUM_ATOMS} spectrum atoms allowed")
-        frontier = reached
-    pv = p.terms
+    pterms = p.sorted_terms()
+    radix = 2 * (max((abs(k) for v, _, _ in pterms for k in v), default=0)
+                 + MAX_SPECTRUM_ATOMS * max((abs(k) for u in g.terms for k in u), default=0)) + 1
+    scale = [radix ** j for j in reversed(range(len(basis.base)))]
+    val = {sum(map(mul, v, scale)): x for v, x, _ in pterms}  # key -> value
+    vec = dict(zip(val, (v for v, _, _ in pterms)))
+    pv = dict(zip(val, (c for _, _, c in pterms)))
+    steps = [(sum(map(mul, u, scale)), u, c) for u, _, c in g.sorted_terms()]
+    order = list(val)  # members in the order they join; each takes every step once
+    for k in order:
+        for ku, u, _ in steps:
+            w = k + ku
+            if w not in val:
+                v = tuple(map(add, vec[k], u))
+                x = basis.value(v)
+                if x <= limit:
+                    val[w], vec[w] = x, v
+                    order.append(w)
+                    if len(order) > MAX_SPECTRUM_ATOMS:
+                        raise AtomBoundError(f"cutoff {cutoff_value:g} needs more than the "
+                                             f"{MAX_SPECTRUM_ATOMS} spectrum atoms allowed")
+    order.sort()  # by vector, then stably by value
+    order.sort(key=val.__getitem__)
     out = {}
-    for v in sorted(value, key=lambda v: (value[v], v)):
-        acc = pv.get(v, 0j)
-        for u, c in steps:
-            prev = out.get(tuple(a - b for a, b in zip(v, u)))
+    for k in order:
+        acc = pv.get(k, 0j)
+        for ku, _, c in steps:
+            prev = out.get(k - ku)
             if prev is not None:
                 acc += c * prev
-        out[v] = acc
-    return out
+        out[k] = acc
+    return dict(zip(map(vec.__getitem__, order), out.values())), list(map(val.__getitem__, order))
 
 
 def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
@@ -135,9 +154,10 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     Writes B = b0 e^{2 pi i theta0 z}(1 - g) with theta0 the common minimum
     frequency of A and B, so that iA/B = p/(1-g) with
     p = iA e^{-2 pi i theta0 z}/b0, and solves (1-g)·out = p by the
-    triangular recurrence of `_divide`: one pass over the retained
-    frequencies in ascending order, O(atoms·|supp g|).  Every retained
-    frequency is complete and exact as an integer vector.
+    triangular recurrence of `_divide`: one value and one sort per atom, kept
+    by the SpectrumAtoms, and O(atoms·|supp g|) integer-key lookups.  Every
+    retained frequency is complete and exact as an integer vector; more
+    than MAX_SPECTRUM_ATOMS of them raise AtomBoundError.
 
     The coefficients are as accurate as the solve of a well-conditioned
     triangular system.  The earlier route summed the truncated powers g^n
@@ -165,34 +185,27 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
         raise SpectrumError(
             f"cutoff must be finite and nonnegative, got {cutoff_value}")
 
-    neg = tuple(-k for k in vb)
     g = ExpSum(B.basis, {tuple(a - b for a, b in zip(v, vb)): -c / b0
                          for v, c in B.terms.items() if v != vb})
-    prefactor = (A.shift(neg) * (1j / b0)).truncate(cutoff_value)
+    prefactor = (A.shift(-k for k in vb) * (1j / b0)).truncate(cutoff_value)
 
-    if g:
-        delta = g.min_freq()[1]
-        if delta <= 0:
-            raise SpectrumError("duplicate lowest frequency in B after purge")
-        n_powers = int(math.ceil(cutoff_value / delta)) if cutoff_value > 0 else 0
-    else:
-        delta = math.inf
-        n_powers = 0
+    delta = g.min_freq()[1] if g else math.inf
+    if delta <= 0:
+        raise SpectrumError("duplicate lowest frequency in B after purge")
+    atoms, values = _divide(prefactor, g, cutoff_value)
+    if 0 in atoms.values():
+        values = [x for x, c in zip(values, atoms.values()) if c != 0]
+        atoms = {v: c for v, c in atoms.items() if c != 0}
 
-    atoms = {v: c for v, c in _divide(prefactor, g, cutoff_value).items() if c != 0}
+    y_valid = 0.05 if g else 0.0
+    while g and _sup_bound(g, y_valid) >= 0.5:
+        y_valid += 0.05
+        if y_valid > 200.0:
+            raise SpectrumError("could not certify convergence height")
 
-    y_valid = 0.0
-    if g:
-        y = 0.05
-        while _sup_bound(g, y) >= 0.5:
-            y += 0.05
-            if y > 200.0:
-                raise SpectrumError("could not certify convergence height")
-        y_valid = y
-
-    meta = {"requested_cutoff": cutoff_value, "n_powers": n_powers,
+    meta = {"requested_cutoff": cutoff_value, "n_powers": math.ceil(cutoff_value / delta),
             "delta": delta if delta != math.inf else None}
-    return SpectrumAtoms(B.basis, atoms, y_valid, meta)
+    return SpectrumAtoms(B.basis, atoms, y_valid, meta, values)
 
 
 _NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch

@@ -277,6 +277,23 @@ def test_kernel_report(tmp_path):
         assert e["within_tail"]
 
 
+@pytest.mark.parametrize("tol, code", [(None, 1), ("1e-2", 0)])
+def test_kernel_within_tail_slack_is_the_tolerance(tmp_path, monkeypatch, tol, code):
+    # a series residual of 1e-3 (1 + |closed|) with no tail: outside the slack
+    # tol (1 + |closed|) at the default 1e-6, inside it at 1e-2
+    H = tmp_path / "H.json"
+    H.write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+
+    def series(ctx, w, z):
+        closed = cli.kernel_closed(ctx, w, z)
+        return closed + 1e-3 * (1 + abs(closed)), 0.0
+    monkeypatch.setattr(cli, "kernel_series", series)
+    out = tmp_path / "k"
+    assert main(["--out", str(out), *(["--tol", tol] if tol else []), "kernel", str(H)]) == code
+    entries = json.loads((out / "kernel_report.json").read_text())["entries"]
+    assert [e["within_tail"] for e in entries] == [code == 0] * 4
+
+
 def test_kernel_rejects_real_axis_points(tmp_path):
     qfile = write_sin_pi_z(tmp_path / "q.json")
     pair_out = tmp_path / "p"
@@ -460,6 +477,9 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["selfdual", "{measure_window_str}"],
     ["selfdual", "{measure_window_nan}"],
     ["selfdual", "{measure_window_reversed}"],
+    # argparse's own errors: an unknown option, a value of the wrong type
+    ["spectrum", "{H}", "--lambdas", "1", "--cutoff", "2"],
+    ["pair-check", "{pair}", "--count", "x"],
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -479,10 +499,21 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
         files[name].write_text(text)
     out = tmp_path / "run"
     argv = [a.format(**files) for a in argv]
-    assert main(["--out", str(out), *argv]) == 2
-    err = capsys.readouterr().err
+    try:
+        code = main(["--out", str(out), *argv])
+    except SystemExit as e:  # an argparse error exits from parse_args
+        code = e.code
+    assert code == 2
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert not out.exists()
+    assert not captured.out and not out.exists()
+    # the spectrum's errors name the --lambdas given, not the cutoff they imply
+    if argv[-2:] == ["--lambdas", "1e5"]:
+        assert err == "error: --lambdas 100000 needs more than the 100000 spectrum atoms allowed\n"
+    lambdas = argv[argv.index("--lambdas") + 1:] if "--lambdas" in argv else []
+    if {"inf", "nan"} & set(itertools.takewhile(lambda a: not a.startswith("--"), lambdas)):
+        assert err.startswith("error: --lambdas must all be finite, got [")
     if "1e8" in argv:  # the CLI's scan bound names the option and its limit
         option = "--R" if "--R" in argv else "--window"
         assert option in err and "grid points" in err
@@ -777,12 +808,14 @@ def run_mutated(case, root: Path):
 @example(case=("spectrum", (), ((10, "1e-308"),)))
 @example(case=("selfdual", (), ((3, "1e-308"),)))
 @example(case=("eta-minus", (), ((2, "1e-308"),)))
+# a closure that checked the atom bound once per step of g ran without end here
+@example(case=("ks", (), ((5, "1e308"),)))
 def test_mutated_readme_lines_keep_the_exit_contract(case):
     with tempfile.TemporaryDirectory() as root:
         code, out, err, seconds = run_mutated(case, Path(root))
         assert code in (0, 1, 2) and "Traceback" not in err and seconds < 5.0, (code, err)
         if code == 2:
-            assert not out and sum("error:" in line for line in err.splitlines()) == 1, err
+            assert not out and err.startswith("error: ") and err.count("\n") == 1, err
             return
         assert not err, err
         for path in (Path(root) / "run").glob("*report.json"):

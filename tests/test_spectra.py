@@ -1,11 +1,16 @@
 import math
+import struct
+import time
 import tracemalloc
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from crystalsum import freqalg
+from crystalsum import freqalg, spectra
 from crystalsum.freqalg import CHUNK_POINTS, FreqBasis, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
 from crystalsum.spectra import (
@@ -15,6 +20,7 @@ from crystalsum.spectra import (
     fejer_reconstruct,
     mean_value_batch,
 )
+from divide_reference import divide
 from probes import monomial, spectrum_to_json
 
 HALF = FreqBasis((0.5,))
@@ -111,6 +117,77 @@ def test_exact_spectrum_matches_rational_solve_leeyang():
     err = max(abs(c - complex(float(oracle[v][0]), float(oracle[v][1])))
               for v, c in spec.atoms.items())
     assert err <= 1e-12
+
+
+# -- the division recurrence against its breadth-first reference ---------------
+
+def division_inputs(H, cutoff):
+    """The (p, g, cutoff) that exact_spectrum hands to _divide."""
+    seen, real = [], spectra._divide
+    spectra._divide = lambda *args: seen.append(args) or real(*args)
+    try:
+        exact_spectrum(H, cutoff)
+    finally:
+        spectra._divide = real
+    return seen[0]
+
+
+@st.composite
+def division_cases(draw):
+    """(p, g, cutoff): a rank 1-3 basis, 1-4 positive steps in g (the last
+    one the sum of two others, as in Lee-Yang, or not), p frequencies below
+    and above the cutoff, and a cutoff from 0 to 12."""
+    r = draw(st.integers(1, 3))
+    base = draw(st.lists(st.sampled_from([0.5, 1.0, math.sqrt(2), math.sqrt(3), math.pi / 3]),
+                         min_size=r, max_size=r, unique=True))
+    basis = FreqBasis(tuple(base), draw(st.integers(1, 3)))
+    vectors = lambda lo, hi, least, n: st.lists(
+        st.tuples(*[st.integers(lo, hi)] * r).filter(lambda v: basis.value(v) >= least),
+        min_size=1, max_size=n, unique=True)
+    coefficient = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(bool)
+    steps = draw(vectors(-2, 2, 0.3, 3))
+    if len(steps) > 1 and draw(st.booleans()):
+        steps.append(tuple(map(add, steps[0], steps[1])))
+    g = freqalg.ExpSum(basis, {u: draw(coefficient) for u in steps})
+    p = freqalg.ExpSum(basis, {v: draw(coefficient) for v in draw(vectors(-4, 4, 0.0, 4))})
+    return p, g, draw(st.integers(0, 120).map(lambda n: n / 10) | st.floats(0.0, 12.0))
+
+
+def _bits(xs):
+    return struct.pack(f"{2 * len(xs)}d", *(y for x in xs for y in (x.real, x.imag)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=division_cases())
+@example(case=division_inputs(poisson_H(), 600.0))
+@example(case=division_inputs(leeyang_H(), 60.0))
+def test_divide_matches_its_reference_bit_for_bit(case):
+    p, g, cutoff = case
+    want = divide(p, g, cutoff)
+    atoms, values = spectra._divide(p, g, cutoff)
+    assert list(atoms) == list(want)
+    assert _bits(list(atoms.values())) == _bits(list(want.values()))
+    assert _bits(values) == _bits([p.basis.value(v) for v in want])
+
+
+@pytest.mark.parametrize("H, cutoff", [
+    (leeyang_H(), 531.0),  # 100142 atoms: just past the bound (530 holds 99766)
+    (leeyang_H(), 1e308),  # ends only if the bound is checked as each atom joins
+    (ks_from_Q(sine(FreqBasis((0.25,)), (1,))), 1e308),  # cutoff/delta = 2e308 is no double
+], ids=["leeyang-531", "leeyang-1e308", "quarter-comb-1e308"])
+def test_atom_bound_raises_in_a_second_and_bounded_memory(H, cutoff):
+    t = time.perf_counter()
+    with pytest.raises(SpectrumError, match="more than the 100000 spectrum atoms"):
+        exact_spectrum(H, cutoff)
+    assert time.perf_counter() - t < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpectrumError):
+            exact_spectrum(H, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_exact_spectrum_plane_wave():

@@ -45,3 +45,23 @@ def test_module_entry_point_runs():
     proc = run_fresh("-m", "crystalsum.cli", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: crystalsum")
+
+
+def test_exact_spectrum_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, 1.4 MB of resident memory the spectrum has no use for
+    code = """
+import math, sys
+import numpy as np
+from crystalsum.freqalg import FreqBasis, sine
+from crystalsum.hermite import ks_from_Q, leeyang_real_form
+from crystalsum.spectra import exact_spectrum
+c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+Q = leeyang_real_form(np.array([[c, -s], [s, c]]), [(1, 0), (0, 1)],
+                      FreqBasis((1.0, math.sqrt(2))))
+for H, cutoff in ((ks_from_Q(Q), 60.0), (ks_from_Q(sine(FreqBasis((0.5,)), (1,))), 600.0)):
+    exact_spectrum(H, cutoff).sorted_arrays()
+print('numpy.ma' in sys.modules)
+"""
+    proc = run_fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
