@@ -217,7 +217,7 @@ def _parse_points(raw):
 
 def cmd_kernel(args, prov, tol):
     H = _load_hb(_load_json(args.input))
-    points = _parse_points(args.points) or [1j, 1 + 2j]
+    points = _parse_points(args.points)
     # each (w, z) entry costs about 0.4 ms: at most MAX_COUNT entries
     if len(points) > math.isqrt(MAX_COUNT):
         raise InputError(f"--points takes at most {math.isqrt(MAX_COUNT)} points "
@@ -303,14 +303,14 @@ def build_parser():
 
     ker = sub.add_parser("kernel", help="reproducing-kernel identity checks")
     ker.add_argument("input", help="H JSON or pair JSON (with meta.H)")
-    ker.add_argument("--points", nargs="*", default=["0,1", "1,2"],
+    ker.add_argument("--points", nargs="+", default=["0,1", "1,2"],
                      help="evaluation points 're,im'")
     ker.add_argument("--R", type=float, default=100.0)
     ker.set_defaults(func=cmd_kernel)
 
     sd = sub.add_parser("selfdual", help="gaussian self-duality checks")
     sd.add_argument("input", help="measure JSON with dual_sign")
-    sd.add_argument("--ys", nargs="*", type=float, default=list(SUITE_HEIGHTS))
+    sd.add_argument("--ys", nargs="+", type=float, default=list(SUITE_HEIGHTS))
     sd.set_defaults(func=cmd_selfdual)
 
     pc = sub.add_parser("pair-check", help="summation identity on a pair JSON")
@@ -333,8 +333,6 @@ def main(argv=None) -> int:
         # an empty suite would pass vacuously
         if not 1 <= getattr(args, "count", 1) <= MAX_COUNT:
             raise InputError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")
-        if getattr(args, "ys", None) == []:
-            raise InputError("--ys needs at least one height")
         files, ok = args.func(args, _provenance(args),
                               1e-6 if args.tol is None else args.tol)
         try:

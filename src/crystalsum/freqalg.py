@@ -24,8 +24,10 @@ over bases sharing an entry, exponentiate each table once.  Every other point
 set (an array, a scalar, or a grid whose row heights could push a power
 towards overflow or the subnormals) takes one exponential per term, in
 chunks of at most CHUNK_POINTS points, so one evaluation holds a few
-chunk-sized arrays beyond its output, whatever its length.  Inputs where
-a term itself overflows raise EvalRangeError on either route.
+chunk-sized arrays beyond its output, whatever its length.  At Re z = x
+term t's phase is off by about eps 2 pi |x| N_t, N_t = sum_j |k_j| base_j/D:
+ExpSum.floor bounds the error, and inputs where a term overflows or that
+phase error passes 1/16 rad raise EvalRangeError on either route.
 
 Rational independence of the basis entries is asserted by the caller,
 not verified here.
@@ -42,6 +44,8 @@ import numpy as np
 
 # exponent beyond which exp(x) overflows a double
 _EXP_OVERFLOW = 709.0
+# largest phase 2 pi |Re z| N_t of a term: its rounding error 2^-52 times it is 1/16 rad
+_PHASE_LIMIT = 2.0 ** 48
 # largest exponent a power or partial product of powers on a Grid may reach:
 # half the range keeps it within 1e+-154 of 1, clear of the subnormals
 _PRODUCT_LIMIT = 0.5 * _EXP_OVERFLOW
@@ -60,7 +64,7 @@ class BasisMismatchError(ValueError):
 
 
 class EvalRangeError(OverflowError):
-    """exp(-2*pi*lambda*Im z) overflowed double precision."""
+    """A term's modulus overflows double precision, or its phase has no correct digit."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ class ExpSum:
     arithmetic returns new instances.
     """
 
-    __slots__ = ("basis", "_terms", "_sorted", "_values", "_plan")
+    __slots__ = ("basis", "_terms", "_sorted", "_values", "_norms", "_plan")
 
     def __init__(self, basis: FreqBasis, terms=None):
         self.basis = basis
@@ -186,11 +190,12 @@ class ExpSum:
             if c != 0:
                 clean[vec] = clean.get(vec, 0j) + c
         self._terms = {v: c for v, c in clean.items() if c != 0}
-        # ascending numeric frequency, integer vector as tiebreak; the
-        # numeric values are kept beside the vectors so nothing recomputes them
+        # ascending numeric frequency, integer vector as tiebreak; the values
+        # and norms N_t are kept beside the vectors so nothing recomputes them
         order = sorted((basis.value(v), v) for v in self._terms)
         self._values = [val for val, _ in order]
         self._sorted = [v for _, v in order]
+        self._norms = [basis.value(map(abs, v)) for v in self._sorted]
         self._plan = None               # _GridPlan, built on the first grid
 
     # -- inspection ---------------------------------------------------------
@@ -238,8 +243,9 @@ class ExpSum:
     def eval(self, z):
         """Evaluate at z (scalar, ndarray or Grid).
 
-        Raises EvalRangeError if any term's modulus exp(-2 pi lambda Im z)
-        overflows, instead of silently returning inf.
+        Raises EvalRangeError, instead of returning inf or noise, if any term's
+        modulus exp(-2 pi lambda Im z) overflows or its phase error passes
+        1/16 rad (|Re z| <= max|Re rows| + max|cols| on a Grid).
 
         A Grid whose powers stay in range (_GridPlan.reach times the largest
         |Im| of its row heads below _GridPlan.limit) is a real_matmul over its
@@ -248,17 +254,22 @@ class ExpSum:
         """
         grid = isinstance(z, Grid)
         z = z if grid else np.asarray(z, dtype=complex)
-        if not self._terms:
+        if not self._terms or not z.size:
             out = np.zeros(z.shape, dtype=complex)
             return out if out.shape else 0j
         im = z.rows.imag if grid else z.imag
-        im_min = float(np.min(im)) if z.size else 0.0
-        im_max = float(np.max(im)) if z.size else 0.0
-        for lam in self._values:
+        im_min = float(np.min(im))
+        im_max = float(np.max(im))
+        re_max = float(np.abs(z.rows.real).max() + np.abs(z.cols).max()) if grid \
+            else float(np.abs(z.real).max())
+        for lam, norm in zip(self._values, self._norms):
             worst = -2.0 * math.pi * lam * (im_min if lam > 0 else im_max)
             if worst > _EXP_OVERFLOW:
                 raise EvalRangeError(
                     f"exp(-2 pi {lam:g} Im z) overflows double precision")
+            if 2 * math.pi * re_max * norm > _PHASE_LIMIT:
+                raise EvalRangeError(f"the phase of frequency {lam:g} at |Re z| = {re_max:g} "
+                                     "has no correct digit")
         if grid and self._plan is None:
             self._plan = _GridPlan(self)
         if grid and self._plan.reach * max(-im_min, im_max) < self._plan.limit:
@@ -272,6 +283,11 @@ class ExpSum:
                     acc += self._terms[v] * np.exp(2j * np.pi * lam * part)
             out = out.reshape(z.shape)
         return out if out.shape else complex(out)
+
+    def floor(self, x_max):
+        """Rounding floor 1e-14 sum_t |c_t| (1 + 2 pi x_max N_t) of eval on [-x_max, x_max]."""
+        mod = np.abs([self._terms[v] for v in self._sorted])
+        return 1e-14 * float(mod @ (1 + 2 * math.pi * x_max * np.array(self._norms)))
 
     # -- algebra ------------------------------------------------------------
 
@@ -377,8 +393,8 @@ class _GridPlan:
     coordinates some term uses, and coefficient coef[t].  At a row head r
     every power and partial product of a term's powers has modulus
     e^{-2 pi Im(r) s/D}, with s a sum over some j of k_j base_j, so
-    |s| <= sum_j |k_j| base_j: `reach`, 2 pi/D times the largest such bound,
-    times max|Im r| bounds their exponents, which must stay below `limit`.
+    |s|/D <= N_t: `reach`, 2 pi times the largest norm N_t, times max|Im r|
+    bounds their exponents, which must stay below `limit`.
     """
 
     def __init__(self, s: ExpSum):
@@ -386,9 +402,8 @@ class _GridPlan:
         vecs = list(s._terms)
         coords = [j for j in range(len(basis.base)) if any(v[j] for v in vecs)]
         self.k = np.array([[v[j] for j in coords] for v in vecs], dtype=int)
-        bases = [basis.base[j] for j in coords]
-        self.gen = [2j * math.pi * b / basis.denominator for b in bases]
-        self.reach = 2 * math.pi / basis.denominator * float(np.max(np.abs(self.k) @ bases))
+        self.gen = [2j * math.pi * basis.base[j] / basis.denominator for j in coords]
+        self.reach = 2 * math.pi * max(s._norms)
         self.coef = np.array(list(s._terms.values()))
         # nor may a coefficient shrink below 2^-970 = 2^-1022/eps, where its
         # product with a power could lose digits to the subnormals

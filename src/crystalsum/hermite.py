@@ -145,7 +145,7 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     E), which the downstream residue weights cannot handle.  Rejections
     carry the worst witness point.  A non-finite coefficient rejects before
     any evaluation, and so does a grid where |E| may pass MAX_GRID_MODULUS
-    or a phase 2 pi lambda x pass 2^53, where a sample has no correct digit.
+    (|E|^2 stays finite); eval raises EvalRangeError where no digit would be.
     """
     if not E:
         return HBVerdict(False, None, "empty sum")
@@ -154,13 +154,11 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
     if grid is None:
         grid = default_grid(E)
     # on the grid |E| <= sum_t |c_t| max(1, e^{-2 pi lambda_t y_max})
-    terms = [(val, abs(c)) for _, val, c in E.sorted_terms()]
-    log_bound = math.log(len(terms)) + max(
-        math.log(a) - 2 * math.pi * min(val, 0.0) * grid.y_max for val, a in terms)
-    phase = 2 * math.pi * max(abs(val) for val, _ in terms) * max(-grid.x_min, grid.x_max)
-    if log_bound > math.log(MAX_GRID_MODULUS) or phase > 2.0 ** 53:
-        return HBVerdict(False, None, f"|E| may reach e^{log_bound:.4g} and a phase {phase:.4g} "
-                                      f"on the grid (at most {MAX_GRID_MODULUS:g}, 2^53)")
+    log_bound = math.log(len(E)) + max(math.log(abs(c)) - 2 * math.pi * min(val, 0.0) * grid.y_max
+                                       for _, val, c in E.sorted_terms())
+    if log_bound > math.log(MAX_GRID_MODULUS):
+        return HBVerdict(False, None, f"|E| may reach e^{log_bound:.4g} on the grid "
+                                      f"(at most {MAX_GRID_MODULUS:g})")
     xs, ys = grid.mesh()
     Z = Grid(1j * np.concatenate(([0.0], ys)), xs, (grid.ny + 1) * grid.nx)
     Ev, Esv = E.eval(Z), E.star().eval(Z)
@@ -211,15 +209,7 @@ class HermiteBiehler:
             where = "" if verdict.witness is None else f" at z = {verdict.witness}"
             raise HermiteBiehlerError(f"not Hermite-Biehler: {verdict.reason}{where}",
                                       witness=verdict.witness)
-        A, B = split_AB(E)
-        recon = A - 1j * B
-        if recon.terms != E.terms:
-            scale = max(abs(c) for _, _, c in E.sorted_terms())
-            diff = recon - E
-            err = max((abs(c) for _, _, c in diff.sorted_terms()), default=0.0)
-            if err > 1e-14 * scale:
-                raise HermiteBiehlerError("A - iB does not reconstruct E")
-        return cls(E, A, B, verdict.certificate)
+        return cls(E, *split_AB(E), verdict.certificate)
 
     def rotated(self, alpha: float):
         """A_alpha, B_alpha for E_alpha = e^{i alpha} E.
@@ -348,7 +338,7 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
     L2 = sum |c| (2 pi lam)^2 >= sup|B''|, a cell [a, b] of width h holds no
     root when |B(a)| + |B(b)| > L1 h, and is monotone, so holds one root
     exactly when B changes sign, when |B'(a)| + |B'(b)| > L2 h; both tests
-    also clear twice the rounding floor of B or B' on the window.  Any other
+    also clear twice the ExpSum.floor of B or B' on the window.  Any other
     cell is halved.  A sample with |B| at most its floor is a root itself
     when |B'| > 2 sqrt(floor L2) + floor' there (no point that close to a
     double root reaches that slope); otherwise it keeps its cells open.  An
@@ -376,16 +366,12 @@ def real_root_scan(B: ExpSum, interval) -> RootScan:
             f"scan of [{x0:g}, {x1:g}] needs {steps + 1:.3g} grid points at step "
             f"{step:.3g}, more than the {MAX_SCAN_POINTS:,} allowed")
     n = max(int(math.ceil(steps)), 8)
-    vs, lams, cs = (np.array(t) for t in zip(*B.sorted_terms()))
+    _, lams, cs = (np.array(t) for t in zip(*B.sorted_terms()))
     mod, freq = np.abs(cs), 2 * math.pi * np.abs(lams)
     L1, L2 = float(mod @ freq), float(mod @ freq**2)
-    # rounding floors of B and B': evaluation puts a phase error of about
-    # eps 2 pi |x| sum_j |k_j| base_j/D on term k, not eps 2 pi |x lam|
-    lam_norm = np.abs(vs) @ np.array(B.basis.base) / B.basis.denominator
-    grow = 1 + 2 * math.pi * max(-x0, x1) * lam_norm
-    floor_b, floor_d = 1e-14 * float(mod @ grow), 1e-14 * float(mod @ (freq * grow))
-    min_slope = 2.0 * math.sqrt(floor_b * L2) + floor_d
     Bp = B.derivative()
+    floor_b, floor_d = B.floor(max(-x0, x1)), Bp.floor(max(-x0, x1))
+    min_slope = 2.0 * math.sqrt(floor_b * L2) + floor_d
 
     # the first grid: x0 + h j for j < n as a Grid, then x1 itself
     h = (x1 - x0) / n

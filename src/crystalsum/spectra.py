@@ -37,8 +37,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .freqalg import (_EXP_OVERFLOW, CHUNK_POINTS, GRID_BLOCK, ExpSum, FreqBasis, Grid,
-                      real_matmul, real_table)
+from .freqalg import (_EXP_OVERFLOW, _PHASE_LIMIT, CHUNK_POINTS, GRID_BLOCK, ExpSum,
+                      FreqBasis, Grid, real_matmul, real_table)
 from .hermite import HermiteBiehler
 
 
@@ -225,8 +225,8 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     The quadrature nodes are X = mid_p + h xi_j (panel midpoints, half
     width h, _NODES Gauss-Legendre nodes xi_j), at most
     MAX_QUADRATURE_POINTS of them, with the scale e^{2 pi lambda y}/T a
-    double and the phases 2 pi lambda X below 2^53, where a sample has no
-    correct digit, or SpectrumError before f is called.
+    double and the phases 2 pi lambda X within freqalg's _PHASE_LIMIT, where
+    ExpSum.eval keeps a correct digit, or SpectrumError before f is called.
     They are streamed in chunks of at most freqalg.CHUNK_POINTS nodes, in
     rows of R = GRID_BLOCK/_NODES panels: with mid_0 the chunk's first
     midpoint and w the panel width, node j of panel r in row m is
@@ -270,7 +270,7 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
         return []
     lo, hi = float(lam.min()), float(lam.max())
     if 2 * math.pi * max(lo * y, hi * y) - math.log(T) > _EXP_OVERFLOW \
-            or 2 * math.pi * max(-lo, hi) * T > 2.0 ** 53:
+            or 2 * math.pi * max(-lo, hi) * T > _PHASE_LIMIT:
         raise SpectrumError(f"lambda in [{lo:g}, {hi:g}] on the line y = {y:g} over T = {T:g} "
                             "needs e^(2 pi lambda y)/T or phases 2 pi lambda x out of range")
     n_panels = max(int(math.ceil(2 * T / panel_width)), 1)

@@ -412,6 +412,8 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     ["selfdual", "{measure}", "--ys", "nan"],
     ["selfdual", "{measure}", "--ys", "inf"],
     ["selfdual", "{measure}", "--ys"],
+    # an empty --points list, as an empty --ys: there is nothing to check
+    ["kernel", "{H}", "--points"],
     # gaussian heights whose scale pi y or transform scale pi/y is no double
     ["selfdual", "{measure}", "--ys", "1e-308"],
     ["selfdual", "{measure}", "--ys", "1e308"],
@@ -723,10 +725,11 @@ FUZZ_RUNS = {
     "pair-check": ["--seed", "0", "pair-check", "{pair}", "--count", "10"],
 }
 # what replaces a JSON leaf, and an option value
+# (1e14 and -1e15 cross freqalg's phase limit, |x| about 9e13 at frequency 1/2)
 LEAF_VALUES = [None, True, "x", [1.0], 0, -1, 2 ** 70, 1e-308, 1e308, -1e308,
-               math.inf, -math.inf, math.nan]
+               math.inf, -math.inf, math.nan, 1e14, -1e15]
 OPTION_VALUES = ["0", "-1", "1e-308", "1e308", "-1e308", str(2 ** 70), "inf", "nan",
-                 "x", "0,1e308", "0,-1", "1e308,1"]
+                 "x", "0,1e308", "0,-1", "1e308,1", "1e14", "-1e15"]
 
 
 @functools.cache

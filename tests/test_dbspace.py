@@ -11,7 +11,7 @@ from crystalsum.dbspace import (
     kernel_series,
     sampling_eval,
 )
-from crystalsum.freqalg import FreqBasis, sine
+from crystalsum.freqalg import EvalRangeError, FreqBasis, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, split_AB
 from probes import e1_transform, monomial
 
@@ -107,10 +107,17 @@ def test_series_tail_near_the_window_edge_is_the_stated_bound():
 @pytest.mark.parametrize("w, z", [(1e300 + 1j, 1e300 + 1j), (-1e300 + 1j, 1e300 - 1j),
                                   (1e160 + 2j, 1e160 + 2j)])
 def test_series_far_beyond_the_window_has_no_bound_and_no_overflow(w, z):
-    # (g - z)(g - conj w) leaves double range there; the test configuration
-    # turns the overflow warning into an error
-    val, tail = kernel_series(poisson_ctx(20.0), w, z)
-    assert tail == math.inf and abs(val) < 1e-300
+    # B = sin(pi z) has no correct digit there: its phases pi Re z pass
+    # freqalg's limit, so evaluation raises before (g - z)(g - conj w) could
+    # leave double range (the test configuration turns overflow warnings into
+    # errors); a sum of those phases would be noise
+    with pytest.raises(EvalRangeError):
+        kernel_series(poisson_ctx(20.0), w, z)
+
+
+def test_closed_kernel_far_out_on_the_real_axis_raises():
+    with pytest.raises(EvalRangeError):
+        kernel_closed(poisson_ctx(20.0), 1e300 + 1j, 1e300 + 1j)
 
 
 def test_series_single_root_rank_one():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crystalsum.freqalg import ExpSum, FreqBasis, Grid, sine
+from crystalsum.freqalg import EvalRangeError, ExpSum, FreqBasis, Grid, sine
 from crystalsum.hermite import (
     GridSpec,
     HermiteBiehler,
@@ -144,6 +144,21 @@ def test_certificate_json_has_no_degeneracy_floor_and_old_files_load():
     assert set(d["certificate"]) == {"grid", "margin_modulus", "margin_herglotz"}
     d["certificate"]["degeneracy_floor"] = 1e-8  # as written by older versions
     assert HermiteBiehler.from_json_dict(d).E.terms == poisson_E().E.terms
+
+
+def test_stored_grid_at_the_phase_limit():
+    # the terms of E = pi cos(pi z) - i sin(pi z) have norm 1/2, so phases
+    # pi |x| pass freqalg's 2^48 where |x| passes 2^48/pi: just inside it a
+    # stored grid validates, just outside it evaluation raises
+    d = poisson_E().to_json_dict()
+    x = 2.0 ** 48 / math.pi
+    d["certificate"]["grid"]["x"] = [-x * (1 - 1e-9), x * (1 - 1e-9)]
+    assert HermiteBiehler.from_json_dict(d).certificate.grid.x_max == x * (1 - 1e-9)
+    d["certificate"]["grid"]["x"] = [-x * (1 + 1e-9), x * (1 + 1e-9)]
+    with pytest.raises(EvalRangeError, match="no correct digit"):
+        HermiteBiehler.from_json_dict(d)
+    with pytest.raises(EvalRangeError, match="no correct digit"):
+        is_hermite_biehler(poisson_E().E, GridSpec(-1.0, x * (1 + 1e-9), 0.05, 5.0))
 
 
 def test_grid_validation():

@@ -195,6 +195,36 @@ def test_grid_eval_matches_eval_at_its_points(case):
     assert np.all(np.abs(got - want)[finite] <= reference_bound(s, scale, moduli)[finite])
 
 
+SIN_PI = ExpSum(FreqBasis((0.5,)), {(1,): -0.5j, (-1,): 0.5j})  # sin(pi z)
+
+
+def on_shape(x, shape):
+    """x as a scalar, or x and x + 0.5 as an array or as a Grid."""
+    return {"scalar": x, "array": np.array([x, x + 0.5]),
+            "grid": Grid([x], [0.0, 0.5], 2)}[shape]
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array", "grid"])
+@pytest.mark.parametrize("x", [1e14, 1e15, 1e17, 1e300])
+def test_eval_raises_where_a_phase_has_no_correct_digit(x, shape):
+    # sin(pi x) = 0 at these integers, where summing phases with no correct
+    # digit gave values from -0.0113 to -0.902
+    with pytest.raises(EvalRangeError):
+        SIN_PI.eval(on_shape(x, shape))
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array", "grid"])
+def test_eval_below_the_phase_limit_is_within_the_reference_bound(shape):
+    z = on_shape(1e12, shape)
+    got = np.atleast_1d(SIN_PI.eval(z))
+    points = np.atleast_1d(np.asarray(z))
+    want, moduli = per_term_reference(SIN_PI, points)
+    bound = reference_bound(SIN_PI, np.abs(points), moduli)
+    assert np.all(np.abs(got - want) <= bound)
+    # and within it of sin(pi x) = 0, sin(pi (x + 0.5)) = 1 at the even x
+    assert np.all(np.abs(got - np.array([0.0, 1.0])[:got.size]) <= bound)
+
+
 small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 

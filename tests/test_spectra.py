@@ -445,6 +445,22 @@ def test_quadrature_bound_refuses_before_any_sample():
         assert calls == []
 
 
+def test_phase_limit_refuses_before_any_sample():
+    # phases 2 pi lambda x of the mean value's own tables reach 2 pi max|lambda| T;
+    # within freqalg's limit of 2^48 the first chunk is sampled, past it none is
+    lam = 2.0 ** 48 / (2 * math.pi * 10.0)
+    for lams in ([lam * (1 - 1e-9)], [1.0, -lam * (1 - 1e-9)]):
+        f, calls = refusing_integrand()
+        with pytest.raises(Sampled):
+            mean_value_batch(f, lams, 0.0, 10.0)
+        assert calls == [640]  # 80 panels of 8 nodes, one chunk
+    for lams in ([lam * (1 + 1e-9)], [1.0, -lam * (1 + 1e-9)]):
+        f, calls = refusing_integrand()
+        with pytest.raises(SpectrumError, match="out of range"):
+            mean_value_batch(f, lams, 0.0, 10.0)
+        assert calls == []
+
+
 @pytest.mark.parametrize("H", [poisson_H(), leeyang_H()], ids=["poisson", "leeyang"])
 def test_one_exponential_per_generator_and_chunk(monkeypatch, H):
     # no exponential of chunk size: each generator of f = iA/B comes from
