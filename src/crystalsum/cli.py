@@ -144,6 +144,12 @@ def cmd_eta(args, prov, tol):
         spec = _load_eta_spec(args.spec_json)
     else:
         raise InputError("eta needs --spec-json or --family-l")
+    # past a negative order the coefficients, and so the weights, grow like
+    # e^{c sqrt n}: the measure is not tempered and has no Fourier transform
+    for c, o in spec.cusp_orders().items():
+        if o < 0:
+            raise InputError(f"the eta product has order {o} < 0 at the cusp 1/{c}, "
+                             "so its measure is not tempered")
     # the requested series only: the plus one, or with --minus the minus one
     series = (fminus if args.minus else fplus)(spec, order)
     rows = [(j, c.numerator, c.denominator)

@@ -75,7 +75,7 @@ class KernelContext:
 
 def kernel_context(H: HermiteBiehler, R: float) -> KernelContext:
     """Roots of B on [-R, R] with residue weights A/B'."""
-    roots, av, bpv = phase_points(H, 0.0, (-R, R))
+    roots, av, bpv = phase_points(H, (-R, R))
     return KernelContext(H, roots, av / bpv, float(R))
 
 

@@ -310,8 +310,6 @@ class ExpSum:
         return ExpSum(self.basis, {v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = constant(self.basis, other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -195,7 +195,12 @@ def is_hermite_biehler(E: ExpSum, grid: GridSpec | None = None) -> HBVerdict:
 
 @dataclass(frozen=True)
 class HermiteBiehler:
-    """Validated pair E = A - iB with its sampling certificate."""
+    """Validated pair E = A - iB with its sampling certificate.
+
+    A rotation e^{i a} E is Hermite-Biehler too, with the same de Branges
+    space: validate it as a sum of its own, whose split_AB is
+    (A cos a + B sin a, B cos a - A sin a).
+    """
 
     E: ExpSum
     A: ExpSum
@@ -210,17 +215,6 @@ class HermiteBiehler:
             raise HermiteBiehlerError(f"not Hermite-Biehler: {verdict.reason}{where}",
                                       witness=verdict.witness)
         return cls(E, *split_AB(E), verdict.certificate)
-
-    def rotated(self, alpha: float):
-        """A_alpha, B_alpha for E_alpha = e^{i alpha} E.
-
-        A_alpha = A cos(alpha) + B sin(alpha),
-        B_alpha = B cos(alpha) - A sin(alpha).
-        """
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        if alpha == 0.0:
-            return self.A, self.B
-        return self.A * ca + self.B * sa, self.B * ca - self.A * sa
 
     def to_json_dict(self):
         return {"E": self.E.to_json_dict(), "A": self.A.to_json_dict(),
@@ -251,14 +245,18 @@ def ks_from_Q(Q: ExpSum) -> HermiteBiehler:
     return HermiteBiehler.validate(E)
 
 
-def leeyang_trigpoly(U, length_vecs, basis: FreqBasis) -> ExpSum:
-    """det(U + diag(e^{2 pi i l_j z})) expanded over principal minors.
+def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
+    """Star-fixed (real on R) normalization of the Lee-Yang determinant.
 
     U is a unitary matrix (tolerance 1e-10); length_vecs are the l_j as
-    integer vectors over `basis`.  The expansion is
-    P = sum_{S subset [n]} det(U restricted off S) e^{2 pi i (sum_{j in S} l_j) z}.
-    The result is real-rooted after Hadamard normalization
-    (see leeyang_real_form).
+    integer vectors over `basis`, each of positive length.  Expanded over
+    principal minors, det(U + diag(e^{2 pi i l_j z})) is
+    sum_{S subset [n]} det(U restricted off S) e^{2 pi i (sum_{j in S} l_j) z}.
+    Times e^{-pi i L z} (L = sum l_j) the minor of S sits at the vector
+    2 sum_{j in S} l_j - L over the basis with doubled denominator; the sum
+    is multiplied by the unimodular constant e^{-i arg(det U)/2}, then
+    symmetrized away rounding (hermitize) so the result is exactly
+    star-fixed.  It is real-rooted for every unitary U.
     """
     U = np.asarray(U, dtype=complex)
     n = U.shape[0]
@@ -273,38 +271,21 @@ def leeyang_trigpoly(U, length_vecs, basis: FreqBasis) -> ExpSum:
     for v in vecs:
         if basis.value(v) <= 0:
             raise ValueError("lengths must be positive in the chosen basis")
-    zero = basis.zero_vec()
+    minus_total = basis.zero_vec()
+    for v in vecs:
+        minus_total = tuple(a - b for a, b in zip(minus_total, v))
     terms = {}
     idx = list(range(n))
     for size in range(n + 1):
         for S in combinations(idx, size):
             rest = [j for j in idx if j not in S]
             minor = complex(np.linalg.det(U[np.ix_(rest, rest)])) if rest else 1 + 0j
-            v = zero
+            v = minus_total
             for j in S:
-                v = tuple(a + b for a, b in zip(v, vecs[j]))
+                v = tuple(a + 2 * b for a, b in zip(v, vecs[j]))
             terms[v] = terms.get(v, 0j) + minor
-    return ExpSum(basis, terms)
-
-
-def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
-    """Star-fixed (real on R) normalization of the Lee-Yang determinant.
-
-    Multiplies by e^{-pi i L z} (L = sum l_j, representable after doubling
-    the basis denominator) and by the unimodular constant e^{-i arg(det U)/2},
-    then symmetrizes away rounding so the result is exactly star-fixed.
-    """
-    P = leeyang_trigpoly(U, length_vecs, basis)
-    total = basis.zero_vec()
-    for v in length_vecs:
-        total = tuple(a + int(b) for a, b in zip(total, v))
-    basis2 = FreqBasis(basis.base, 2 * basis.denominator)
-    terms2 = {tuple(2 * k for k in v): c for v, c in P.terms.items()}
-    P2 = ExpSum(basis2, terms2)
-    detU = complex(np.linalg.det(np.asarray(U, dtype=complex)))
-    c = cmath.exp(-0.5j * cmath.phase(detU))
-    Q = (P2 * c).shift(tuple(-k for k in total))
-    Q = Q.hermitize()
+    c = cmath.exp(-0.5j * cmath.phase(complex(np.linalg.det(U))))
+    Q = (ExpSum(FreqBasis(basis.base, 2 * basis.denominator), terms) * c).hermitize()
     if not Q:
         raise ValueError("normalized determinant vanished")
     return Q

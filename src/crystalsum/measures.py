@@ -246,6 +246,7 @@ class DiscreteMeasure:
 class FSPair:
     """Measure/coefficient pair with construction metadata.
 
+    meta is a dict whose "real_antipodal" flag, when present, is a bool.
     For real-antipodal pairs the mu weights are real and a(-lambda) equals
     conj(a(lambda)) exactly by construction.
     """
@@ -253,10 +254,14 @@ class FSPair:
     mu: DiscreteMeasure
     a: DiscreteMeasure
     meta: dict = field(default_factory=dict)
-    real_antipodal: bool = False
 
     def __post_init__(self):
-        if self.real_antipodal and np.any(self.mu.w.imag != 0.0):
+        if not isinstance(self.meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {self.meta!r}")
+        antipodal = self.meta.get("real_antipodal", False)
+        if not isinstance(antipodal, bool):
+            raise ValueError(f"real_antipodal must be true or false, got {antipodal!r}")
+        if antipodal and np.any(self.mu.w.imag != 0.0):
             raise ValueError("real-antipodal pair needs real mu weights")
 
     def to_json_dict(self):
@@ -265,34 +270,26 @@ class FSPair:
 
     @classmethod
     def from_json_dict(cls, d):
-        meta = d.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta must be a JSON object, got {meta!r}")
-        antipodal = meta.get("real_antipodal", False)
-        if not isinstance(antipodal, bool):
-            raise ValueError(f"real_antipodal must be true or false, got {antipodal!r}")
         return cls(DiscreteMeasure.from_json_dict(d["mu"]),
-                   DiscreteMeasure.from_json_dict(d["a"]), meta, antipodal)
+                   DiscreteMeasure.from_json_dict(d["a"]), d.get("meta", {}))
 
 
 # -- construction from Hermite-Biehler data ----------------------------------
 
-def phase_points(H: HermiteBiehler, alpha: float, window):
-    """Real roots gamma of B_alpha in the window, with A_alpha(gamma), B_alpha'(gamma).
+def phase_points(H: HermiteBiehler, window):
+    """Real roots gamma of B in the window, with A(gamma) and B'(gamma).
 
-    phi is the phase of e^{i alpha}E, and 1/phi'(gamma) = A_alpha/B_alpha'
-    at each root, which is strictly positive for a validated
-    Hermite-Biehler input.  The root scan certifies every root simple and
-    skips none; it raises RootFindingError on a multiple root or on roots
-    too close to separate, and so does a nonpositive A_alpha/B_alpha'.
-    Callers form their weights from the returned arrays (2 pi av/bpv for
-    the measure, av/bpv for the kernel; rescaling one into the other would
-    change the last bit of some weights).
+    phi is the phase of E, and 1/phi'(gamma) = A/B' at each root, which is
+    strictly positive for a validated Hermite-Biehler input.  The root scan
+    certifies every root simple and skips none; it raises RootFindingError
+    on a multiple root or on roots too close to separate, and so does a
+    nonpositive A/B'.  Callers form their weights from the returned arrays
+    (2 pi av/bpv for the measure, av/bpv for the kernel; rescaling one into
+    the other would change the last bit of some weights).
     """
-    A, B = H.rotated(alpha)
-    roots = real_root_scan(B, window).roots
-    av = A.eval(roots).real
-    bpv = B.derivative().eval(roots).real
+    roots = real_root_scan(H.B, window).roots
+    av = H.A.eval(roots).real
+    bpv = H.B.derivative().eval(roots).real
     ratio = av / bpv
     if np.any(ratio <= 0):
         bad = roots[np.argmin(ratio)]
@@ -300,11 +297,9 @@ def phase_points(H: HermiteBiehler, alpha: float, window):
     return roots, av, bpv
 
 
-def measure_from_phase(H: HermiteBiehler, alpha: float, window) -> DiscreteMeasure:
-    """Atoms 2 pi/phi'(gamma) = 2 pi A_alpha/B_alpha' at the phase points."""
-    if not 0.0 <= alpha < math.pi:
-        raise ValueError("alpha must lie in [0, pi)")
-    roots, av, bpv = phase_points(H, alpha, window)
+def measure_from_phase(H: HermiteBiehler, window) -> DiscreteMeasure:
+    """Atoms 2 pi/phi'(gamma) = 2 pi A/B' at the phase points."""
+    roots, av, bpv = phase_points(H, window)
     return DiscreteMeasure(roots, 2 * math.pi * av / bpv, window, nonneg=True)
 
 
@@ -315,7 +310,7 @@ def pair_from_hb(H: HermiteBiehler, cutoff, window) -> FSPair:
     and a(0) = 2 Re E(iA/B)(0), the merge of the atom at 0 with its
     reflection.
     """
-    mu = measure_from_phase(H, 0.0, window)
+    mu = measure_from_phase(H, window)
     spec = exact_spectrum(H, cutoff)
     cutoff_value = spec.meta["requested_cutoff"]
     lam, c = spec.sorted_arrays()
@@ -324,7 +319,7 @@ def pair_from_hb(H: HermiteBiehler, cutoff, window) -> FSPair:
     meta = {"source": "hermite-biehler", "cutoff": cutoff_value,
             "window": list(mu.window), "y_valid": spec.y_valid,
             "real_antipodal": True}
-    return FSPair(mu, a, meta, real_antipodal=True)
+    return FSPair(mu, a, meta)
 
 
 # -- Herglotz representation -------------------------------------------------

@@ -477,6 +477,15 @@ class EtaProductSpec:
         """sum d*r_d = 24k/b."""
         return Fraction(24 * self.k, self.b)
 
+    def cusp_orders(self) -> dict:
+        """Order of the eta product at the cusp 1/c of Gamma0(N), for each c | N:
+        (N/24) sum_d gcd(c, d)^2 r_d / (gcd(c, N/c) c d), an exact Fraction
+        (Ligozat 1975; Ono, The Web of Modularity, 2004, Thm 1.65)."""
+        terms = [(d, r / d) for d, r in self.r.items() if r]
+        return {c: Fraction(self.N, 24 * math.gcd(c, self.N // c) * c)
+                * sum(math.gcd(c, d) ** 2 * q for d, q in terms)
+                for c in _divisors(self.N)}
+
     def to_json_dict(self):
         return {"N": self.N,
                 "r": {str(d): str(v) for d, v in sorted(self.r.items())},

@@ -61,20 +61,16 @@ class SpectrumAtoms:
     atoms maps frequency vectors to complex coefficients; y_valid is a
     height above which the defining expansion p/(1-g) was certified to
     converge (sup-norm bound of g below 1/2).  values are the frequencies
-    of atoms in key order, ascending by (value, vector), or made here.
+    of atoms in key order, ascending by (value, vector).
     """
 
     basis: FreqBasis
     atoms: dict
     y_valid: float
-    meta: dict = field(default_factory=dict)
-    values: list = field(default=None, repr=False, compare=False)
+    meta: dict
+    values: list = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.values is None:
-            order = sorted((self.basis.value(v), v) for v in self.atoms)
-            self.atoms = {v: self.atoms[v] for _, v in order}
-            self.values = [val for val, _ in order]
         if self.values and self.values[0] < -1e-12:
             raise SpectrumError("negative frequency in spectrum")
         self._arrays = (np.array(self.values, dtype=float),

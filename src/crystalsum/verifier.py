@@ -64,13 +64,9 @@ class TestFunction:
             out = np.exp(1j * np.pi * self.z * u * u + 2j * np.pi * self.xi0 * t)
         else:
             u = (t - self.center) / self.halfwidth
-            out = np.zeros(t.shape, dtype=complex) if t.shape else 0j
+            out = np.zeros(t.shape, dtype=complex)
             inside = np.abs(u) < 1
-            vals = np.exp(-self.exponent / (1 - u[inside] ** 2))
-            if t.shape:
-                out[inside] = vals
-            else:
-                out = complex(vals[0]) if inside else 0j
+            out[inside] = np.exp(-self.exponent / (1 - u[inside] ** 2))
         return out if np.ndim(t) else complex(out)
 
     def envelope(self, t):

@@ -373,6 +373,21 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
                  "N_huge": '{"N": 1180591620717411303424, "r": {"1": "1"}}'}
 
 
+# command lines that reach one guard each, and the error line it prints
+GUARD_ERRORS = {
+    # Q = sin^2(pi z) has double roots: E = Q' - iQ vanishes on the integers
+    ("ks", "{q_sin_squared}"): "error: not Hermite-Biehler: A and B nearly vanish together "
+                               "(real zero of E) at z = (-4+0j)\n",
+    ("kernel", "{H}", "--points", "0,1e-7", "1,2"):
+        "error: evaluation point too close to a stored root\n",
+    # pair_from_hb writes no meta.H; the ks command adds it
+    ("spectrum", "{pair}"): "error: input carries no Hermite-Biehler data "
+                            "(expected an H JSON or a pair JSON with meta.H)\n",
+    ("selfdual", "{measure_unsigned}"): "error: measure JSON carries no dual_sign tag\n",
+    ("eta",): "error: eta needs --spec-json or --family-l\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["ks", "{q}", "--cutoff", "-1"],
     ["ks", "{q}", "--window", "5", "-5"],
@@ -482,6 +497,8 @@ BAD_ETA_SPECS = {"r_list": '{"N": 4, "r": [1, 2]}',
     # argparse's own errors: an unknown option, a value of the wrong type
     ["spectrum", "{H}", "--lambdas", "1", "--cutoff", "2"],
     ["pair-check", "{pair}", "--count", "x"],
+    # guards with a message of their own, asserted below (GUARD_ERRORS)
+    *map(list, GUARD_ERRORS),
 ])
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
@@ -500,6 +517,7 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
     out = tmp_path / "run"
+    guard_error = GUARD_ERRORS.get(tuple(argv))
     argv = [a.format(**files) for a in argv]
     try:
         code = main(["--out", str(out), *argv])
@@ -522,6 +540,8 @@ def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
         assert f"{cli.MAX_SCAN_GRID_POINTS:,}" in err
     if "20" in argv:  # names the point and the radius
         assert "point (" in err and "--R 20" in err
+    if guard_error is not None:
+        assert err == guard_error
 
 
 @pytest.mark.parametrize("refused, accepted", [
@@ -593,7 +613,11 @@ def bad_validation_inputs(pair, H, q, measure):
             # no atoms, so no support check meets the reversed window
             "measure_window_reversed": edited(measure, lambda d: d.update(
                 atoms=[], window=[1.0, -1.0])),
-            "top_list": "[1]"}
+            "top_list": "[1]",
+            "q_sin_squared": json.dumps({"basis": [1.0], "terms": [
+                {"k": [0], "c": [0.5, 0.0]}, {"k": [1], "c": [-0.25, 0.0]},
+                {"k": [-1], "c": [-0.25, 0.0]}]}),
+            "measure_unsigned": edited(measure, lambda d: d.pop("dual_sign"))}
 
 
 @pytest.mark.parametrize("lam", ["1.4142135624", "1.41421356237",
@@ -613,6 +637,30 @@ def test_spectrum_matches_irrational_atoms_within_the_merge_tolerance(tmp_path, 
     row = (out / "spectrum.csv").read_text().splitlines()[2].split(",")
     assert complex(float(row[1]), float(row[2])) == atom
     assert atom.real == pytest.approx(-2 * math.pi, rel=1e-4)
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["eta", "--family-l", "2", "--order", "200"], "-1/12"),
+    (["eta", "--spec-json", "{spec}"], "-1/6"),
+], ids=["family_l_2", "r_3_-5_3"])
+def test_eta_refuses_a_negative_cusp_order_before_any_series(tmp_path, capsys, monkeypatch,
+                                                             argv, order):
+    # past order 0 at a cusp the coefficients grow like e^{c sqrt n}: the
+    # gaussians would still pass on a measure with no Fourier transform
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": 4, "r": {"1": "3", "2": "-5", "4": "3"}}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+    monkeypatch.setattr(cli, "fplus", refuse)
+    monkeypatch.setattr(cli, "fminus", refuse)
+    out = tmp_path / "run"
+    t = time.perf_counter()
+    code = main(["--out", str(out), *(a.format(spec=spec) for a in argv)])
+    assert code == 2 and time.perf_counter() - t < 1.0
+    assert capsys.readouterr().err == (f"error: the eta product has order {order} < 0 at "
+                                       "the cusp 1/2, so its measure is not tempered\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, unused", [
@@ -728,6 +776,8 @@ FUZZ_RUNS = {
 # (1e14 and -1e15 cross freqalg's phase limit, |x| about 9e13 at frequency 1/2)
 LEAF_VALUES = [None, True, "x", [1.0], 0, -1, 2 ** 70, 1e-308, 1e308, -1e308,
                math.inf, -math.inf, math.nan, 1e14, -1e15]
+# a leaf edit to DELETE deletes the key: Ellipsis is no JSON value
+DELETE = ...
 OPTION_VALUES = ["0", "-1", "1e-308", "1e308", "-1e308", str(2 ** 70), "inf", "nan",
                  "x", "0,1e308", "0,-1", "1e308,1", "1e14", "-1e15"]
 
@@ -758,14 +808,25 @@ def json_leaves(d, path=()):
     return [leaf for k, v in items for leaf in json_leaves(v, (*path, k))] or [path]
 
 
+def json_keys(d, path=()):
+    """The path to each key of each JSON object in d, at any depth."""
+    items = d.items() if isinstance(d, dict) else enumerate(d) if isinstance(d, list) else ()
+    own = [(*path, k) for k in d] if isinstance(d, dict) else []
+    return own + [key for k, v in items for key in json_keys(v, (*path, k))]
+
+
 @st.composite
 def fuzz_cases(draw):
-    """(command, JSON leaf edits, option value edits): one or two of either."""
+    """(command, JSON leaf edits, option value edits): one or two leaf edits,
+    one key deleted at any depth, or one or two option values."""
     name = draw(st.sampled_from(sorted(FUZZ_RUNS)))
     argv = FUZZ_RUNS[name]
     n = draw(st.integers(1, 2))
     source = fuzz_source(argv)
     if source is not None and draw(st.booleans()):
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(json_keys(readme_inputs()[source])))
+            return name, ((key, DELETE),), ()
         leaves = draw(st.lists(st.sampled_from(json_leaves(readme_inputs()[source])),
                                min_size=n, max_size=n, unique=True))
         return name, tuple((leaf, draw(st.sampled_from(LEAF_VALUES))) for leaf in leaves), ()
@@ -788,7 +849,11 @@ def run_mutated(case, root: Path):
         d = json.loads(json.dumps(readme_inputs()[source]))
         for path, value in leaf_edits:
             *head, last = path
-            functools.reduce(lambda node, key: node[key], head, d)[last] = value
+            node = functools.reduce(lambda node, key: node[key], head, d)
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
         files[source] = root / f"{source}.json"
         files[source].write_text(json.dumps(d))
     out, err = io.StringIO(), io.StringIO()
@@ -813,6 +878,8 @@ def run_mutated(case, root: Path):
 @example(case=("eta-minus", (), ((2, "1e-308"),)))
 # a closure that checked the atom bound once per step of g ran without end here
 @example(case=("ks", (), ((5, "1e308"),)))
+# a deleted key reaches the CLI's own guards
+@example(case=("spectrum", ((("meta", "H"), DELETE),), ()))
 def test_mutated_readme_lines_keep_the_exit_contract(case):
     with tempfile.TemporaryDirectory() as root:
         code, out, err, seconds = run_mutated(case, Path(root))

@@ -13,7 +13,7 @@ from crystalsum.dbspace import (
 )
 from crystalsum.freqalg import EvalRangeError, FreqBasis, sine
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, split_AB
-from probes import e1_transform, monomial
+from probes import cosine, e1_transform, monomial
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
@@ -104,6 +104,13 @@ def test_series_tail_near_the_window_edge_is_the_stated_bound():
         assert kernel_series(ctx, x + 1j, 1j)[1] == math.inf
 
 
+def test_series_on_an_empty_window_is_zero_with_no_bound():
+    # B = cos(pi z) has no root in [-1/4, 1/4]
+    ctx = kernel_context(ks_from_Q(cosine(HALF, (1,))), 0.25)
+    assert ctx.gammas.size == 0
+    assert kernel_series(ctx, 0.1 + 1j, 1j) == (0j, math.inf)
+
+
 @pytest.mark.parametrize("w, z", [(1e300 + 1j, 1e300 + 1j), (-1e300 + 1j, 1e300 - 1j),
                                   (1e160 + 2j, 1e160 + 2j)])
 def test_series_far_beyond_the_window_has_no_bound_and_no_overflow(w, z):
@@ -182,7 +189,7 @@ def test_herglotz_bridge():
     # form of the Poisson representation for f = iA/B with the 2pi weights
     from crystalsum.measures import herglotz_kernel_residual, measure_from_phase
     H = ks_from_Q(sine(HALF, (1,)))
-    mu = measure_from_phase(H, 0.0, (-800.5, 800.5))
+    mu = measure_from_phase(H, (-800.5, 800.5))
     f = lambda zz: 1j * H.A.eval(zz) / H.B.eval(zz)
     assert herglotz_kernel_residual(mu, f, 1j, 0.5 + 1.5j) <= 5e-3
 

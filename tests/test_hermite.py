@@ -17,7 +17,6 @@ from crystalsum.hermite import (
     is_hermite_biehler,
     ks_from_Q,
     leeyang_real_form,
-    leeyang_trigpoly,
     real_root_scan,
     scan_step,
     split_AB,
@@ -64,6 +63,13 @@ def test_accepts_decaying_plane_wave():
     assert v.accepted
     assert v.certificate.margin_modulus > 0
     assert v.certificate.margin_herglotz > 0
+
+
+def test_rejects_the_empty_sum():
+    v = is_hermite_biehler(ExpSum(UNIT))
+    assert not v.accepted and v.reason == "empty sum" and v.witness is None
+    with pytest.raises(HermiteBiehlerError, match="empty sum$"):
+        HermiteBiehler.validate(ExpSum(UNIT))
 
 
 def test_rejects_growing_plane_wave():
@@ -228,6 +234,20 @@ def test_validation_exponentiates_the_axes_not_the_rectangle(monkeypatch):
     assert sum(calls) <= len(E.basis.base) * (400 + 50 + 400)
 
 
+@pytest.mark.parametrize("B, match", [
+    (ExpSum(HALF), "identically zero"),
+    (monomial(HALF, (1,)), "real on R"),
+], ids=["zero", "not_real_on_R"])
+def test_root_scan_rejects_what_it_cannot_scan(B, match):
+    with pytest.raises(RootFindingError, match=match):
+        real_root_scan(B, (-1.0, 1.0))
+
+
+def test_root_scan_of_a_monomial_finds_no_root():
+    # a nonzero constant is the one star-fixed monomial, and never vanishes
+    assert real_root_scan(monomial(HALF, (0,), 2.5), (-1.0, 1.0)).roots.size == 0
+
+
 def test_real_roots_sine():
     roots = real_root_scan(sine(HALF, (1,)), (-2.5, 2.5)).roots
     assert np.allclose(roots, [-2, -1, 0, 1, 2], atol=1e-11)
@@ -348,11 +368,26 @@ def test_interlacing_of_A_and_B_roots():
     assert all(a != b for a, b in zip(labels, labels[1:]))
 
 
+def assert_leeyang_identity(U, lengths, basis, zs):
+    """Q(z) e^{i arg(det U)/2} e^{pi i L z} = det(U + diag(e^{2 pi i l_j z})) at zs."""
+    U = np.asarray(U, dtype=complex)
+    Q = leeyang_real_form(U, lengths, basis)
+    ls = np.array([basis.value(v) for v in lengths])
+    c = cmath.exp(0.5j * cmath.phase(np.linalg.det(U)))
+    for z in zs:
+        det = np.linalg.det(U + np.diag(np.exp(2j * math.pi * ls * z)))
+        got = complex(Q.eval(z)) * c * cmath.exp(1j * math.pi * ls.sum() * z)
+        assert abs(got - det) <= 1e-12 * (1 + abs(det))
+    return Q
+
+
 def test_leeyang_one_by_one():
-    P = leeyang_trigpoly(np.array([[-1.0]]), [(1,)], UNIT)
-    assert P.terms == {(0,): -1 + 0j, (1,): 1 + 0j}
-    roots = real_root_scan(leeyang_real_form(np.array([[-1.0]]), [(1,)], UNIT),
-                           (-2.2, 2.2)).roots
+    zs = [0.0, 0.3, -1.7, 0.25 + 0.5j, -2.0 + 1.0j]
+    Q = assert_leeyang_identity(np.array([[-1.0]]), [(1,)], UNIT, zs)
+    # det(-1 + e^{2 pi i z}) normalized is 2 sin(pi z) = i e^{-pi i z} - i e^{pi i z}
+    assert Q.basis == FreqBasis((1.0,), 2) and set(Q.terms) == {(-1,), (1,)}
+    assert Q.terms[(1,)] == pytest.approx(-1j, abs=1e-15)
+    roots = real_root_scan(Q, (-2.2, 2.2)).roots
     assert np.allclose(roots, [-2, -1, 0, 1, 2], atol=1e-11)
     roots = real_root_scan(leeyang_real_form(np.array([[1.0]]), [(1,)], UNIT),
                            (-2.2, 2.2)).roots
@@ -360,21 +395,28 @@ def test_leeyang_one_by_one():
 
 
 def test_leeyang_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        leeyang_trigpoly(np.array([[1.0, 0.1], [0.0, 1.0]]), [(1, 0), (0, 1)],
-                         FreqBasis((1.0, math.sqrt(2))))
+    with pytest.raises(ValueError, match="not unitary"):
+        leeyang_real_form(np.array([[1.0, 0.1], [0.0, 1.0]]), [(1, 0), (0, 1)],
+                          FreqBasis((1.0, math.sqrt(2))))
+
+
+@pytest.mark.parametrize("U, lengths, match", [
+    (np.eye(2)[:1], [(1, 0), (0, 1)], "square"),
+    (np.eye(2), [(1, 0)], "one length per"),
+    (np.eye(2), [(1, 0), (0, -1)], "positive"),
+], ids=["not_square", "length_count", "nonpositive_length"])
+def test_leeyang_rejects_invalid_input(U, lengths, match):
+    with pytest.raises(ValueError, match=match):
+        leeyang_real_form(U, lengths, FreqBasis((1.0, math.sqrt(2))))
 
 
 def test_leeyang_diagonal_reduces_to_product():
-    basis = FreqBasis((1.0, math.sqrt(2)))
-    u1, u2 = np.exp(0.3j), np.exp(-1.1j)
-    U = np.diag([u1, u2])
-    P = leeyang_trigpoly(U, [(1, 0), (0, 1)], basis)
-    direct = ((monomial(basis, (1, 0)) + u1 * 1.0)
-              * (monomial(basis, (0, 1)) + u2 * 1.0))
-    assert set(P.terms) == set(direct.terms)
-    for v, c in direct.terms.items():
-        assert P.terms[v] == pytest.approx(c, abs=1e-12)
+    # det(diag(u_j + e^{2 pi i l_j z})) is the product of its two factors:
+    # four terms, at (+-l_1 +- l_2)/2
+    U = np.diag([np.exp(0.3j), np.exp(-1.1j)])
+    Q = assert_leeyang_identity(U, [(1, 0), (0, 1)], FreqBasis((1.0, math.sqrt(2))),
+                                [0.0, 0.7, -3.1, 0.4 + 0.3j, 1.9 + 1.2j])
+    assert set(Q.terms) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_leeyang_rotation_is_real_rooted():
@@ -401,10 +443,19 @@ def test_ks_roots_coincide_with_Q_roots():
 
 
 def test_rotated_split():
+    # e^{i a} E is Hermite-Biehler with A_a = A cos a + B sin a, B_a = B cos a - A sin a
     H = poisson_E()
-    A0, B0 = H.rotated(0.0)
+    A0, B0 = split_AB(H.E)
     assert A0.terms == H.A.terms and B0.terms == H.B.terms
-    A90, B90 = H.rotated(math.pi / 2)
+    for a in (math.pi / 8, math.pi / 2, 2.0):
+        Ha = HermiteBiehler.validate(cmath.exp(1j * a) * H.E)
+        want_A = H.A * math.cos(a) + H.B * math.sin(a)
+        want_B = H.B * math.cos(a) - H.A * math.sin(a)
+        for got, want in ((Ha.A, want_A), (Ha.B, want_B)):
+            assert set(got.terms) <= set(want.terms)
+            for v, c in want.terms.items():
+                assert got.terms.get(v, 0j) == pytest.approx(c, abs=1e-12)
+    B90 = HermiteBiehler.validate(1j * H.E).B
     # B_{pi/2} = -A: its roots are the roots of A (half-integers here)
     rb90 = real_root_scan(B90, (-2.2, 2.2)).roots
     ra = real_root_scan(H.A, (-2.2, 2.2)).roots

@@ -22,6 +22,7 @@ from crystalsum.measures import (
     herglotz_tail_bound,
     measure_from_phase,
     pair_from_hb,
+    phase_points,
     window_tail,
 )
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct
@@ -119,7 +120,7 @@ def test_window_must_cover():
 
 
 def test_measure_from_phase_poisson():
-    mu = measure_from_phase(poisson_H(), 0.0, (-5.5, 5.5))
+    mu = measure_from_phase(poisson_H(), (-5.5, 5.5))
     assert np.allclose(mu.positions(), np.arange(-5, 6), atol=1e-10)
     assert np.allclose(mu.weights().real, 2 * math.pi, rtol=1e-10)
     assert mu.nonneg
@@ -127,12 +128,12 @@ def test_measure_from_phase_poisson():
 
 def test_measure_from_phase_plane_wave():
     H = HermiteBiehler.validate(monomial(UNIT, (-1,)))
-    mu = measure_from_phase(H, 0.0, (-2.2, 2.2))
+    mu = measure_from_phase(H, (-2.2, 2.2))
     # B = sin(2 pi z): atoms on Z/2 with phi' = 2 pi, weight 1
     assert np.allclose(mu.positions(), np.arange(-4, 5) / 2, atol=1e-11)
     assert np.allclose(mu.weights().real, 1.0, rtol=1e-10)
-    # alpha = pi/2 shifts to the zeros of cos(2 pi z)
-    mu2 = measure_from_phase(H, math.pi / 2, (-1.3, 1.3))
+    # the rotation iE shifts them to the zeros of cos(2 pi z)
+    mu2 = measure_from_phase(HermiteBiehler.validate(1j * H.E), (-1.3, 1.3))
     assert np.allclose(mu2.positions(),
                        [-1.25, -0.75, -0.25, 0.25, 0.75, 1.25], atol=1e-11)
 
@@ -143,12 +144,19 @@ def test_measure_from_phase_rejects_double_roots():
     squared = Q * Q
     fake = HermiteBiehler(H.E, H.A, squared, H.certificate)
     with pytest.raises(RootFindingError):
-        measure_from_phase(fake, 0.0, (-2.5, 2.5))
+        measure_from_phase(fake, (-2.5, 2.5))
+
+
+def test_phase_points_reject_a_nonpositive_residue_weight():
+    H = poisson_H()
+    flipped = HermiteBiehler(H.E, -H.A, H.B, H.certificate)
+    with pytest.raises(RootFindingError, match="nonpositive residue weight"):
+        phase_points(flipped, (-2.5, 2.5))
 
 
 def test_pair_from_hb_poisson():
     pair = pair_from_hb(poisson_H(), 10.0, (-8.5, 8.5))
-    assert pair.real_antipodal
+    assert pair.meta["real_antipodal"] is True
     assert np.allclose(pair.mu.positions(), np.arange(-8, 9), atol=1e-10)
     assert np.allclose(pair.mu.weights().real, 2 * math.pi, rtol=1e-10)
     assert np.allclose(pair.a.positions(), np.arange(-10, 11), atol=1e-12)
@@ -212,6 +220,18 @@ def test_kernel_residual_constant():
     assert herglotz_kernel_residual(mu, f, 1j, 2j) == 0.0
 
 
+@pytest.mark.parametrize("w, z, match", [
+    (1j, 1.0 - 0.5j, "upper half-plane"),
+    (0.0, 1j, "upper half-plane"),
+    (1e-10 + 1e-10j, 1j, "too close to an atom"),
+    (1j, 1.0 + 5e-10j, "too close to an atom"),
+], ids=["z_below", "w_on_axis", "w_at_atom", "z_at_atom"])
+def test_kernel_residual_rejects_its_points(w, z, match):
+    mu = comb(2 * math.pi, 3)
+    with pytest.raises(ValueError, match=match):
+        herglotz_kernel_residual(mu, lambda t: 1j / t, w, z)
+
+
 def test_kernel_residual_poisson_within_tail():
     mu = comb(2 * math.pi, 1000)
     f = lambda z: 1j * math.pi / np.tan(math.pi * z)
@@ -269,14 +289,14 @@ def test_herglotz_tail_bound_is_the_truncation_within_thirty_percent(H):
     # to N plus the remainder of the atoms' mean mass per unit length m,
     # integral_{|t|>N} m/(2 pi (1+t^2)) dt = m (pi/2 - atan N)/pi
     N = 4000.5
-    far = measure_from_phase(H, 0.0, (-N, N))
+    far = measure_from_phase(H, (-N, N))
     g, w = far.positions(), far.weights().real
     m = w.sum() / (2 * N)
     remainder = m * (math.pi / 2 - math.atan(N)) / math.pi
     for X in (16.5, 60.5, 200.5):
         out = np.abs(g) > X
         truth = np.sum(w[out] / (1 + g[out] ** 2)) / (2 * math.pi) + remainder
-        bound = herglotz_tail_bound(measure_from_phase(H, 0.0, (-X, X)), 1j, 1j)
+        bound = herglotz_tail_bound(measure_from_phase(H, (-X, X)), 1j, 1j)
         assert truth <= bound <= 1.3 * truth
 
 
@@ -363,6 +383,20 @@ def test_json_round_trip():
     pair = FSPair(mu, mu, {"real_antipodal": False})
     back_pair = FSPair.from_json_dict(pair.to_json_dict())
     assert len(back_pair.mu) == 2
+
+
+@pytest.mark.parametrize("meta, match", [
+    ("x", "JSON object"),
+    ({"real_antipodal": "no"}, "true or false"),
+    ({"real_antipodal": 1}, "true or false"),
+    # the flag is the meta key alone: set, it demands real mu weights
+    ({"real_antipodal": True}, "real mu weights"),
+], ids=["meta_str", "flag_str", "flag_int", "complex_weights"])
+def test_pair_validates_its_meta(meta, match):
+    mu = DiscreteMeasure([0.0, 1.0], [1.0, 1j], (-1, 2))
+    with pytest.raises(ValueError, match=match):
+        FSPair(mu, mu, meta)
+    assert FSPair(mu, mu).meta == {}
 
 
 def test_json_keeps_the_fitted_tail_model():

@@ -40,6 +40,7 @@ def test_expsum_ring_laws(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert f * one == f and f + zero == f
     assert f - f == zero
+    assert f - 2 == f + ExpSum(BASIS, {(0, 0): -2}) and 2 - f == -f + 2 * one
 
 
 @given(expsums, expsums)

@@ -12,6 +12,7 @@ from crystalsum.qmodular import (
     chi12,
     eta_product,
     family_l,
+    family_spec,
     fminus,
     fplus,
     lambda_invariant,
@@ -198,6 +199,26 @@ def test_spec_derives_b_and_k():
     assert (guinand.b, guinand.k) == (9, 1)           # 24k/b = 8/3
     poisson = EtaProductSpec(4, {1: -2, 2: 5, 4: -2})
     assert (poisson.b, poisson.k) == (1, 0)
+
+
+@pytest.mark.parametrize("r, orders", [
+    ({1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)}, {1: F(1, 9), 2: F(1, 36), 4: F(1, 9)}),
+    ({1: -2, 2: 5, 4: -2}, {1: 0, 2: F(1, 4), 4: 0}),
+    ({1: 1, 2: -1, 4: 1}, {1: F(1, 8), 2: 0, 4: F(1, 8)}),
+    ({1: 2, 2: -3, 4: 2}, {1: F(1, 6), 2: F(-1, 12), 4: F(1, 6)}),
+    ({1: 3, 2: -5, 4: 3}, {1: F(5, 24), 2: F(-1, 6), 4: F(5, 24)}),
+], ids=["guinand", "theta_quotient", "family_1", "family_2", "family_3"])
+def test_cusp_orders_by_ligozat(r, orders):
+    got = EtaProductSpec(4, r).cusp_orders()
+    assert got == orders and all(type(o) is F for o in got.values())
+
+
+def test_family_cusp_orders_are_nonnegative_only_up_to_l_1():
+    # (2+l)/24 at the cusps 1 and 1/4 (0 and infinity), (1-l)/12 at 1/2
+    for l in (-2, F(-1, 2), F(2, 3), 1, F(3, 2), 2, 3):
+        orders, l = family_spec(l).cusp_orders(), F(l)
+        assert orders == {1: (2 + l) / 24, 2: (1 - l) / 12, 4: (2 + l) / 24}
+        assert (min(orders.values()) >= 0) == (l <= 1)
 
 
 def test_eta_product_poisson_is_theta():

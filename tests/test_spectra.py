@@ -214,9 +214,16 @@ def test_exact_spectrum_min_freq_mismatch():
         exact_spectrum(bad, 4.0)
 
 
+def test_exact_spectrum_zero_B():
+    H = poisson_H()
+    bad = HermiteBiehler(H.E, H.A, H.B * 0.0, H.certificate)
+    with pytest.raises(SpectrumError, match="B is identically zero"):
+        exact_spectrum(bad, 4.0)
+
+
 def test_spectrum_rejects_negative_frequency():
     with pytest.raises(SpectrumError):
-        SpectrumAtoms(UNIT, {(-1,): 1.0}, 1.0)
+        SpectrumAtoms(UNIT, {(-1,): 1.0}, 1.0, {}, [-1.0])
 
 
 def test_mean_value_pure_exponential():
@@ -579,7 +586,7 @@ def test_fejer_reconstruct_degenerate_T():
 
 
 def test_fejer_reconstruct_empty():
-    empty = SpectrumAtoms(UNIT, {}, 0.0)
+    empty = SpectrumAtoms(UNIT, {}, 0.0, {}, [])
     assert fejer_reconstruct(empty, 0.0, 10.0, 1j) == 0.0
 
 
