@@ -198,7 +198,11 @@ def cmd_spectrum(args, prov, tol):
                          "spectrum atoms allowed") from None
     exact = DiscreteMeasure(*spec.sorted_arrays(),
                             (-1e-9, spec.meta["requested_cutoff"] + 1e-9))
-    f = lambda z: 1j * H.A.eval(z) / H.B.eval(z)
+    def f(z):  # iA/B in A's array: no chunk-size temporary beyond B's
+        v = H.A.eval(z)
+        v /= H.B.eval(z)
+        v *= 1j
+        return v
     numeric = mean_value_batch(f, args.lambdas, args.y, args.T)
     rows = [(float(lam), ev.real, ev.imag, nv.real, nv.imag, abs(ev - nv)) for lam, ev, nv
             in zip(args.lambdas, map(exact.weight_at, args.lambdas), numeric)]
@@ -278,7 +282,9 @@ def build_parser():
         prog="crystalsum",
         description="Fourier summation pairs: construction and verification")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="suite RNG seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="gaussian-suite seed of ks and pair-check: a nonnegative "
+                        "integer, seeding Python's random.Random")
     p.add_argument("--tol", type=float, default=None,
                    help="verification tolerance (default 1e-6)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -336,6 +342,8 @@ def main(argv=None) -> int:
     try:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise InputError(f"--tol must be finite and positive, got {args.tol}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be a nonnegative integer, got {args.seed}")
         # an empty suite would pass vacuously
         if not 1 <= getattr(args, "count", 1) <= MAX_COUNT:
             raise InputError(f"--count must be between 1 and {MAX_COUNT}, got {args.count}")

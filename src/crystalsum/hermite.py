@@ -264,6 +264,10 @@ def leeyang_real_form(U, length_vecs, basis: FreqBasis) -> ExpSum:
         raise ValueError("U must be square")
     if n != len(length_vecs):
         raise ValueError("need one length per matrix dimension")
+    for v in length_vecs:
+        if len(v) != len(basis.base):
+            raise ValueError(f"length vector {tuple(v)} has {len(v)} entries, "
+                             f"but the basis has rank {len(basis.base)}")
     err = np.max(np.abs(np.einsum("ki,kj->ij", U.conj(), U) - np.eye(n)))
     if err > 1e-10:
         raise ValueError(f"U is not unitary (defect {err:.3g})")

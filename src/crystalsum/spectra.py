@@ -204,7 +204,16 @@ def exact_spectrum(H: HermiteBiehler, cutoff) -> SpectrumAtoms:
     return SpectrumAtoms(B.basis, atoms, y_valid, meta, values)
 
 
-_NODES = 8  # Gauss-Legendre nodes per panel of mean_value_batch
+# the 8-node Gauss-Legendre rule on [-1, 1] of each panel of mean_value_batch:
+# its positive nodes and their weights, mirrored.  numpy's leggauss(8) is
+# exactly symmetric, so these are its bits, with no import of its polynomial package
+_GL_HALF_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+                  0.9602898564975362)
+_GL_HALF_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+                    0.10122853629037706)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+_NODES = len(_GL_NODES)
 
 
 def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
@@ -272,17 +281,16 @@ def mean_value_batch(f, lambdas, y, T, taper="fejer", panel_width=0.25):
     n_panels = max(int(math.ceil(2 * T / panel_width)), 1)
     w_eff = 2 * T / n_panels
     half = 0.5 * w_eff
-    xi, wi = np.polynomial.legendre.leggauss(_NODES)
     norm = T if taper == "fejer" else 2.0 * T
     step = max(CHUNK_POINTS // _NODES, 1)
     row_panels = GRID_BLOCK // _NODES
-    offsets = ((w_eff * np.arange(row_panels))[:, None] + half * xi[None, :]).ravel()
+    offsets = ((w_eff * np.arange(row_panels))[:, None] + half * _GL_NODES[None, :]).ravel()
     row_starts = w_eff * row_panels * np.arange(-(-step // row_panels))
     # BLAS gets two products, freqalg's grid contraction and this row projection,
     # both real (a zgemm threads far sooner) and cut by real_matmul below
     # OpenBLAS's threading floor.  node_table: Gauss-weighted conjugate phases
     node_table = real_table(np.exp(-2j * np.pi * np.outer(offsets, lam))
-                            * np.tile(half * wi, row_panels)[:, None])
+                            * np.tile(half * _GL_WEIGHTS, row_panels)[:, None])
     row_phase = np.exp(-2j * np.pi * np.outer(row_starts, lam))
     rows_T, offsets_T = row_starts / T, offsets / T
     taper_w = np.ones((row_starts.size, offsets.size))

@@ -18,6 +18,7 @@ atoms, neither pass nor fail would be honest.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,17 @@ def gaussian_ft(tf: TestFunction, xi) -> complex:
     return out if np.ndim(xi) else complex(out)
 
 
+# the 12-node Gauss-Legendre rule on [-1, 1] of each panel of bump_ft: its
+# positive nodes and their weights, mirrored.  numpy's leggauss(12) is exactly
+# symmetric, so these are its bits, with no import of its polynomial package
+_GL_HALF_NODES = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                  0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_GL_HALF_WEIGHTS = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+
+
 def bump_ft(tf: TestFunction, xi, tol: float = 1e-10):
     """Quadrature transform of a bump: (value, error bound).
 
@@ -138,7 +150,6 @@ def bump_ft(tf: TestFunction, xi, tol: float = 1e-10):
         raise ValueError("tolerance must be positive")
     a = tf.center - tf.halfwidth
     b = tf.center + tf.halfwidth
-    nodes, weights = np.polynomial.legendre.leggauss(12)
     freqs = np.asarray(xi, dtype=float)
     flat = freqs.ravel()
 
@@ -146,9 +157,9 @@ def bump_ft(tf: TestFunction, xi, tol: float = 1e-10):
         edges = np.linspace(a, b, n_panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        T = (mids[:, None] + half * nodes[None, :]).ravel()
-        W = np.broadcast_to(half * weights[None, :],
-                            (n_panels, 12)).ravel()
+        T = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
+        W = np.broadcast_to(half * _GL_WEIGHTS[None, :],
+                            (n_panels, _GL_NODES.size)).ravel()
         f = tf.eval(T)
         return np.array([np.sum(W * (f * np.exp(-2j * np.pi * T * x)))
                          for x in flat[idx]], dtype=complex)
@@ -264,12 +275,21 @@ _SUITE_SHIFT = (-2.0, 2.0)  # range of the shift x0 in gaussian_suite
 
 
 def gaussian_suite(count: int = 10, seed: int = 0):
-    """Deterministic suite of pure-decay gaussians with random shifts."""
-    rng = np.random.default_rng(seed)
+    """Deterministic suite of pure-decay gaussians with random shifts.
+
+    Each gaussian draws Im z from _SUITE_Y, then its shift x0 from
+    _SUITE_SHIFT, from the standard library's random.Random(seed).  Python
+    keeps that stream fixed for an integer seed, so the suite does not
+    depend on the numpy version.  The seed must be nonnegative (Random
+    would seed -s as s).
+    """
+    if seed < 0:
+        raise ValueError(f"the suite seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
-        y = float(rng.uniform(*_SUITE_Y))
-        x0 = float(rng.uniform(*_SUITE_SHIFT))
+        y = rng.uniform(*_SUITE_Y)
+        x0 = rng.uniform(*_SUITE_SHIFT)
         out.append(TestFunction("gaussian", z=1j * y, x0=x0))
     return out
 

@@ -83,6 +83,14 @@ def test_reproducibility_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_a_seed_beyond_64_bits_runs_and_is_echoed(tmp_path):
+    qfile = write_sin_pi_z(tmp_path / "q.json")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--seed", str(2 ** 70), "ks", qfile, "--cutoff", "8",
+                 "--window", "-8.5", "8.5", "--count", "2"]) == 0
+    assert json.loads((out / "report.json").read_text())["provenance"]["seed"] == 2 ** 70
+
+
 def test_eta_guinand_csv_and_reports(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(GUINAND_SPEC))
@@ -385,6 +393,10 @@ GUARD_ERRORS = {
                             "(expected an H JSON or a pair JSON with meta.H)\n",
     ("selfdual", "{measure_unsigned}"): "error: measure JSON carries no dual_sign tag\n",
     ("eta",): "error: eta needs --spec-json or --family-l\n",
+    # random.Random would seed -1 as 1
+    ("--seed", "-1", "ks", "{q}"): "error: --seed must be a nonnegative integer, got -1\n",
+    ("--seed", "-1", "pair-check", "{pair}"):
+        "error: --seed must be a nonnegative integer, got -1\n",
 }
 
 

@@ -404,7 +404,11 @@ def test_leeyang_rejects_non_unitary():
     (np.eye(2)[:1], [(1, 0), (0, 1)], "square"),
     (np.eye(2), [(1, 0)], "one length per"),
     (np.eye(2), [(1, 0), (0, -1)], "positive"),
-], ids=["not_square", "length_count", "nonpositive_length"])
+    # zip would drop the 5, or a missing entry would surface only in ExpSum
+    (np.eye(2), [(1, 0, 5), (0, 1)], r"\(1, 0, 5\) has 3 entries, but the basis has rank 2"),
+    (np.eye(2), [(1, 0), (1,)], r"\(1,\) has 1 entries, but the basis has rank 2"),
+], ids=["not_square", "length_count", "nonpositive_length", "length_vector_too_long",
+        "length_vector_too_short"])
 def test_leeyang_rejects_invalid_input(U, lengths, match):
     with pytest.raises(ValueError, match=match):
         leeyang_real_form(U, lengths, FreqBasis((1.0, math.sqrt(2))))

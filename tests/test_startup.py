@@ -65,3 +65,31 @@ print('numpy.ma' in sys.modules)
     proc = run_fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_readme_commands_load_no_numpy_random_or_polynomial(tmp_path):
+    # a 20-draw suite and two fixed quadrature rules need neither package,
+    # which cost a README child about 5 MB of resident memory
+    code = """
+import json, os, sys
+from crystalsum.cli import main
+os.chdir(sys.argv[1])
+with open("q.json", "w") as fh:
+    json.dump({"basis": [0.5], "denominator": 1,
+               "terms": [{"k": [1], "c": [0.0, -0.5]}, {"k": [-1], "c": [0.0, 0.5]}]}, fh)
+with open("guinand.json", "w") as fh:
+    json.dump({"N": 4, "r": {"1": "2/3", "2": "-1/3", "4": "2/3"}}, fh)
+for line in (
+        "--out run --tol 1e-9 ks q.json --cutoff 16 --window -16.5 16.5",
+        "--out run-eta eta --spec-json guinand.json --order 300",
+        "--out run-minus eta --family-l 1 --order 200 --minus",
+        "--out run-spec spectrum run/pair.json --lambdas 0 1 2 3 --y 0.3 --T 2000",
+        "--out run-ker kernel run/pair.json --points 0,1 1,2 --R 200",
+        "--out run-sd selfdual run-eta/measure.json --ys 0.5 1 2",
+        "--out run-pc pair-check run/pair.json --count 10"):
+    assert main(line.split()) == 0, line
+print(sorted({"numpy.random", "numpy.polynomial"} & set(sys.modules)))
+"""
+    proc = run_fresh("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -4,12 +4,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from crystalsum import spectra, verifier
 from crystalsum.freqalg import FreqBasis, sine
 from crystalsum.hermite import ks_from_Q
 from crystalsum.measures import DiscreteMeasure, FSPair, pair_from_hb
 from crystalsum.qmodular import EtaProductSpec, family_l, fplus
 from crystalsum.selfdual import selfdual_measure
 from crystalsum.verifier import (
+    _SUITE_SHIFT,
+    _SUITE_Y,
     TestFunction,
     VerificationReport,
     bump_ft,
@@ -286,3 +289,22 @@ def test_gaussian_suite_deterministic():
     for t in s1:
         assert 0.5 <= complex(t.z).imag <= 3.0
         assert -2.0 <= t.x0 <= 2.0
+    draws = {seed: [(complex(t.z), t.x0) for t in gaussian_suite(20, seed=seed)]
+             for seed in (0, 1)}
+    for pairs in draws.values():
+        assert all(z.real == 0 and _SUITE_Y[0] <= z.imag <= _SUITE_Y[1]
+                   and _SUITE_SHIFT[0] <= x0 <= _SUITE_SHIFT[1] for z, x0 in pairs)
+    assert draws[0] == [(complex(t.z), t.x0) for t in gaussian_suite(20, seed=0)]
+    assert draws[0] != draws[1]
+    # Im z then x0, each from random.Random(0): its first two uniforms
+    # 0.8444218515250481 and 0.7579544029403025, which Python keeps fixed for an int seed
+    assert draws[0][0] == (2.6110546288126204j, 1.03181761176121)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gaussian_suite(1, seed=-1)
+
+
+@pytest.mark.parametrize("module, n", [(spectra, 8), (verifier, 12)])
+def test_gauss_legendre_tables_are_numpys_bit_for_bit(module, n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert module._GL_NODES.tobytes() == nodes.tobytes()
+    assert module._GL_WEIGHTS.tobytes() == weights.tobytes()
