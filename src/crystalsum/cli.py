@@ -46,6 +46,9 @@ MAX_COUNT = 10 ** 4
 MAX_SCAN_GRID_POINTS = 4 * 10 ** 6
 # heights Im z of the gaussians eta checks its measure with, and selfdual's default --ys
 SUITE_HEIGHTS = (0.5, 1.0, 2.0)
+# heights y of eta's functional-equation residuals at z = iy; not 1: z = i is fixed
+# by z -> -1/z, so there a plus-family residual is 0 whatever the coefficients
+FE_HEIGHTS = (1.25, 1.5)
 
 
 def _provenance(args):
@@ -123,25 +126,13 @@ def cmd_ks(args, prov, tol):
             "report.json": report}, ok
 
 
-def _load_eta_spec(path) -> EtaProductSpec:
-    d = _load_json(path)
-    try:
-        N, r = d["N"], d["r"]
-        if not isinstance(r, dict):
-            raise TypeError(f"r must be a JSON object, got {type(r).__name__}")
-        if type(N) is not int:
-            raise ValueError(f"N must be a JSON integer, got {N!r}")
-        return EtaProductSpec(N, {int(k): to_fraction(v) for k, v in r.items()})
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"invalid eta-product spec: {e}") from None
-
-
 def cmd_eta(args, prov, tol):
     order = to_fraction(args.order)
     if args.family_l is not None:
         spec = family_spec(args.family_l)
     elif args.spec_json is not None:
-        spec = _load_eta_spec(args.spec_json)
+        spec = _read(EtaProductSpec.from_json_dict, _load_json(args.spec_json),
+                     "eta-product spec")
     else:
         raise InputError("eta needs --spec-json or --family-l")
     # past a negative order the coefficients, and so the weights, grow like
@@ -167,7 +158,7 @@ def cmd_eta(args, prov, tol):
     m = selfdual_measure(series, tuple(args.window))
     suite = [TestFunction("gaussian", z=1j * y) for y in SUITE_HEIGHTS]
     fe = {}
-    for y in (1.0, 1.25):
+    for y in FE_HEIGHTS:
         try:
             fe[str(y)] = functional_equation_residual(series, 1j * y, tail_cap=tol)
         except ValueError as e:

@@ -142,10 +142,13 @@ class DiscreteMeasure:
     first position and its first non-null tag (tags are carried, never
     compared), and a lone atom keeps its weight bit for bit.  Groups whose
     summed weight is zero are dropped.  The stored `x`, `w` are read-only
-    and `prov` is a tuple.
+    and `prov` is a tuple.  The window is finite, lo < hi, and holds every atom.
     """
 
     def __init__(self, x, w, window, prov=None, nonneg=False, dual_sign=None):
+        lo, hi = float(window[0]), float(window[1])
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"window must be a finite interval lo < hi, got ({lo}, {hi})")
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=complex)
         tags = np.full(x.shape, None, object) if prov is None \
@@ -170,9 +173,8 @@ class DiscreteMeasure:
         self.x, self.w = x[head][keep], merged[keep]
         self.x.flags.writeable = self.w.flags.writeable = False
         self.prov = tuple(kept_tags[keep])
-        self.window = (float(window[0]), float(window[1]))
-        if self.x.size and not (self.window[0] <= self.x[0]
-                                and self.x[-1] <= self.window[1]):
+        self.window = (lo, hi)
+        if self.x.size and not (lo <= self.x[0] and self.x[-1] <= hi):
             raise ValueError("window does not cover the atom support")
         self.nonneg = bool(nonneg)
         if self.nonneg:
@@ -236,8 +238,6 @@ class DiscreteMeasure:
         if not (sign is None or type(sign) is int and sign in (1, -1)):
             raise ValueError(f"dual_sign must be 1, -1 or null, got {sign!r}")
         lo, hi = map(number, d["window"])
-        if not lo < hi:
-            raise ValueError(f"window must have lo < hi, got {[lo, hi]}")
         return cls(x, w, (lo, hi), [tag(rec) for rec in atoms],
                    d.get("nonneg", False), sign)
 

@@ -22,7 +22,6 @@ coefficient of w from the earlier ones by an exact integer division.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -443,9 +442,11 @@ class EtaProductSpec:
     k: int = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.N <= MAX_LEVEL:
+        if type(self.N) is not int or not 1 <= self.N <= MAX_LEVEL:
             raise ValueError(f"level N must be an integer from 1 to {MAX_LEVEL:,}, "
-                             f"got {self.N}")
+                             f"got {self.N!r}")
+        if not isinstance(self.r, dict) or not all(type(d) in (int, str) for d in self.r):
+            raise ValueError(f"exponents r must be a dict keyed by integers, got {self.r!r:.60}")
         divs = _divisors(self.N)
         r = {int(d): to_fraction(v) for d, v in self.r.items()}
         bad = [d for d in r if d not in divs]
@@ -491,6 +492,10 @@ class EtaProductSpec:
                 "r": {str(d): str(v) for d, v in sorted(self.r.items())},
                 "b": self.b, "k": self.k}
 
+    @classmethod
+    def from_json_dict(cls, d):
+        return cls(d["N"], d["r"])  # b and k are derived, never read
+
 
 def eta_product(spec: EtaProductSpec, order) -> QSeries:
     """Exact expansion of prod_{d|N} eta(d z)^{r_d} below the given order.
@@ -531,7 +536,8 @@ class SelfDualSeries:
     `series` is F in the variable q^{1/sqrt(N)}, on a lattice whose lead
     and unit are integers once multiplied by `denom`, so each term sits at
     an integer n.  `sign` records the functional-equation parity:
-    sqrt(i/z) F(-1/z) = sign * F(z).
+    sqrt(i/z) F(-1/z) = sign * F(z).  The series stays exact here;
+    `selfdual` reads it in floats.
     """
 
     series: QSeries
@@ -549,50 +555,6 @@ class SelfDualSeries:
         """Coefficients by lattice index j from the lead (all of them, or count), exact."""
         c = self.series.coeffs
         return list(c) if count is None else (c + [_QQ_ZERO] * count)[:count]
-
-    def evaluate(self, z) -> complex:
-        """Truncated numeric value sum alpha_n e^{2 pi i z gamma_n}, Im z > 0."""
-        scale = 2j * math.pi / (self.denom * math.sqrt(self.N))
-        total = 0j
-        for n, c in self.entries:
-            total += float(c) * cmath.exp(scale * n * z)
-        return total
-
-    def tail_bound(self, z) -> float:
-        """Geometric bound on the truncation tail of evaluate() at z.
-
-        The per-index coefficient growth is estimated from block maxima of
-        the last stored entries (individual ratios are useless when a
-        coefficient happens to be near zero), padded by 10%, and combined
-        with the nome modulus per index step.  Returns inf when the ratio
-        test fails at this height, or when the bound leaves double range.
-        """
-        y = complex(z).imag
-        if y <= 0:
-            raise ValueError("tail bound requires Im z > 0")
-        if len(self.entries) < 4:
-            return 0.0
-        block = self.entries[-40:]
-        half = len(block) // 2
-        m1 = max(abs(float(c)) for _, c in block[:half])
-        m2 = max(abs(float(c)) for _, c in block[half:])
-        n1 = block[half // 2][0]
-        n2 = block[half + half // 2][0]
-        if m1 > 0 and n2 > n1:
-            growth = max((m2 / m1) ** (1.0 / (n2 - n1)), 1.0)
-        else:
-            growth = 1.0
-        growth *= 1.1
-        log_rho1 = -2 * math.pi * y / (self.denom * math.sqrt(self.N))
-        q_eff = math.exp(log_rho1) * growth
-        if q_eff >= 1.0:
-            return math.inf
-        n_last = self.entries[-1][0]
-        # m2 growth^(n_last - n2) rho1^n_last, in log space: across the gaps
-        # of a sparse series one factor overflows while the other underflows
-        log_lead = math.log(m2) + max(n_last - n2, 0) * math.log(growth) + n_last * log_rho1
-        lead = math.exp(log_lead) if log_lead < 709.0 else math.inf
-        return lead * q_eff / (1.0 - q_eff)
 
 
 def fplus(spec: EtaProductSpec, order) -> SelfDualSeries:

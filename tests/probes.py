@@ -7,8 +7,10 @@ positive phase derivative (criterion 12), at most two hits of sqrt(c + n)
 on a progression for irrational c (criterion 13), quadratic decay of mu,
 the Fejer-tapered kernel identity and the invariance of the kernel under
 E -> E1.  The exact-series readers below (a coefficient, a monomial
-shift, JSON forms) serve the tests of `qmodular` and `spectra`.  Nothing
-in the library calls them.  The file name keeps pytest from collecting it.
+shift, JSON forms) serve the tests of `qmodular` and `spectra`, and the
+canonical Hermite-Biehler inputs (Poisson, Lee-Yang) every test module
+that needs them.  Nothing in the library calls them.  The file name keeps
+pytest from collecting it.
 """
 
 import math
@@ -17,11 +19,30 @@ from fractions import Fraction
 import numpy as np
 
 from crystalsum.dbspace import KernelContext
-from crystalsum.freqalg import ExpSum, _vec_neg
-from crystalsum.hermite import HermiteBiehler
+from crystalsum.freqalg import ExpSum, FreqBasis, _vec_neg, sine
+from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
 from crystalsum.measures import DiscreteMeasure, FSPair, herglotz_tail_bound
 from crystalsum.qmodular import QSeries, to_fraction
 from crystalsum.verifier import VerificationReport, _report
+
+
+# -- canonical inputs ---------------------------------------------------------
+
+def poisson_H():
+    """E = Q' - iQ for Q = sin(pi z): pi cos(pi z) - i sin(pi z)."""
+    return ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+
+
+def leeyang_Q(theta=math.pi / 4):
+    """Lee-Yang determinant of the rotation by theta, lengths (1, sqrt2)."""
+    U = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    return leeyang_real_form(U, [(1, 0), (0, 1)], FreqBasis((1.0, math.sqrt(2))))
+
+
+def leeyang_H():
+    """The lift E = Q' - iQ of `leeyang_Q()`."""
+    return ks_from_Q(leeyang_Q())
 
 
 # -- exponential sums ---------------------------------------------------------

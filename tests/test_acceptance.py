@@ -35,12 +35,7 @@ import numpy as np
 
 from crystalsum.dbspace import kernel_closed, kernel_context, kernel_series, sampling_eval
 from crystalsum.freqalg import FreqBasis, sine
-from crystalsum.hermite import (
-    HermiteBiehler,
-    is_hermite_biehler,
-    ks_from_Q,
-    leeyang_real_form,
-)
+from crystalsum.hermite import HermiteBiehler, is_hermite_biehler
 from crystalsum.measures import (
     herglotz_kernel_residual,
     herglotz_tail_bound,
@@ -57,10 +52,9 @@ from crystalsum.qmodular import (
 from crystalsum.selfdual import functional_equation_residual, selfdual_measure
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct, mean_value_batch
 from crystalsum.verifier import TestFunction, check_pair, check_selfdual, gaussian_suite
-from probes import (fit_h, herglotz_eval, monomial, phase_derivative, progression_hits,
-                    qcoefficient)
+from probes import (fit_h, herglotz_eval, leeyang_H, monomial, phase_derivative, poisson_H,
+                    progression_hits, qcoefficient)
 
-HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
 GUINAND = EtaProductSpec(4, {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)})
 POISSON = EtaProductSpec(4, {1: -2, 2: 5, 4: -2})
@@ -73,17 +67,6 @@ def record(n, ok, detail):
     RESULTS.append(line)
     print(line)
     return ok
-
-
-def poisson_H():
-    return ks_from_Q(sine(HALF, (1,)))
-
-
-def leeyang_H():
-    th = math.pi / 4
-    U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    basis = FreqBasis((1.0, math.sqrt(2)))
-    return ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)], basis))
 
 
 def test_criterion_01_guinand_exact():

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from crystalsum import cli, qmodular
 from crystalsum.cli import main
 from crystalsum.freqalg import FreqBasis, sine
-from crystalsum.hermite import ks_from_Q, leeyang_real_form
 from crystalsum.measures import DiscreteMeasure, pair_from_hb
 from crystalsum.qmodular import fplus
 from crystalsum.spectra import exact_spectrum
+from probes import leeyang_H, poisson_H
 
 
 def write_sin_pi_z(path: Path) -> str:
@@ -142,6 +142,48 @@ def test_eta_sparse_series_tail_stays_finite(tmp_path):
     report = json.loads((out / "selfdual_report.json").read_text())
     assert report["all_pass"] is True
     assert all(isinstance(v, float) for v in report["functional_equation_residuals"].values())
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["eta", "--spec-json", "{spec}", "--order", "300"], "fplus"),
+    (["eta", "--family-l", "1", "--order", "200", "--minus"], "fminus"),
+], ids=["guinand-plus", "family-minus"])
+def test_eta_residuals_detect_a_doubled_coefficient(tmp_path, monkeypatch, argv, build):
+    # the README eta commands with the 4th coefficient doubled: every reported
+    # functional-equation residual sees it (at y = 1, the fixed point of
+    # z -> -1/z, the plus family's residual stayed 0)
+    original = getattr(cli, build)
+
+    def doubled(*args):
+        s = original(*args)
+        coeffs = list(s.series.coeffs)
+        coeffs[3] *= 2
+        series = qmodular.QSeries.on_lattice(s.series.lead, s.series.unit, coeffs,
+                                             s.series.order)
+        return qmodular.SelfDualSeries(series, s.denom, s.N, s.sign)
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GUINAND_SPEC))
+    argv = [a.format(spec=spec) for a in argv]
+    residuals = {}
+    for name, patch in (("exact", original), ("doubled", doubled)):
+        monkeypatch.setattr(cli, build, patch)
+        main(["--out", str(tmp_path / name), *argv])
+        report = json.loads((tmp_path / name / "selfdual_report.json").read_text())
+        residuals[name] = report["functional_equation_residuals"]
+    assert set(residuals["exact"]) == {str(y) for y in cli.FE_HEIGHTS}
+    assert all(v < 1e-12 for v in residuals["exact"].values())
+    assert all(v > 1e-12 for v in residuals["doubled"].values())
+
+
+def test_eta_reports_a_series_too_short_for_a_tail_bound_as_inconclusive(tmp_path):
+    # --family-l 1 --order 5 keeps 3 coefficients, too few to bound the tail
+    out = tmp_path / "run"
+    main(["--out", str(out), "eta", "--family-l", "1", "--order", "5"])
+    fe = json.loads((out / "selfdual_report.json").read_text())[
+        "functional_equation_residuals"]
+    assert set(fe) == {str(y) for y in cli.FE_HEIGHTS}
+    assert all(v.startswith("inconclusive: truncation tail inf") for v in fe.values())
 
 
 def test_eta_poisson_theta_csv(tmp_path):
@@ -290,7 +332,7 @@ def test_kernel_within_tail_slack_is_the_tolerance(tmp_path, monkeypatch, tol, c
     # a series residual of 1e-3 (1 + |closed|) with no tail: outside the slack
     # tol (1 + |closed|) at the default 1e-6, inside it at 1e-2
     H = tmp_path / "H.json"
-    H.write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+    H.write_text(json.dumps(poisson_H().to_json_dict()))
 
     def series(ctx, w, z):
         closed = cli.kernel_closed(ctx, w, z)
@@ -515,7 +557,7 @@ GUARD_ERRORS = {
 def test_invalid_input_exits_2_with_an_error_line(tmp_path, capsys, argv):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json",
              "pair": tmp_path / "pair.json", "measure": tmp_path / "measure.json"}
-    H = ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+    H = poisson_H()
     files["H"].write_text(json.dumps(H.to_json_dict()))
     files["pair"].write_text(json.dumps(pair_from_hb(H, 4.0, (-4.5, 4.5))
                                         .to_json_dict()))
@@ -564,7 +606,7 @@ def test_scan_bound_refuses_before_any_grid(tmp_path, capsys, monkeypatch, refus
     # at step 1/8, a window of width 20 needs 161 grid points and width 12 needs 97
     monkeypatch.setattr(cli, "MAX_SCAN_GRID_POINTS", 100)
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
-    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+    files["H"].write_text(json.dumps(poisson_H().to_json_dict()))
     assert main(["--out", str(tmp_path / "ok"), *(a.format(**files) for a in accepted)]) == 0
 
     def refuse(*args, **kwargs):
@@ -635,10 +677,7 @@ def bad_validation_inputs(pair, H, q, measure):
 @pytest.mark.parametrize("lam", ["1.4142135624", "1.41421356237",
                                  "1.4142135623730951"])
 def test_spectrum_matches_irrational_atoms_within_the_merge_tolerance(tmp_path, lam):
-    th = math.pi / 4
-    U = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
-    H = ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)],
-                                    FreqBasis((1.0, math.sqrt(2)))))
+    H = leeyang_H()
     hfile = tmp_path / "H.json"
     hfile.write_text(json.dumps(H.to_json_dict()))
     atom, = (c for _, val, c in exact_spectrum(H, 2.0).sorted_atoms()
@@ -708,7 +747,7 @@ def test_failed_checks_exit_1_and_still_write_every_file(tmp_path):
     (["pair-check", "{missing}"], 2),
 ])
 def test_exit_codes_carry_through_the_module_entry_point(tmp_path, argv, code):
-    pair = pair_from_hb(ks_from_Q(sine(FreqBasis((0.5,)), (1,))), 16.0, (-16.5, 16.5))
+    pair = pair_from_hb(poisson_H(), 16.0, (-16.5, 16.5))
     files = {"pair": tmp_path / "pair.json", "missing": tmp_path / "missing.json"}
     files["pair"].write_text(json.dumps(pair.to_json_dict()))
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -751,7 +790,7 @@ def _tree(root: Path) -> dict:
 ])
 def test_negative_numbers_in_any_spelling_are_values(tmp_path, argv, same_as):
     files = {"q": write_sin_pi_z(tmp_path / "q.json"), "H": tmp_path / "H.json"}
-    files["H"].write_text(json.dumps(ks_from_Q(sine(FreqBasis((0.5,)), (1,))).to_json_dict()))
+    files["H"].write_text(json.dumps(poisson_H().to_json_dict()))
     trees = []
     for name, args in (("a", argv), ("b", same_as)):
         assert main(["--out", str(tmp_path / name), *(a.format(**files) for a in args)]) == 0
@@ -761,7 +800,7 @@ def test_negative_numbers_in_any_spelling_are_values(tmp_path, argv, same_as):
 
 def test_spectrum_negative_lambda_without_cutoff(tmp_path):
     # the exact spectrum's cutoff stays nonnegative below a negative lambda
-    H = ks_from_Q(sine(FreqBasis((0.5,)), (1,)))
+    H = poisson_H()
     hfile = tmp_path / "H.json"
     hfile.write_text(json.dumps(H.to_json_dict()))
     out = tmp_path / "run"

@@ -11,16 +11,16 @@ from crystalsum.dbspace import (
     kernel_series,
     sampling_eval,
 )
-from crystalsum.freqalg import EvalRangeError, FreqBasis, sine
+from crystalsum.freqalg import EvalRangeError, FreqBasis
 from crystalsum.hermite import HermiteBiehler, ks_from_Q, split_AB
-from probes import cosine, e1_transform, monomial
+from probes import cosine, e1_transform, monomial, poisson_H
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
 
 
 def poisson_ctx(R=100.0):
-    return kernel_context(ks_from_Q(sine(HALF, (1,))), R)
+    return kernel_context(poisson_H(), R)
 
 
 def test_plane_wave_kernel_is_sinc():
@@ -128,7 +128,7 @@ def test_closed_kernel_far_out_on_the_real_axis_raises():
 
 
 def test_series_single_root_rank_one():
-    H = ks_from_Q(sine(HALF, (1,)))
+    H = poisson_H()
     ctx = kernel_context(H, 0.4)   # only the root at 0
     assert len(ctx.points) == 1
     w, z = 0.5 + 1j, -0.3 + 0.7j
@@ -188,14 +188,14 @@ def test_herglotz_bridge():
     # dividing the atom expansion by i B(z) conj(B(w)) gives the kernel
     # form of the Poisson representation for f = iA/B with the 2pi weights
     from crystalsum.measures import herglotz_kernel_residual, measure_from_phase
-    H = ks_from_Q(sine(HALF, (1,)))
+    H = poisson_H()
     mu = measure_from_phase(H, (-800.5, 800.5))
     f = lambda zz: 1j * H.A.eval(zz) / H.B.eval(zz)
     assert herglotz_kernel_residual(mu, f, 1j, 0.5 + 1.5j) <= 5e-3
 
 
 def test_e1_family_invariance():
-    H = ks_from_Q(sine(HALF, (1,)))
+    H = poisson_H()
     ctx = kernel_context(H, 10.0)
     rng = np.random.default_rng(17)
     for _ in range(5):
@@ -213,7 +213,7 @@ def test_e1_family_invariance():
 
 
 def test_context_validation():
-    H = ks_from_Q(sine(HALF, (1,)))
+    H = poisson_H()
     with pytest.raises(ValueError):
         KernelContext(H, np.array([0.0, 0.0]), np.array([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):

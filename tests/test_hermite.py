@@ -21,17 +21,12 @@ from crystalsum.hermite import (
     scan_step,
     split_AB,
 )
-from probes import cosine, monomial, phase_derivative
+from probes import cosine, leeyang_Q, monomial, phase_derivative, poisson_H
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
 # basis for sums in sin(x), sin(sqrt2 x): frequencies 1/(2pi), sqrt2/(2pi)
 RAW = FreqBasis((1 / (2 * math.pi), math.sqrt(2) / (2 * math.pi)))
-
-
-def poisson_E():
-    """E = Q' - iQ for Q = sin(pi z): pi cos(pi z) - i sin(pi z)."""
-    return ks_from_Q(sine(HALF, (1,)))
 
 
 def test_split_AB_plane_wave():
@@ -79,7 +74,7 @@ def test_rejects_growing_plane_wave():
 
 
 def test_accepts_poisson_E():
-    H = poisson_E()
+    H = poisson_H()
     assert H.certificate.margin_modulus > 0
     assert H.B.terms == sine(HALF, (1,)).terms
 
@@ -98,13 +93,6 @@ def test_rejects_non_real_rooted_irrational_Q():
     assert not verdict.accepted
     assert verdict.witness == pytest.approx(-22.739146825983266 + 5j, abs=1e-12)
     assert verdict.reason == "|E*| >= |E| (ratio 3.842)"
-
-
-def leeyang_Q(theta=math.pi / 4):
-    """Lee-Yang determinant of the rotation by theta, lengths (1, sqrt2)."""
-    U = np.array([[math.cos(theta), -math.sin(theta)],
-                  [math.sin(theta), math.cos(theta)]])
-    return leeyang_real_form(U, [(1, 0), (0, 1)], FreqBasis((1.0, math.sqrt(2))))
 
 
 def count_evals(monkeypatch):
@@ -146,17 +134,17 @@ def test_margin_herglotz_is_the_grid_minimum_of_re_iA_over_B(Q):
 
 
 def test_certificate_json_has_no_degeneracy_floor_and_old_files_load():
-    d = poisson_E().to_json_dict()
+    d = poisson_H().to_json_dict()
     assert set(d["certificate"]) == {"grid", "margin_modulus", "margin_herglotz"}
     d["certificate"]["degeneracy_floor"] = 1e-8  # as written by older versions
-    assert HermiteBiehler.from_json_dict(d).E.terms == poisson_E().E.terms
+    assert HermiteBiehler.from_json_dict(d).E.terms == poisson_H().E.terms
 
 
 def test_stored_grid_at_the_phase_limit():
     # the terms of E = pi cos(pi z) - i sin(pi z) have norm 1/2, so phases
     # pi |x| pass freqalg's 2^48 where |x| passes 2^48/pi: just inside it a
     # stored grid validates, just outside it evaluation raises
-    d = poisson_E().to_json_dict()
+    d = poisson_H().to_json_dict()
     x = 2.0 ** 48 / math.pi
     d["certificate"]["grid"]["x"] = [-x * (1 - 1e-9), x * (1 - 1e-9)]
     assert HermiteBiehler.from_json_dict(d).certificate.grid.x_max == x * (1 - 1e-9)
@@ -164,7 +152,7 @@ def test_stored_grid_at_the_phase_limit():
     with pytest.raises(EvalRangeError, match="no correct digit"):
         HermiteBiehler.from_json_dict(d)
     with pytest.raises(EvalRangeError, match="no correct digit"):
-        is_hermite_biehler(poisson_E().E, GridSpec(-1.0, x * (1 + 1e-9), 0.05, 5.0))
+        is_hermite_biehler(poisson_H().E, GridSpec(-1.0, x * (1 + 1e-9), 0.05, 5.0))
 
 
 def test_grid_validation():
@@ -197,7 +185,7 @@ def test_grid_spec_refuses_before_any_mesh(monkeypatch, args):
 
 
 def test_non_finite_coefficient_rejects_before_evaluation(monkeypatch):
-    E = poisson_E().E + monomial(HALF, (3,), complex(math.nan, 0.0))
+    E = poisson_H().E + monomial(HALF, (3,), complex(math.nan, 0.0))
     calls = count_evals(monkeypatch)
     verdict = is_hermite_biehler(E)
     assert not verdict.accepted and "non-finite" in verdict.reason
@@ -209,7 +197,7 @@ def test_non_finite_coefficient_rejects_before_evaluation(monkeypatch):
 def test_nan_samples_reject(monkeypatch):
     # every comparison with NaN is false, so a test that looks for a failing
     # sample would accept; only a margin known to be positive may
-    E, original = poisson_E().E, ExpSum.eval
+    E, original = poisson_H().E, ExpSum.eval
     monkeypatch.setattr(ExpSum, "eval", lambda self, z: original(self, z)
                         if not isinstance(z, Grid) else np.full(z.shape, complex(math.nan)))
     assert not is_hermite_biehler(E).accepted
@@ -219,7 +207,7 @@ def test_validation_exponentiates_the_axes_not_the_rectangle(monkeypatch):
     # the rectangle is one product grid, whose tables E and E* share: per
     # generator the real-axis preflight (nx points) and the grid's ny row
     # heads and nx column offsets, never one exponential per grid point
-    E = poisson_E().E
+    E = poisson_H().E
     exp, calls = np.exp, []
 
     def counting_exp(x, *args, **kwargs):
@@ -344,7 +332,7 @@ def test_phase_derivative_plane_wave():
 
 
 def test_phase_derivative_poisson():
-    H = poisson_E()
+    H = poisson_H()
     assert phase_derivative(H, 0.0) == pytest.approx(1.0, rel=1e-12)
     # weight of the zero root: A(0)/B'(0) = pi/pi = 1, so the atom mass is 2pi
     w = H.A.eval(0.0).real / H.B.derivative().eval(0.0).real
@@ -352,14 +340,14 @@ def test_phase_derivative_poisson():
 
 
 def test_phase_derivative_positive_at_random_points():
-    H = poisson_E()
+    H = poisson_H()
     rng = np.random.default_rng(5)
     xs = rng.uniform(-20, 20, size=2000)
     assert np.all(phase_derivative(H, xs) > 0)
 
 
 def test_interlacing_of_A_and_B_roots():
-    H = poisson_E()
+    H = poisson_H()
     ra = real_root_scan(H.A, (-4.75, 4.75)).roots
     rb = real_root_scan(H.B, (-4.75, 4.75)).roots
     both = sorted((r, "A") for r in ra) + sorted((r, "B") for r in rb)
@@ -448,7 +436,7 @@ def test_ks_roots_coincide_with_Q_roots():
 
 def test_rotated_split():
     # e^{i a} E is Hermite-Biehler with A_a = A cos a + B sin a, B_a = B cos a - A sin a
-    H = poisson_E()
+    H = poisson_H()
     A0, B0 = split_AB(H.E)
     assert A0.terms == H.A.terms and B0.terms == H.B.terms
     for a in (math.pi / 8, math.pi / 2, 2.0):
@@ -468,7 +456,7 @@ def test_rotated_split():
 
 
 def test_json_round_trip():
-    H = poisson_E()
+    H = poisson_H()
     d = H.to_json_dict()
     H2 = HermiteBiehler.from_json_dict(d)
     assert H2.E.terms == H.E.terms

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from crystalsum.freqalg import FreqBasis, sine
-from crystalsum.hermite import (
-    HermiteBiehler,
-    RootFindingError,
-    ks_from_Q,
-    leeyang_real_form,
-)
+from crystalsum.hermite import HermiteBiehler, RootFindingError
 from crystalsum.measures import (
     MERGE_TOL,
     DiscreteMeasure,
@@ -26,22 +21,10 @@ from crystalsum.measures import (
     window_tail,
 )
 from crystalsum.spectra import exact_spectrum, fejer_reconstruct
-from probes import degree_probe, fit_h, herglotz_eval, monomial
+from probes import degree_probe, fit_h, herglotz_eval, leeyang_H, monomial, poisson_H
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
-
-
-def poisson_H():
-    return ks_from_Q(sine(HALF, (1,)))
-
-
-def leeyang_H():
-    """Lee-Yang determinant of the rotation by pi/4, lengths (1, sqrt2)."""
-    th = math.pi / 4
-    U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    return ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)],
-                                       FreqBasis((1.0, math.sqrt(2)))))
 
 
 def comb(wt, n_max, spacing=1.0):
@@ -117,6 +100,17 @@ def test_nonneg_flag_enforced():
 def test_window_must_cover():
     with pytest.raises(ValueError):
         DiscreteMeasure([2.0], [1.0], (-1, 1))
+
+
+@pytest.mark.parametrize("window", [(1, -1), (0.5, 0.5), (-math.inf, 1), (0, math.inf),
+                                    (math.nan, 1), (0, math.nan)],
+                         ids=["reversed", "zero_width", "lo_-inf", "hi_inf", "lo_nan",
+                              "hi_nan"])
+def test_window_must_be_a_finite_interval(window):
+    # with atoms and without: no support check stands in for the window rule
+    for x in ([], [0.5]):
+        with pytest.raises(ValueError, match="window must be a finite interval lo < hi"):
+            DiscreteMeasure(x, [1.0] * len(x), window)
 
 
 def test_measure_from_phase_poisson():
@@ -265,7 +259,6 @@ def test_window_tail_of_a_power_law():
     assert tm.p == pytest.approx(-2.0, abs=1e-9)
     expect = -2 * tm.C * tm.density * (1 + 50.5) ** (tm.p + 1) / (tm.p + 1)
     assert window_tail(mu, np.ones_like) == pytest.approx(expect, rel=1e-3)
-
 
 
 @pytest.mark.parametrize("w", [[1, 1, 1e10, 1e20, 1e30], [1e30, 1e20, 1e10, 1, 1]],

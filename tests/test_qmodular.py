@@ -183,6 +183,22 @@ def test_spec_validation():
         EtaProductSpec(6, {1: 1, 2: 0, 3: 0, 6: 0})   # symmetry r_1 != r_6
 
 
+@pytest.mark.parametrize("N, r", [
+    (4.0, {1: 1}), (True, {1: 1}), ("4", {1: 1}), (4, [(1, 1)]), (1, {1.9: 1}), (1, {True: 1}),
+], ids=["N_float", "N_bool", "N_str", "r_list", "d_float", "d_bool"])
+def test_spec_refuses_a_level_or_exponents_of_the_wrong_type(N, r):
+    # a float index was truncated: {1.9: 1} read as {1: 1}
+    with pytest.raises(ValueError, match="level N must be an integer|must be a dict keyed"):
+        EtaProductSpec(N, r)
+
+
+def test_spec_reads_its_json_form():
+    spec = EtaProductSpec.from_json_dict({"N": 4, "r": {"1": "2/3", "2": "-1/3", "4": "2/3"}})
+    assert spec == EtaProductSpec(4, {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)})
+    assert spec.r == {1: F(2, 3), 2: F(-1, 3), 4: F(2, 3)} and (spec.b, spec.k) == (9, 1)
+    assert EtaProductSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))).r == spec.r
+
+
 @pytest.mark.parametrize("N", [1, 2, 12, 36, 97, 360, 1001, 2**10])
 def test_spec_fills_every_divisor_of_the_level(N):
     spec = EtaProductSpec(N, {1: F(1, 2), N: F(1, 2)} if N > 1 else {1: 1})

@@ -1,11 +1,17 @@
+import cmath
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from crystalsum.cli import FE_HEIGHTS
+from crystalsum.measures import DiscreteMeasure
 from crystalsum.qmodular import EtaProductSpec, family_l, family_spec, fplus
 from crystalsum.selfdual import (
+    _evaluate,
+    _float_view,
+    _tail_bound,
     functional_equation_residual,
     selfdual_measure,
     sqrt_i_over_z,
@@ -49,9 +55,34 @@ def test_empty_series_empty_measure():
     assert len(selfdual_measure(s, (-5, 5))) == 0
 
 
+def tail_bound(s, z):
+    return _tail_bound(s, *_float_view(s), z)
+
+
+def loop_value(s, z):
+    """The per-entry loop that the array view replaced, kept as its reference."""
+    scale = 2j * math.pi / (s.denom * math.sqrt(s.N))
+    total = 0j
+    for n, c in s.entries:
+        total += float(c) * cmath.exp(scale * n * z)
+    return total
+
+
+@pytest.mark.parametrize("which", ["guinand-300", "minus-200"])
+def test_array_value_is_the_loop_bit_for_bit(which):
+    # the README eta series; np.sum in place of the left-to-right sum moves
+    # the last bits
+    s = fplus(GUINAND, F(300)) if which == "guinand-300" else family_l(F(1), F(200))[2]
+    n, c = _float_view(s)
+    for z in (0.3j, 0.8j, 1.25j, 1.5j, 2j / 3, 0.35 + 1.1j, -1 / (0.35 + 1.1j)):
+        assert _evaluate(s, n, c, z) == loop_value(s, z)
+
+
 def test_functional_equation_poisson():
+    # not at z = i, the fixed point of z -> -1/z, where the residual is 0
+    # for any plus-family coefficients
     s = fplus(POISSON, F(300))
-    assert functional_equation_residual(s, 1j) <= 1e-10
+    assert functional_equation_residual(s, 0.8j) <= 1e-10
 
 
 def test_functional_equation_guinand():
@@ -81,6 +112,17 @@ def test_tail_cap_rejects_small_order():
         functional_equation_residual(s, 0.01j, tail_cap=1e-12)
 
 
+@pytest.mark.parametrize("order", [F(1, 2), F(2), F(5)])
+def test_tail_cap_refuses_a_series_too_short_to_bound_its_tail(order):
+    # 1 to 3 entries: no block of coefficients to estimate the growth from,
+    # so the tail is unknown (these residuals read 0.04 to 1.8e-7)
+    s = fplus(family_spec(1), order)
+    assert 1 <= len(s.entries) < 4 and tail_bound(s, 1.25j) == math.inf
+    for y in FE_HEIGHTS:
+        with pytest.raises(ValueError, match="truncation tail inf exceeds"):
+            functional_equation_residual(s, 1j * y, tail_cap=1e-6)
+
+
 def _pairing_residuals(m, ys):
     """check_selfdual residuals against e^{-pi y t^2}, i.e. z = iy."""
     suite = [TestFunction("gaussian", z=1j * y) for y in ys]
@@ -91,7 +133,7 @@ def test_tail_bound_of_a_sparse_series_is_finite():
     # 110 entries up to n = 47961 with gaps in the thousands: growth^gap
     # overflowed while rho1^n underflowed
     s = fplus(family_spec(1), F(6000))
-    assert math.isfinite(s.tail_bound(1j)) and math.isfinite(s.tail_bound(0.3j))
+    assert math.isfinite(tail_bound(s, 1j)) and math.isfinite(tail_bound(s, 0.3j))
 
 
 # tail_bound at the README orders as the direct product m2 growth^gap rho1^n
@@ -105,7 +147,7 @@ def test_tail_bound_of_a_sparse_series_is_finite():
 ])
 def test_tail_bound_in_log_space_equals_the_direct_product(which, z, direct):
     s = fplus(GUINAND, F(300)) if which == "plus" else family_l(F(1), F(200))[2]
-    assert s.tail_bound(z) == pytest.approx(direct, rel=1e-12)
+    assert tail_bound(s, z) == pytest.approx(direct, rel=1e-12)
 
 
 def test_gaussian_pairing_guinand():
@@ -125,7 +167,6 @@ def test_gaussian_pairing_minus_family():
 
 
 def test_pairing_requires_sign_tag():
-    from crystalsum.measures import DiscreteMeasure
     m = DiscreteMeasure([0.0], [1.0], (-1, 1))
     with pytest.raises(ValueError):
         _pairing_residuals(m, (1.0,))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from crystalsum import freqalg, spectra
 from crystalsum.freqalg import CHUNK_POINTS, FreqBasis, sine
-from crystalsum.hermite import HermiteBiehler, ks_from_Q, leeyang_real_form
+from crystalsum.hermite import HermiteBiehler, ks_from_Q
 from crystalsum.spectra import (
     SpectrumAtoms,
     SpectrumError,
@@ -21,21 +21,10 @@ from crystalsum.spectra import (
     mean_value_batch,
 )
 from divide_reference import divide
-from probes import monomial, spectrum_to_json
+from probes import leeyang_H, monomial, poisson_H, spectrum_to_json
 
 HALF = FreqBasis((0.5,))
 UNIT = FreqBasis((1.0,))
-
-
-def poisson_H():
-    return ks_from_Q(sine(HALF, (1,)))
-
-
-def leeyang_H():
-    th = math.pi / 4
-    U = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    basis = FreqBasis((1.0, math.sqrt(2)))
-    return ks_from_Q(leeyang_real_form(U, [(1, 0), (0, 1)], basis))
 
 
 def plane_wave_H():

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from crystalsum import spectra, verifier
-from crystalsum.freqalg import FreqBasis, sine
-from crystalsum.hermite import ks_from_Q
 from crystalsum.measures import DiscreteMeasure, FSPair, pair_from_hb
 from crystalsum.qmodular import EtaProductSpec, family_l, fplus
 from crystalsum.selfdual import selfdual_measure
@@ -23,13 +21,11 @@ from crystalsum.verifier import (
     _report,
     transform,
 )
-from probes import fejer_identity_check
-
-HALF = FreqBasis((0.5,))
+from probes import fejer_identity_check, poisson_H
 
 
 def poisson_pair(cutoff=16.0, W=16.5):
-    return pair_from_hb(ks_from_Q(sine(HALF, (1,))), cutoff, (-W, W))
+    return pair_from_hb(poisson_H(), cutoff, (-W, W))
 
 
 def test_gaussian_selfdual_fixed_point():
@@ -222,7 +218,7 @@ def test_fejer_identity_degenerate_T():
 
 def test_fejer_identity_rate_in_T():
     # with a wide mu-window the taper term dominates and scales like 1/T
-    pair = pair_from_hb(ks_from_Q(sine(HALF, (1,))), 1200.0,
+    pair = pair_from_hb(poisson_H(), 1200.0,
                         (-30000.5, 30000.5))
     w, z = 0.3j, 0.4j
     r100 = fejer_identity_check(pair, w, z, 100.0).residual
